@@ -1,0 +1,124 @@
+"""Golden digests: short cuts of every preset scenario, plus one mixed
+scenario with all three kinds of agent and audio logged, must write
+byte-identical artifacts and replay renders to those pinned in
+golden_digests.json.
+
+A change that moves these bytes on purpose re-pins the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says why in CHANGES.md. Digests depend on the numpy build, so the
+file records the numpy version it was made with and the test skips under
+another one.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+
+from holonsim.environment import (ReplayError, Scenario, load_run_events,
+                                  load_scenario, replay_run, run_scenario)
+
+HERE = Path(__file__).resolve().parent
+SCENARIOS = HERE.parent / "scenarios"
+GOLDEN = HERE / "golden_digests.json"
+CUT_S = 3.0
+
+# All three kinds at night with audio logged: short recording and capture
+# caps let a collector keep a clip and answer a composer tone within the
+# cut, so the log holds every kind of audio-carrying event.
+MIXED = {
+    "name": "golden_mixed",
+    "seed": 11,
+    "duration_s": 16.0,
+    "night_window": [0.0, 1.0],
+    "log_audio": True,
+    "monitors": [[0.0, 0.0], [3.0, 1.0]],
+    "agents": [
+        {"kind": "composer", "count": 2, "params": {"slot_s": 1.0}},
+        {"kind": "collector", "count": 2, "params": {"record_max_s": 1.5}},
+        {"kind": "disruptor", "params": {"capture_max_s": 1.0}},
+    ],
+    "sources": [
+        {"id": "gull", "kind": "chirp_train", "channel": "biophony",
+         "position": [2.0, 2.0], "level_dbfs": -24.0, "start_s": 3.3,
+         "chirp_s": 0.25, "period_s": 4.1, "count": 3},
+        {"id": "hum", "kind": "tone", "channel": "anthrophony",
+         "position": [-3.0, 0.0], "level_dbfs": -36.0, "freq_hz": 120.0},
+    ],
+}
+
+REQUIRED_EVENTS = {"emission_start", "record_start", "capture_start",
+                   "disrupt_start", "sample_decision", "playback_start"}
+
+
+def cases(work: Path) -> dict:
+    """Scenario name -> resolved Scenario, presets cut to CUT_S."""
+    out = {}
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        scn = load_scenario(path)
+        scn.duration_s = min(scn.duration_s, CUT_S)
+        out[path.stem] = scn
+    mixed = work / f"{MIXED['name']}.yaml"
+    mixed.write_text(yaml.safe_dump(MIXED))
+    out[MIXED["name"]] = load_scenario(mixed)
+    return out
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def digests(scn: Scenario, run_dir: Path) -> tuple:
+    """(artifact digests, event names) of one run and its replay."""
+    run_scenario(scn, run_dir)
+    out = {name: sha256(run_dir / name)
+           for name in ["events.jsonl", "occupation.npy"]
+           + [f"monitor_{m:02d}.wav" for m in range(len(scn.monitors))]}
+    try:
+        replay_run(run_dir)
+    except ReplayError:
+        if scn.log_audio:
+            raise
+    else:
+        for m in range(len(scn.monitors)):
+            name = f"replay/monitor_{m:02d}.wav"
+            out[name] = sha256(run_dir / name)
+    events = {e["event"] for e in load_run_events(run_dir)}
+    return out, events
+
+
+def test_runs_match_pinned_digests(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"digests pinned with numpy {golden['numpy']}, "
+                    f"running {np.__version__}")
+    seen = set()
+    got = {}
+    for name, scn in cases(tmp_path).items():
+        got[name], events = digests(scn, tmp_path / name)
+        seen |= events
+    assert REQUIRED_EVENTS <= seen, sorted(REQUIRED_EVENTS - seen)
+    assert sorted(got) == sorted(golden["runs"])
+    for name in got:
+        assert got[name] == golden["runs"][name], name
+
+
+def pin(work: Path):
+    runs = {name: digests(scn, work / name)[0]
+            for name, scn in cases(work).items()}
+    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "cut_s": CUT_S,
+                                  "runs": runs}, indent=2, sort_keys=True)
+                      + "\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as work:
+        pin(Path(work))
+    print(f"pinned {GOLDEN}", file=sys.stderr)
