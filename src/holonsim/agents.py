@@ -5,9 +5,11 @@ into it; collectors record onsets and keep the recordings that diversify
 their collection, playing them back at night when they hear a composer
 tone; disruptors grab whatever sounds loud, mangle it and throw it back.
 
-All hearing goes through the per-tick frame/spectrum/Mel triple handed
-in by the scheduler; all sound leaves through an emission queue that the
-scheduler drains one hop per tick (audible to everyone the next tick).
+All hearing arithmetic runs once per tick for every agent at once, on
+arrays with one row per agent held by a Hearing: onset detection, spectral
+memory, tone features and hop levels. Each agent reads its own row and
+keeps only its decisions. All sound leaves through an emission queue that
+the scheduler drains one hop per tick (audible to everyone the next tick).
 Agents never inspect each other: sound on the bus is the only channel.
 """
 
@@ -19,8 +21,8 @@ import numpy as np
 from . import dsp_transforms as dsp
 from . import features as ft
 from .audio_core import SimClock, default_filterbank
-from .params import (FRAME_HOP, LOG_FLOOR, N_MEL_BANDS, SAMPLE_RATE,
-                     TICK_SECONDS)
+from .params import (FRAME_HOP, FRAME_SIZE, LOG_FLOOR, N_MEL_BANDS,
+                     SAMPLE_RATE, TICK_SECONDS)
 
 CHANNEL_AGENT = "cyberphony"  # every agent emission is machine-made sound
 
@@ -76,11 +78,15 @@ class EnergyModel:
         return rate if is_night else rate * self.day_liveliness_scale
 
 
-def energy_step(agent: "AgentBase", clock: SimClock,
+def energy_step(agent: "AgentBase", harvest: float,
                 dt_s: float = TICK_SECONDS):
-    """Integrate one tick of harvest and consumption, clamped to the pack."""
+    """Integrate one tick of harvest and consumption, clamped to the pack.
+
+    harvest is agent.energy.harvest_w(clock) for the tick. It depends only
+    on the model's values and the clock, so the scheduler works it out
+    once per distinct model.
+    """
     model = agent.energy
-    harvest = model.harvest_w(clock)
     cost = model.cost_idle_w + model.cost_listen_w
     if agent.emitted_this_tick:
         cost += model.cost_emit_w
@@ -103,43 +109,57 @@ def _ema_alpha(half_life_s: float, dt_s: float = TICK_SECONDS) -> float:
     return 1.0 - 2.0 ** (-dt_s / half_life_s)
 
 
+def _row_alphas(half_life_s, n: int) -> np.ndarray:
+    """(n, 1) EMA weights, each worked out in Python floats by _ema_alpha."""
+    return np.array([[_ema_alpha(h)]
+                     for h in np.broadcast_to(half_life_s, (n,)).tolist()])
+
+
 class SpectralProfile:
-    """Two-timescale memory of the Mel band energies an agent has heard.
+    """Two-timescale memory of the Mel band energies heard, one row per
+    listener (n rows of n_bands).
 
     ema_energy tracks the long-term mean energy per band (slow EMA),
     short_term the recent occupancy (fast EMA), and ema_range a per-band
     dynamic range in dB from fast-attack/slow-release peak and floor
-    followers.
+    followers. Half-lives are scalars or one per row.
     """
 
-    def __init__(self, n_bands: int = N_MEL_BANDS,
-                 long_half_life_s: float = 120.0,
-                 short_half_life_s: float = 2.0):
-        self.long_half_life_s = long_half_life_s
-        self.short_half_life_s = short_half_life_s
-        self._alpha_long = _ema_alpha(long_half_life_s)
-        self._alpha_short = _ema_alpha(short_half_life_s)
-        self.ema_energy = np.zeros(n_bands)
-        self.short_term_energy = np.zeros(n_bands)
-        self._peak_db = np.zeros(n_bands)
-        self._floor_db = np.zeros(n_bands)
-        self._seen = False
+    def __init__(self, n: int = 1, n_bands: int = N_MEL_BANDS,
+                 long_half_life_s=120.0, short_half_life_s=2.0):
+        self._alpha_long = _row_alphas(long_half_life_s, n)
+        self._alpha_short = _row_alphas(short_half_life_s, n)
+        self.ema_energy = np.zeros((n, n_bands))
+        self.short_term_energy = np.zeros((n, n_bands))
+        self._peak_db = np.zeros((n, n_bands))
+        self._floor_db = np.zeros((n, n_bands))
+        self._seen = np.zeros((n, 1), dtype=bool)
 
-    def update(self, mel_energies: np.ndarray):
+    def update(self, mel_energies: np.ndarray, rows=True):
+        """Fold one frame per row into memory; rows (per row or shared)
+        says which rows listen this tick, the rest keep their state."""
         e = np.asarray(mel_energies, dtype=float)
-        self.ema_energy += self._alpha_long * (e - self.ema_energy)
-        self.short_term_energy += self._alpha_short * (e - self.short_term_energy)
+        rows = np.reshape(rows, (-1, 1))
+        a_long = self._alpha_long
+        self.ema_energy = np.where(
+            rows, self.ema_energy + a_long * (e - self.ema_energy),
+            self.ema_energy)
+        self.short_term_energy = np.where(
+            rows, self.short_term_energy
+            + self._alpha_short * (e - self.short_term_energy),
+            self.short_term_energy)
         level_db = 10.0 * np.log10(e + LOG_FLOOR)
-        if not self._seen:
-            self._peak_db[:] = level_db
-            self._floor_db[:] = level_db
-            self._seen = True
-            return
-        # peaks jump up instantly and sag slowly; floors mirror that
-        decayed_peak = self._peak_db + self._alpha_long * (level_db - self._peak_db)
-        self._peak_db = np.maximum(level_db, decayed_peak)
-        raised_floor = self._floor_db + self._alpha_long * (level_db - self._floor_db)
-        self._floor_db = np.minimum(level_db, raised_floor)
+        # a row's first frame seeds both followers; after that peaks jump
+        # up instantly and sag slowly, and floors mirror that
+        peak = np.maximum(level_db,
+                          self._peak_db + a_long * (level_db - self._peak_db))
+        floor = np.minimum(level_db, self._floor_db
+                           + a_long * (level_db - self._floor_db))
+        self._peak_db = np.where(
+            rows, np.where(self._seen, peak, level_db), self._peak_db)
+        self._floor_db = np.where(
+            rows, np.where(self._seen, floor, level_db), self._floor_db)
+        self._seen |= rows
 
     @property
     def ema_range_db(self) -> np.ndarray:
@@ -216,6 +236,7 @@ class AgentBase:
         self.queue = EmissionQueue()
         self.emitted_this_tick = False
         self._self_audible_until = -1
+        self.row = None          # this agent's row in the Hearing
         self.harvested_wh = 0.0
         self.consumed_wh = 0.0
         self.overflow_wh = 0.0
@@ -243,7 +264,9 @@ class AgentBase:
         self.led.mode = mode
         self.led.intensity = float(min(max(intensity, 0.0), 1.0))
 
-    def step(self, frame, spectrum, mel_energies, clock):
+    def step(self, hearing: "Hearing", clock):
+        """Decide this tick from this agent's row of the Hearing, which
+        has listened to the tick already; returns (hop or None, events)."""
         raise NotImplementedError
 
     def summary(self) -> dict:
@@ -288,9 +311,11 @@ class ComposerAgent(AgentBase):
                  slot_offset_ticks: int = 0):
         super().__init__(agent_id, position, rng, energy, battery_wh)
         self.params = params or ComposerParams()
+        # own one-row memory until a Hearing makes it a row of a shared one
         self.profile = SpectralProfile(
             long_half_life_s=self.params.long_half_life_s,
             short_half_life_s=self.params.short_half_life_s)
+        self.profile_row = 0
         self.preferred_band = preferred_band
         self.slot_ticks = max(1, int(round(self.params.slot_s / TICK_SECONDS)))
         self.slot_offset_ticks = slot_offset_ticks % self.slot_ticks
@@ -310,34 +335,33 @@ class ComposerAgent(AgentBase):
         and frees its quietest quartile again.
         """
         p = self.params
+        ema = self.profile.ema_energy[self.profile_row]
         threshold = max(
-            float(np.percentile(self.profile.ema_energy,
-                                p.occupancy_percentile)),
+            float(np.percentile(ema, p.occupancy_percentile)),
             p.occupancy_floor)
-        effective = np.maximum(self.profile.short_term_energy, instant_mel)
+        effective = np.maximum(
+            self.profile.short_term_energy[self.profile_row], instant_mel)
         occupied = effective >= threshold
         if self.preferred_band is not None and not occupied[self.preferred_band]:
             return self.preferred_band
         free = np.flatnonzero(~occupied)
         if len(free) == 0:
             return None
-        band = int(free[np.argmin(self.profile.ema_energy[free])])
+        band = int(free[np.argmin(ema[free])])
         if self.preferred_band is None:
             self.preferred_band = band
         return band
 
     def _attack_decay_s(self, band: int) -> float:
         p = self.params
-        r = min(float(self.profile.ema_range_db[band]), p.range_full_db)
+        r = min(float(self.profile.ema_range_db[self.profile_row, band]),
+                p.range_full_db)
         return p.attack_slow_s + (p.attack_fast_s - p.attack_slow_s) * (
             r / p.range_full_db)
 
-    def step(self, frame, spectrum, mel_energies, clock):
+    def step(self, hearing, clock):
         events = []
         p = self.params
-        if not self.hears_self(clock.tick):
-            self.profile.update(mel_energies)
-
         if (clock.tick + self.slot_offset_ticks) % self.slot_ticks == 0:
             # one draw per boundary no matter what, so the stream stays
             # tick-aligned between runs whose batteries diverge
@@ -347,7 +371,7 @@ class ComposerAgent(AgentBase):
             if (not self.is_emitting
                     and self.battery_wh >= self.energy.emission_floor_wh
                     and u < p_slot):
-                band = self.select_band(mel_energies)
+                band = self.select_band(hearing.mels[self.row])
                 if band is not None:
                     self._start_note(band, clock, events)
 
@@ -400,6 +424,34 @@ class ComposerAgent(AgentBase):
         return out
 
 
+class _Listener(AgentBase):
+    """An agent that records whatever its onset detector row catches."""
+
+    session = None
+
+    def armed(self, tick: int) -> bool:
+        """Whether an onset heard this tick may open a recording."""
+        return (self.session is None and not self.is_emitting
+                and not self.hears_self(tick))
+
+    def _record(self, hearing: "Hearing", tick: int, max_s: float,
+                start_event: str, events: list) -> "ft.SoundSample | None":
+        """Feed the tick's hop to the open recording, or open one on an
+        onset; returns the sample once its recording closes."""
+        r = self.row
+        if self.session is not None:
+            sample = self.session.feed(hearing.hops[r], hearing.levels[r])
+            if sample is not None:
+                self.session = None
+            return sample
+        if hearing.fired[r]:
+            self.session = ft.RecordingSession(
+                tick, preroll=hearing.prev_frames[r], max_s=max_s)
+            self.session.feed(hearing.hops[r], hearing.levels[r])
+            events.append({"event": start_event})
+        return None
+
+
 @dataclass
 class CollectorParams:
     tone_frames: int = 20           # consecutive same-argmax frames to call it a tone
@@ -411,7 +463,7 @@ class CollectorParams:
     capacity_bytes: int = ft.DEFAULT_CAPACITY_BYTES
 
 
-class CollectorAgent(AgentBase):
+class CollectorAgent(_Listener):
     """Records onsets, keeps what diversifies its collection, and answers
     composer tones at night with a stored sound."""
 
@@ -421,12 +473,9 @@ class CollectorAgent(AgentBase):
                  params: CollectorParams | None = None):
         super().__init__(agent_id, position, rng, energy, battery_wh)
         self.params = params or CollectorParams()
-        self.detector = ft.OnsetDetector()
         self.collection = ft.SampleCollection(
             max_items=self.params.max_items,
             capacity_bytes=self.params.capacity_bytes)
-        self.session = None
-        self._prev_frame = None
         self._tone_band = -1
         self._tone_run = 0
         self._refractory_until = -1
@@ -436,40 +485,29 @@ class CollectorAgent(AgentBase):
     def is_recording(self) -> bool:
         return self.session is not None
 
-    def step(self, frame, spectrum, mel_energies, clock):
+    def step(self, hearing, clock):
         events = []
-        armed = (not self.is_recording and not self.is_emitting
-                 and not self.hears_self(clock.tick))
-        fired = self.detector.update(spectrum, armed=armed)
+        sample = self._record(hearing, clock.tick, self.params.record_max_s,
+                              "record_start", events)
+        if sample is not None:
+            events.append({"event": "record_end",
+                           "duration_s": sample.duration_s,
+                           "nbytes": sample.nbytes})
+            decision = self.collection.add(sample)
+            events.append({
+                "event": "sample_decision",
+                "verdict": decision.verdict.value,
+                "replace_index": decision.replace_index,
+                "collection_size": len(self.collection),
+                "total_bytes": self.collection.total_bytes,
+                "_pcm": sample.pcm if decision.accepted else None,
+                "captured_at": sample.captured_at,
+            })
+            if decision.accepted:
+                self._blue_until = clock.tick + int(
+                    round(self.params.accepted_blue_s / TICK_SECONDS))
 
-        if self.is_recording:
-            sample = self.session.feed(frame.new_samples)
-            if sample is not None:
-                self.session = None
-                events.append({"event": "record_end",
-                               "duration_s": sample.duration_s,
-                               "nbytes": sample.nbytes})
-                decision = self.collection.add(sample)
-                events.append({
-                    "event": "sample_decision",
-                    "verdict": decision.verdict.value,
-                    "replace_index": decision.replace_index,
-                    "collection_size": len(self.collection),
-                    "total_bytes": self.collection.total_bytes,
-                    "_pcm": sample.pcm if decision.accepted else None,
-                    "captured_at": sample.captured_at,
-                })
-                if decision.accepted:
-                    self._blue_until = clock.tick + int(
-                        round(self.params.accepted_blue_s / TICK_SECONDS))
-        elif fired:
-            self.session = ft.RecordingSession(
-                clock.tick, preroll=self._prev_frame,
-                max_s=self.params.record_max_s)
-            self.session.feed(frame.new_samples)
-            events.append({"event": "record_start"})
-
-        self._update_tone_tracker(mel_energies, clock)
+        self._update_tone_tracker(hearing, clock)
         if self._tone_trigger_ready(clock):
             self._start_playback(clock, events)
 
@@ -488,17 +526,15 @@ class CollectorAgent(AgentBase):
                           float(np.max(np.abs(hop))) / peak, events)
         else:
             self._set_led(LedMode.OFF, 0.0, events)
-
-        self._prev_frame = np.array(frame.samples, copy=True)
         return hop, events
 
-    def _update_tone_tracker(self, mel_energies, clock):
+    def _update_tone_tracker(self, hearing, clock):
         """Count consecutive frames dominated by one narrowband peak."""
         if self.is_emitting or self.hears_self(clock.tick):
             self._tone_run = 0
             return
-        band = int(np.argmax(mel_energies))
-        flat = ft.spectral_flatness(mel_energies)
+        band = int(hearing.tone_bands[self.row])
+        flat = hearing.flatness[self.row]
         if flat < self.params.flatness_max and band == self._tone_band:
             self._tone_run += 1
         elif flat < self.params.flatness_max:
@@ -546,7 +582,7 @@ class DisruptorParams:
     capture_max_s: float = 5.0
 
 
-class DisruptorAgent(AgentBase):
+class DisruptorAgent(_Listener):
     """Captures whatever starts up nearby, warps it, and plays it back."""
 
     kind = "disruptor"
@@ -555,34 +591,20 @@ class DisruptorAgent(AgentBase):
                  params: DisruptorParams | None = None):
         super().__init__(agent_id, position, rng, energy, battery_wh)
         self.params = params or DisruptorParams()
-        self.detector = ft.OnsetDetector()
-        self.session = None
-        self._prev_frame = None
         self.disruptions = 0
 
     @property
     def is_capturing(self) -> bool:
         return self.session is not None
 
-    def step(self, frame, spectrum, mel_energies, clock):
+    def step(self, hearing, clock):
         events = []
-        armed = (not self.is_capturing and not self.is_emitting
-                 and not self.hears_self(clock.tick))
-        fired = self.detector.update(spectrum, armed=armed)
-
-        if self.is_capturing:
-            sample = self.session.feed(frame.new_samples)
-            if sample is not None:
-                self.session = None
-                events.append({"event": "capture_end",
-                               "duration_s": sample.duration_s})
-                self._disrupt(sample, clock, events)
-        elif fired:
-            self.session = ft.RecordingSession(
-                clock.tick, preroll=self._prev_frame,
-                max_s=self.params.capture_max_s)
-            self.session.feed(frame.new_samples)
-            events.append({"event": "capture_start"})
+        sample = self._record(hearing, clock.tick, self.params.capture_max_s,
+                              "capture_start", events)
+        if sample is not None:
+            events.append({"event": "capture_end",
+                           "duration_s": sample.duration_s})
+            self._disrupt(sample, clock, events)
 
         hop = self._drain_queue(clock.tick)
         self.emitted_this_tick = hop is not None
@@ -597,8 +619,6 @@ class DisruptorAgent(AgentBase):
             self._set_led(LedMode.ACQUIRING_RED, 1.0, events)
         else:
             self._set_led(LedMode.OFF, 0.0, events)
-
-        self._prev_frame = np.array(frame.samples, copy=True)
         return hop, events
 
     def _disrupt(self, sample: ft.SoundSample, clock, events: list):
@@ -624,6 +644,69 @@ class DisruptorAgent(AgentBase):
         out = super().summary()
         out["disruptions"] = self.disruptions
         return out
+
+
+class Hearing:
+    """What a group of agents hears each tick, worked out for all at once.
+
+    listen() takes the tick's frames, the previous tick's frames, their
+    spectra and Mel energies, one row per agent in the order given, and
+    runs the hearing arithmetic on arrays: onset detection for collectors
+    and disruptors, armed from each one's state before anyone steps
+    (agents do not hear each other within a tick); spectral memory for
+    composers not hearing themselves, in a profile whose rows become the
+    composers' own; and the collectors' tone features. Each agent's step()
+    then reads its row.
+    """
+
+    def __init__(self, agents):
+        self.agents = list(agents)
+        kinds = [a.kind for a in self.agents]
+        self._listeners = [j for j, k in enumerate(kinds)
+                           if k in ("collector", "disruptor")]
+        self._composers = [j for j, k in enumerate(kinds) if k == "composer"]
+        self._collectors = [j for j, k in enumerate(kinds)
+                            if k == "collector"]
+        self.onsets = ft.OnsetDetector(len(self._listeners))
+        composers = [self.agents[j] for j in self._composers]
+        self.profile = SpectralProfile(
+            len(composers),
+            long_half_life_s=[c.params.long_half_life_s for c in composers],
+            short_half_life_s=[c.params.short_half_life_s
+                               for c in composers])
+        for row, composer in enumerate(composers):
+            composer.profile, composer.profile_row = self.profile, row
+        for row, agent in enumerate(self.agents):
+            agent.row = row
+        n = len(self.agents)
+        self.fired = np.zeros(n, dtype=bool)
+        self.levels = np.zeros(n)              # RMS of each row's new hop
+        self.tone_bands = np.zeros(n, dtype=int)
+        self.flatness = np.zeros(n)
+        self.hops = self.prev_frames = self.mels = None
+
+    def listen(self, frames: np.ndarray, prev_frames: np.ndarray,
+               spectra: np.ndarray, mel_energies: np.ndarray, clock):
+        tick = clock.tick
+        self.hops = frames[:, FRAME_SIZE - FRAME_HOP:]
+        self.prev_frames = prev_frames
+        self.mels = mel_energies
+        rows = self._listeners
+        if rows:
+            armed = [self.agents[j].armed(tick) for j in rows]
+            self.onsets.update(spectra[rows], armed)
+            self.fired[rows] = self.onsets.fired
+            self.levels[rows] = np.sqrt(
+                np.mean(np.square(self.hops[rows]), axis=1))
+        rows = self._composers
+        if rows:
+            self.profile.update(
+                mel_energies[rows],
+                [not self.agents[j].hears_self(tick) for j in rows])
+        rows = self._collectors
+        if rows:
+            self.tone_bands[rows] = np.argmax(mel_energies[rows], axis=1)
+            self.flatness[rows] = ft.spectral_flatness(mel_energies[rows])
 
 
 AGENT_KINDS = {

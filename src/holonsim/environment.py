@@ -21,13 +21,13 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.signal import butter, lfilter, lfilter_zi
+from scipy.signal import butter, lfilter
 
 from .agents import (AGENT_KINDS, CollectorParams, ComposerParams,
-                     DisruptorParams, EnergyModel, energy_step, synth_tone)
-from .audio_core import (AudioFrame, HighpassFilter, SimClock,
-                         default_filterbank, fft_magnitude, read_wav,
-                         write_wav)
+                     DisruptorParams, EnergyModel, Hearing, energy_step,
+                     synth_tone)
+from .audio_core import (HighpassFilter, SimClock, default_filterbank,
+                         fft_magnitude, read_wav, write_wav)
 from .params import FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE
 
 CHANNELS = ("biophony", "geophony", "anthrophony", "cyberphony")
@@ -226,6 +226,10 @@ def _scenario_from_raw(raw: dict, base_dir: Path, default_name: str):
     if not isinstance(duration, (int, float)) or duration <= 0:
         raise ScenarioError("scenario: duration_s must be positive")
 
+    day_length = raw.get("day_length_s", 240.0)
+    if not isinstance(day_length, (int, float)) or day_length <= 0:
+        raise ScenarioError("scenario: day_length_s must be positive")
+
     night = tuple(raw.get("night_window", (0.5, 1.0)))
     if len(night) != 2 or not all(0.0 <= v <= 1.0 for v in night):
         raise ScenarioError("scenario: night_window must be two day "
@@ -235,7 +239,7 @@ def _scenario_from_raw(raw: dict, base_dir: Path, default_name: str):
         name=str(raw.get("name", default_name)),
         seed=seed,
         duration_s=float(duration),
-        day_length_s=float(raw.get("day_length_s", 240.0)),
+        day_length_s=float(day_length),
         night_window=(float(night[0]), float(night[1])),
         noise_floor_dbfs=raw.get("noise_floor_dbfs",
                                  DEFAULT_NOISE_FLOOR_DBFS),
@@ -328,6 +332,12 @@ def _roster_from_raw(entries: list, radius_m: float) -> list:
         if "position" in raw and count != 1:
             raise ScenarioError(
                 f"{context}: give position only for single agents")
+        band = raw.get("preferred_band")
+        if band is not None and (not isinstance(band, int)
+                                 or not 0 <= band < N_MEL_BANDS):
+            raise ScenarioError(
+                f"{context}: preferred_band must be a Mel band index in "
+                f"[0, {N_MEL_BANDS})")
         for _ in range(count):
             expanded.append((kind, raw))
 
@@ -630,7 +640,15 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
 
     bank = default_filterbank()
     hp = HighpassFilter(channels=n_agents) if n_agents else None
+    hearing = Hearing(agents)
+    # agents with equal energy models share one harvest per tick
+    models = []
+    for agent in agents:
+        if agent.energy not in models:
+            models.append(agent.energy)
+    model_of = [models.index(agent.energy) for agent in agents]
     rings = np.zeros((n_agents, FRAME_SIZE))
+    prev_rings = np.zeros_like(rings)
     chan_rings = np.zeros((len(CHANNELS), FRAME_SIZE))
     n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS) if n_ticks else 0
     occupation = np.zeros((len(CHANNELS), n_windows, N_MEL_BANDS))
@@ -688,14 +706,17 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                 feeds = hp.process(mixed[0])[None, :]
             else:
                 feeds = hp.process(mixed[:n_agents])
-            rings[:, :FRAME_HOP] = rings[:, FRAME_HOP:]
+            # two ring buffers in turn: last tick's stays whole for pre-roll
+            prev_rings, rings = rings, prev_rings
+            rings[:, :FRAME_HOP] = prev_rings[:, FRAME_HOP:]
             rings[:, FRAME_HOP:] = feeds
             mags = fft_magnitude(rings)
             mels = bank.apply(mags)
+            hearing.listen(rings, prev_rings, mags, mels, clock)
+            harvest = [model.harvest_w(clock) for model in models]
             for j, agent in enumerate(agents):
-                frame = AudioFrame(rings[j], tick)
-                hop_out, events = agent.step(frame, mags[j], mels[j], clock)
-                energy_step(agent, clock)
+                hop_out, events = agent.step(hearing, clock)
+                energy_step(agent, harvest[model_of[j]])
                 row = n_sources + j
                 if hop_out is None:
                     pending[row] = 0.0
@@ -746,8 +767,21 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
 
 # --- replay ----------------------------------------------------------------------
 
+_PCM_EMISSIONS = ("playback_start", "disrupt_start")
+
+
 def _emissions_from_log(events) -> dict:
-    """Per-agent (start_tick, float32 pcm) emission list from the log."""
+    """Per-agent (start_tick, float32 pcm) emission list from the log.
+
+    Refuses a log whose emissions lack their audio before synthesizing
+    anything.
+    """
+    if any(record["event"] in _PCM_EMISSIONS
+           and record.get("payload", {}).get("pcm_omitted")
+           for record in events):
+        raise ReplayError(
+            "log has pcm_omitted entries (run used log_audio: "
+            "false); renders cannot be reproduced")
     schedule = {}
     for record in events:
         payload = record.get("payload", {})
@@ -757,11 +791,7 @@ def _emissions_from_log(events) -> dict:
                              payload["n_samples"],
                              payload["attack_samples"],
                              payload["decay_samples"], SAMPLE_RATE)
-        elif event in ("playback_start", "disrupt_start"):
-            if payload.get("pcm_omitted"):
-                raise ReplayError(
-                    "log has pcm_omitted entries (run used log_audio: "
-                    "false); renders cannot be reproduced")
+        elif event in _PCM_EMISSIONS:
             pcm = np.frombuffer(
                 base64.b64decode(payload["pcm_b64"]), dtype=np.float32)
         else:

@@ -8,7 +8,6 @@ is the one considered for replacement.
 """
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,11 +85,14 @@ def mfcc(pcm: np.ndarray) -> np.ndarray:
     return np.mean(coeffs[:, :N_MFCC], axis=0)
 
 
-def spectral_flatness(energies: np.ndarray) -> float:
-    """Geometric over arithmetic mean; near 0 for a tone, near 1 for noise."""
+def spectral_flatness(energies: np.ndarray):
+    """Geometric over arithmetic mean; near 0 for a tone, near 1 for noise.
+
+    Taken along the last axis, so a stack of spectra gives one per row.
+    """
     energies = np.asarray(energies, dtype=float)
-    geo = float(np.exp(np.mean(np.log(energies + LOG_FLOOR))))
-    return geo / (float(np.mean(energies)) + LOG_FLOOR)
+    geo = np.exp(np.mean(np.log(energies + LOG_FLOOR), axis=-1))
+    return geo / (np.mean(energies, axis=-1) + LOG_FLOOR)
 
 
 @dataclass
@@ -143,54 +145,67 @@ def make_sample(pcm: np.ndarray, captured_at: int,
 
 # --- onset detection ----------------------------------------------------
 
-def spectral_flux(current: np.ndarray, previous: np.ndarray | None) -> float:
-    """Sum of per-bin magnitude increases since the previous frame."""
+def spectral_flux(current: np.ndarray, previous: np.ndarray | None):
+    """Sum of per-bin magnitude increases since the previous frame.
+
+    Sums along the last axis, so a stack of frames gives one flux per row.
+    """
     if previous is None:
         return 0.0
-    return float(np.sum(np.maximum(current - previous, 0.0)))
+    return np.sum(np.maximum(current - previous, 0.0), axis=-1)
 
 
 class OnsetDetector:
-    """Adaptive spectral-flux onset detector.
+    """Adaptive spectral-flux onset detectors for n streams at once.
 
-    Fires when the flux exceeds mean + k * std of the trailing window of
-    flux values, then holds off for a refractory period.  The flux history
-    keeps updating while the caller is disarmed (e.g. busy recording) so
-    the threshold never goes stale.  flux_floor guards against firing on
-    float rounding noise in an otherwise static spectrum; it sits far
-    below the flux of any audible change.
+    A row fires when its flux exceeds mean + k * std of its trailing
+    window of flux values, then holds off for a refractory period.  Every
+    row updates on every call, armed or not, so the flux history keeps
+    moving while a caller is disarmed (e.g. busy recording) and the
+    threshold never goes stale; all rows therefore share one fill count.
+    The history is an (n, window) ring shifted left each update, so each
+    row reads oldest first, exactly as a per-stream queue would.
+    flux_floor guards against firing on float rounding noise in an
+    otherwise static spectrum; it sits far below the flux of any audible
+    change.
     """
 
-    def __init__(self, k: float = 2.0, window: int = 43,
+    def __init__(self, n: int = 1, k: float = 2.0, window: int = 43,
                  refractory_s: float = 0.15, flux_floor: float = 1e-6):
         if window < 8:
             raise ValueError(f"threshold window {window} < 8 frames")
+        self.n = n
         self.k = k
         self.flux_floor = flux_floor
         self.window = window
         self.refractory_ticks = max(1, int(round(refractory_s / TICK_SECONDS)))
         self._prev = None
-        self._history = deque(maxlen=window)
-        self._cooldown = 0
-        self.last_flux = 0.0
+        self._history = np.zeros((n, window))
+        self._filled = 0
+        self._cooldown = np.zeros(n, dtype=int)
+        self.fired = np.zeros(n, dtype=bool)
 
-    def update(self, magnitude: np.ndarray, armed: bool = True) -> bool:
-        flux = spectral_flux(magnitude, self._prev)
-        self._prev = np.array(magnitude, copy=True)
-        self.last_flux = flux
-        if self._history:
-            hist = np.fromiter(self._history, dtype=float)
-            threshold = float(np.mean(hist) + self.k * np.std(hist))
+    def update(self, magnitudes: np.ndarray, armed=True) -> bool:
+        """Step every row with its new spectrum; armed is per row or shared.
+
+        Returns whether any row fired; `fired` holds the per-row result.
+        """
+        mags = np.array(magnitudes, dtype=float).reshape(self.n, -1)
+        flux = spectral_flux(mags, self._prev)
+        self._prev = mags
+        if self._filled:
+            hist = self._history[:, self.window - self._filled:]
+            threshold = np.mean(hist, axis=1) + self.k * np.std(hist, axis=1)
         else:
             threshold = 0.0
-        fired = (armed and self._cooldown == 0
-                 and flux > max(threshold, self.flux_floor))
-        self._history.append(flux)
-        if self._cooldown > 0:
-            self._cooldown -= 1
-        if fired:
-            self._cooldown = self.refractory_ticks
-        return fired
+        self.fired = (np.asarray(armed, dtype=bool) & (self._cooldown == 0)
+                      & (flux > np.maximum(threshold, self.flux_floor)))
+        self._history[:, :-1] = self._history[:, 1:]
+        self._history[:, -1] = flux
+        self._filled = min(self._filled + 1, self.window)
+        np.maximum(self._cooldown - 1, 0, out=self._cooldown)
+        self._cooldown[self.fired] = self.refractory_ticks
+        return bool(self.fired.any())
 
 
 # --- recording segmentation ----------------------------------------------
@@ -212,20 +227,22 @@ class RecordingSession:
         self._cap = int(round(max_s * SAMPLE_RATE))
         self._drop = 10.0 ** (-stop_drop_db / 20.0)
         self._run_limit = stop_run_hops
+        # blocks are kept in the stored sample's float32, half the memory of
+        # the hops' float64 and the same values once the sample is made
         self._blocks = []
         self._count = 0
         if preroll is not None and len(preroll):
             # copy: callers may hand us views into a live ring buffer
-            self._blocks.append(np.array(preroll, dtype=float))
+            self._blocks.append(np.array(preroll, dtype=np.float32))
             self._count = len(preroll)
         self._peak = 0.0
         self._quiet_run = 0
 
-    def feed(self, hop: np.ndarray) -> SoundSample | None:
-        """Add one hop; returns the finished sample once the sound ends."""
-        self._blocks.append(np.array(hop, dtype=float))
+    def feed(self, hop: np.ndarray, level: float) -> SoundSample | None:
+        """Add one hop and its RMS level; returns the finished sample once
+        the sound ends."""
+        self._blocks.append(np.array(hop, dtype=np.float32))
         self._count += len(hop)
-        level = rms(hop)
         self._peak = max(self._peak, level)
         if self._peak > 0.0 and level < self._peak * self._drop:
             self._quiet_run += 1
@@ -247,7 +264,7 @@ def segment_recording(hops, onset_tick: int = 0,
     """Run a RecordingSession over an iterable of hops."""
     session = RecordingSession(onset_tick, preroll=preroll, **kwargs)
     for hop in hops:
-        sample = session.feed(hop)
+        sample = session.feed(hop, rms(hop))
         if sample is not None:
             return sample
     return session.finish()

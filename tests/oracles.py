@@ -5,6 +5,7 @@ matrix, scalar triangle construction, plain-Python statistics) and must
 stay free of holonsim internals so the two code paths cannot share bugs.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -158,3 +159,73 @@ def oracle_novelty_decision(member_vectors, member_nbytes, candidate_vector,
     if fits and score(swapped) > base:
         return ("replace", nearest)
     return ("reject", None)
+
+
+class OracleOnsetDetector:
+    """One stream of the spectral-flux onset detector, as it was written
+    before detectors were batched: a deque of past flux values whose
+    threshold is mean + k * std of a 1-D array built from the deque.
+
+    The reductions are numpy's 1-D mean and std, so a batched detector
+    must fire on exactly the same ticks, not merely close ones.
+    """
+
+    def __init__(self, k=2.0, window=43, refractory_ticks=9,
+                 flux_floor=1e-6):
+        self.k = k
+        self.flux_floor = flux_floor
+        self.refractory_ticks = refractory_ticks
+        self.prev = None
+        self.history = collections.deque(maxlen=window)
+        self.cooldown = 0
+
+    def update(self, magnitude, armed=True):
+        magnitude = np.array(magnitude, dtype=float)
+        if self.prev is None:
+            flux = 0.0
+        else:
+            flux = float(np.sum(np.maximum(magnitude - self.prev, 0.0)))
+        self.prev = magnitude
+        if self.history:
+            hist = np.fromiter(self.history, dtype=float)
+            threshold = float(np.mean(hist) + self.k * np.std(hist))
+        else:
+            threshold = 0.0
+        fired = (armed and self.cooldown == 0
+                 and flux > max(threshold, self.flux_floor))
+        self.history.append(flux)
+        if self.cooldown > 0:
+            self.cooldown -= 1
+        if fired:
+            self.cooldown = self.refractory_ticks
+        return fired
+
+
+class OracleSpectralProfile:
+    """One listener's spectral memory, updated one frame at a time."""
+
+    def __init__(self, n_bands, long_half_life_s, short_half_life_s,
+                 dt_s=0.016, log_floor=1e-10):
+        self.alpha_long = 1.0 - 2.0 ** (-dt_s / long_half_life_s)
+        self.alpha_short = 1.0 - 2.0 ** (-dt_s / short_half_life_s)
+        self.log_floor = log_floor
+        self.ema = np.zeros(n_bands)
+        self.short = np.zeros(n_bands)
+        self.peak = np.zeros(n_bands)
+        self.floor = np.zeros(n_bands)
+        self.seen = False
+
+    def update(self, energies):
+        e = np.asarray(energies, dtype=float)
+        self.ema += self.alpha_long * (e - self.ema)
+        self.short += self.alpha_short * (e - self.short)
+        level = 10.0 * np.log10(e + self.log_floor)
+        if not self.seen:
+            self.peak = level.copy()
+            self.floor = level.copy()
+            self.seen = True
+            return
+        self.peak = np.maximum(
+            level, self.peak + self.alpha_long * (level - self.peak))
+        self.floor = np.minimum(
+            level, self.floor + self.alpha_long * (level - self.floor))

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import holonsim.agents as ag
 import holonsim.dsp_transforms as dsp
 import holonsim.features as ft
-from holonsim.audio_core import (AudioFrame, SimClock, default_filterbank,
-                                 fft_magnitude)
+from holonsim.audio_core import SimClock, default_filterbank, fft_magnitude
 from holonsim.params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE, TICK_SECONDS
 
+import oracles
 from synth import silence, sine, white_noise
 
 BANK = default_filterbank()
@@ -20,19 +23,21 @@ DAY_ALWAYS = (1.0, 1.0)
 def drive(agent, pcm, *, night_window=DAY_ALWAYS, day_length_s=240.0):
     """Feed a pcm stream to one agent tick by tick, no feedback loop.
 
+    The agent hears through a one-row Hearing, as it would in a run.
     Returns (events_per_tick, hop_or_None_per_tick).
     """
     clock = SimClock(0, day_length_s=day_length_s, night_window=night_window)
+    hearing = ag.Hearing([agent])
     ring = np.zeros(FRAME_SIZE)
     all_events, out_hops = [], []
     for i in range(len(pcm) // FRAME_HOP):
         hop = pcm[i * FRAME_HOP:(i + 1) * FRAME_HOP]
-        ring = np.concatenate([ring[FRAME_HOP:], hop])
-        frame = AudioFrame(ring.copy(), clock.tick)
-        mag = fft_magnitude(frame.samples)
+        prev, ring = ring, np.concatenate([ring[FRAME_HOP:], hop])
+        mag = fft_magnitude(ring)
         mel = BANK.apply(mag)
-        out, events = agent.step(frame, mag, mel, clock)
-        ag.energy_step(agent, clock)
+        hearing.listen(ring[None], prev[None], mag[None], mel[None], clock)
+        out, events = agent.step(hearing, clock)
+        ag.energy_step(agent, agent.energy.harvest_w(clock))
         all_events.append(events)
         out_hops.append(out)
         clock.advance()
@@ -70,7 +75,7 @@ def test_energy_ledger_balances_with_clamping():
     start = agent.battery_wh
     for _ in range(int(60.0 / TICK_SECONDS)):
         agent.emitted_this_tick = bool(rng.random() < 0.3)
-        ag.energy_step(agent, clock)
+        ag.energy_step(agent, model.harvest_w(clock))
         clock.advance()
         assert 0.0 <= agent.battery_wh <= model.battery_max_wh
     # both clamp paths must have triggered with this tiny pack
@@ -98,9 +103,9 @@ def test_profile_half_life_semantics():
     e = np.full(128, 4.0)
     for _ in range(int(round(2.0 / TICK_SECONDS))):  # one long half-life
         prof.update(e)
-    assert prof.ema_energy[0] == pytest.approx(2.0, rel=1e-9)
+    assert prof.ema_energy[0, 0] == pytest.approx(2.0, rel=1e-9)
     # the short memory has had four of its half-lives by then
-    assert prof.short_term_energy[0] == pytest.approx(4.0 * (1 - 2.0 ** -4),
+    assert prof.short_term_energy[0, 0] == pytest.approx(4.0 * (1 - 2.0 ** -4),
                                                       rel=1e-9)
 
 
@@ -118,12 +123,38 @@ def test_profile_range_follows_level_swings():
             prof.update(quiet)
     # level swing is 40 dB; the slow-release followers keep most of it
     # (each half-second away from an extreme costs the pair ~12 dB)
-    assert 20.0 <= prof.ema_range_db[0] <= 40.0
+    assert 20.0 <= prof.ema_range_db[0, 0] <= 40.0
 
     flat = ag.SpectralProfile(long_half_life_s=1.0)
     for _ in range(500):
         flat.update(np.full(128, 0.01))
     assert np.all(flat.ema_range_db == 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batched_profile_matches_per_row_updates(data):
+    n = data.draw(st.integers(1, 5), label="rows")
+    ticks = data.draw(st.integers(1, 30), label="ticks")
+    half_life = st.floats(0.02, 200.0)
+    longs = data.draw(st.lists(half_life, min_size=n, max_size=n))
+    shorts = data.draw(st.lists(half_life, min_size=n, max_size=n))
+    energy = st.sampled_from([0.0, 1e-4, 1.0]) | st.floats(0.0, 1e3)
+    frames = data.draw(hnp.arrays(float, (ticks, n, 8), elements=energy),
+                       label="frames")
+    listening = data.draw(hnp.arrays(bool, (ticks, n)), label="listening")
+    prof = ag.SpectralProfile(n, n_bands=8, long_half_life_s=longs,
+                              short_half_life_s=shorts)
+    refs = [oracles.OracleSpectralProfile(8, lo, sh)
+            for lo, sh in zip(longs, shorts)]
+    for t in range(ticks):
+        prof.update(frames[t], listening[t])
+        for r, ref in enumerate(refs):
+            if listening[t, r]:
+                ref.update(frames[t, r])
+            assert np.array_equal(prof.ema_energy[r], ref.ema)
+            assert np.array_equal(prof.short_term_energy[r], ref.short)
+            assert np.array_equal(prof.ema_range_db[r], ref.peak - ref.floor)
 
 
 # --- tone synthesis and the emission queue ------------------------------------
@@ -255,14 +286,16 @@ def test_select_band_refuses_broadband_instant_cover():
 def test_composer_profile_freezes_while_it_sings():
     agent = composer(seed=6)
     agent.queue.start(np.zeros(FRAME_HOP * 20, dtype=np.float32))
-    loud = np.full(128, 50.0)
-    frame = AudioFrame(np.zeros(FRAME_SIZE), 0)
-    mag = np.zeros(FRAME_SIZE // 2 + 1)
+    hearing = ag.Hearing([agent])
+    loud = np.full((1, 128), 50.0)
+    frames = np.zeros((1, FRAME_SIZE))
+    mag = np.zeros((1, FRAME_SIZE // 2 + 1))
     clock = SimClock(0, night_window=DAY_ALWAYS)
     seen = []
     for _ in range(30):
-        agent.step(frame, mag, loud, clock)
-        seen.append(float(agent.profile.short_term_energy[0]))
+        hearing.listen(frames, frames, mag, loud, clock)
+        agent.step(hearing, clock)
+        seen.append(float(agent.profile.short_term_energy[0, 0]))
         clock.advance()
     assert seen[0] > 0.0  # the pre-emission frame still counts
     # 20 hops of singing plus the two-tick echo veto: frozen through tick 21

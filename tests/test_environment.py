@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from holonsim import environment
 from holonsim.audio_core import read_wav, write_wav
 from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   ScenarioError, SourceSpec, build_gains,
@@ -257,6 +258,32 @@ def test_replay_without_logged_audio_refuses(tmp_path):
         replay_run(tmp_path / "run")
 
 
+def test_replay_refuses_before_synthesizing(tmp_path, monkeypatch):
+    run_scenario(full_scenario(log_audio=False), tmp_path / "run")
+    events = load_run_events(tmp_path / "run")
+    first_omitted = min(e["tick"] for e in events
+                        if e["payload"].get("pcm_omitted"))
+    # composer notes logged before the first omitted clip would be synthesized
+    assert any(e["tick"] < first_omitted
+               for e in named(events, "emission_start"))
+    calls = []
+    monkeypatch.setattr(environment, "synth_tone",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ReplayError, match="pcm_omitted"):
+        replay_run(tmp_path / "run")
+    assert calls == []
+
+
+def test_replay_of_composers_needs_no_logged_audio(tmp_path):
+    scn = Scenario(name="c", seed=3, duration_s=6.0, monitors=[(1.0, 0.0)],
+                   log_audio=False,
+                   agents=[AgentSpec("composer_000", "composer", (0.0, 0.0))])
+    summary = run_scenario(scn, tmp_path / "run")
+    assert named(load_run_events(tmp_path / "run"), "emission_start")
+    replayed = replay_run(tmp_path / "run")
+    assert replayed["monitor_00.wav"] == summary.artifacts["monitor_00.wav"]
+
+
 def test_manifest_checksums_match_files(tmp_path):
     summary = run_scenario(full_scenario(), tmp_path / "run")
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
@@ -337,6 +364,7 @@ def test_resolved_scenario_round_trips(tmp_path):
     (lambda b: b.update(seed="abc"), "integer"),
     (lambda b: b.update(velocity=3), "velocity"),
     (lambda b: b.update(night_window=[0.2, 1.4]), "night_window"),
+    (lambda b: b.update(day_length_s=0), "day_length_s"),
 ])
 def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     body = base_yaml()
@@ -371,6 +399,7 @@ def test_source_errors_name_the_key(tmp_path, source, message):
     ({"kind": "composer", "count": 2, "position": [0, 0]}, "single"),
     ({"kind": "composer", "count": 0}, "count"),
     ({"kind": "composer", "flavour": "lemon"}, "flavour"),
+    ({"kind": "composer", "preferred_band": 200}, "preferred_band"),
 ])
 def test_agent_errors_name_the_key(tmp_path, agent, message):
     body = base_yaml(agents=[agent])

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holonsim import audio_core as ac
 from holonsim import features as ft
-from holonsim.params import FRAME_HOP, FRAME_SIZE, N_MFCC, SAMPLE_RATE
+from holonsim.params import (FRAME_HOP, FRAME_SIZE, N_MFCC, SAMPLE_RATE,
+                             TICK_SECONDS)
 
 import oracles
 import synth
@@ -196,6 +200,32 @@ def test_onset_detector_disarmed_keeps_history():
     fresh = ft.OnsetDetector()
     fresh.update(lo)
     assert fresh.update(hi) is True  # same step fires with no history
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batched_onsets_fire_like_independent_streams(data):
+    # from the first tick on, through the fill of the window and past it
+    n = data.draw(st.integers(1, 5), label="rows")
+    window = data.draw(st.integers(8, 12), label="window")
+    refractory = data.draw(st.integers(1, 4), label="refractory ticks")
+    ticks = data.draw(st.integers(1, window + 30), label="ticks")
+    # a few repeated levels make equal fluxes, zero spreads and ties
+    level = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0)
+    spectra = data.draw(hnp.arrays(float, (ticks, n, 6), elements=level),
+                        label="spectra")
+    armed = data.draw(hnp.arrays(bool, (ticks, n)), label="armed")
+    det = ft.OnsetDetector(n, window=window,
+                           refractory_s=refractory * TICK_SECONDS)
+    refs = [oracles.OracleOnsetDetector(window=window,
+                                        refractory_ticks=refractory)
+            for _ in range(n)]
+    for t in range(ticks):
+        any_fired = det.update(spectra[t], armed[t])
+        want = [ref.update(spectra[t, r], bool(armed[t, r]))
+                for r, ref in enumerate(refs)]
+        assert det.fired.tolist() == want, f"tick {t}"
+        assert any_fired is any(want)
 
 
 def test_onset_window_must_be_at_least_eight():
