@@ -37,7 +37,6 @@ class LedMode(Enum):
 @dataclass
 class LedState:
     mode: LedMode = LedMode.OFF
-    intensity: float = 0.0
 
 
 # --- energy ---------------------------------------------------------------
@@ -174,7 +173,6 @@ class EmissionQueue:
     def __init__(self):
         self._pcm = None
         self._pos = 0
-        self.peak = 0.0
 
     @property
     def active(self) -> bool:
@@ -183,7 +181,6 @@ class EmissionQueue:
     def start(self, pcm: np.ndarray):
         self._pcm = np.asarray(pcm, dtype=np.float32)
         self._pos = 0
-        self.peak = float(np.max(np.abs(self._pcm))) if len(self._pcm) else 0.0
 
     def next_hop(self) -> np.ndarray | None:
         if self._pcm is None:
@@ -258,11 +255,10 @@ class AgentBase:
     def hears_self(self, tick: int) -> bool:
         return tick <= self._self_audible_until
 
-    def _set_led(self, mode: LedMode, intensity: float, events: list):
+    def _set_led(self, mode: LedMode, events: list):
         if mode is not self.led.mode:
             events.append({"event": "led", "mode": mode.value})
         self.led.mode = mode
-        self.led.intensity = float(min(max(intensity, 0.0), 1.0))
 
     def step(self, hearing: "Hearing", clock):
         """Decide this tick from this agent's row of the Hearing, which
@@ -378,15 +374,13 @@ class ComposerAgent(AgentBase):
         hop = self._drain_queue(clock.tick)
         self.emitted_this_tick = hop is not None
         if hop is not None:
-            peak = self.queue.peak if self.queue.peak > 0 else 1.0
-            self._set_led(LedMode.EMITTING,
-                          float(np.max(np.abs(hop))) / peak, events)
+            self._set_led(LedMode.EMITTING, events)
             if not self.queue.active:
                 events.append({"event": "emission_end",
                                "band": self.current_band})
                 self.current_band = None
         else:
-            self._set_led(LedMode.OFF, 0.0, events)
+            self._set_led(LedMode.OFF, events)
         return hop, events
 
     def _start_note(self, band: int, clock, events: list):
@@ -517,15 +511,13 @@ class CollectorAgent(_Listener):
             events.append({"event": "playback_end"})
 
         if self.is_recording:
-            self._set_led(LedMode.ACQUIRING_RED, 1.0, events)
+            self._set_led(LedMode.ACQUIRING_RED, events)
         elif clock.tick < self._blue_until:
-            self._set_led(LedMode.ACCEPTED_BLUE, 1.0, events)
+            self._set_led(LedMode.ACCEPTED_BLUE, events)
         elif hop is not None:
-            peak = self.queue.peak if self.queue.peak > 0 else 1.0
-            self._set_led(LedMode.EMITTING,
-                          float(np.max(np.abs(hop))) / peak, events)
+            self._set_led(LedMode.EMITTING, events)
         else:
-            self._set_led(LedMode.OFF, 0.0, events)
+            self._set_led(LedMode.OFF, events)
         return hop, events
 
     def _update_tone_tracker(self, hearing, clock):
@@ -609,16 +601,13 @@ class DisruptorAgent(_Listener):
         hop = self._drain_queue(clock.tick)
         self.emitted_this_tick = hop is not None
         if hop is not None:
-            peak = self.queue.peak if self.queue.peak > 0 else 1.0
-            # the LED breathes with the modulation of the outgoing sound
-            self._set_led(LedMode.EMITTING,
-                          float(np.max(np.abs(hop))) / peak, events)
+            self._set_led(LedMode.EMITTING, events)
             if not self.queue.active:
                 events.append({"event": "disrupt_end"})
         elif self.is_capturing:
-            self._set_led(LedMode.ACQUIRING_RED, 1.0, events)
+            self._set_led(LedMode.ACQUIRING_RED, events)
         else:
-            self._set_led(LedMode.OFF, 0.0, events)
+            self._set_led(LedMode.OFF, events)
         return hop, events
 
     def _disrupt(self, sample: ft.SoundSample, clock, events: list):
@@ -678,6 +667,9 @@ class Hearing:
             composer.profile, composer.profile_row = self.profile, row
         for row, agent in enumerate(self.agents):
             agent.row = row
+        # the listener rows are gathered into buffers kept for the run
+        self._spectra = np.empty((len(self._listeners), FRAME_SIZE // 2 + 1))
+        self._hop_rows = np.empty((len(self._listeners), FRAME_HOP))
         n = len(self.agents)
         self.fired = np.zeros(n, dtype=bool)
         self.levels = np.zeros(n)              # RMS of each row's new hop
@@ -694,10 +686,14 @@ class Hearing:
         rows = self._listeners
         if rows:
             armed = [self.agents[j].armed(tick) for j in rows]
-            self.onsets.update(spectra[rows], armed)
+            # mode "clip": the rows are in range, and "raise" would copy out
+            self.onsets.update(np.take(spectra, rows, axis=0,
+                                       out=self._spectra, mode="clip"), armed)
             self.fired[rows] = self.onsets.fired
+            hops = np.take(self.hops, rows, axis=0, out=self._hop_rows,
+                           mode="clip")
             self.levels[rows] = np.sqrt(
-                np.mean(np.square(self.hops[rows]), axis=1))
+                np.mean(np.square(hops, out=hops), axis=1))
         rows = self._composers
         if rows:
             self.profile.update(

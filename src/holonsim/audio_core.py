@@ -7,7 +7,8 @@ the same way.
 """
 
 import struct
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -28,27 +29,6 @@ BUTTERWORTH_Q = 1.0 / np.sqrt(2.0)
 
 class WavFormatError(ValueError):
     """A WAV file could not be parsed; the message names the bad field."""
-
-
-@dataclass
-class AudioFrame:
-    """One analysis frame: the last FRAME_SIZE samples heard at a tick."""
-
-    samples: np.ndarray
-    frame_index: int
-
-    @property
-    def new_samples(self) -> np.ndarray:
-        """The FRAME_HOP samples that arrived on this tick."""
-        return self.samples[FRAME_SIZE - FRAME_HOP:]
-
-
-@dataclass
-class MelSpectrum:
-    """Energies of one frame under the Mel filterbank."""
-
-    energies: np.ndarray
-    band_centers_hz: np.ndarray
 
 
 @dataclass
@@ -89,17 +69,43 @@ def hann_window(n: int = FRAME_SIZE) -> np.ndarray:
 
 
 _HANN = hann_window(FRAME_SIZE)
+_scratch = threading.local()
 
 
-def fft_magnitude(samples: np.ndarray) -> np.ndarray:
+def _work(name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """This thread's work array for one step of an out= call.
+
+    Kept per shape, so a caller that analyses the same shapes every tick
+    reuses the same memory instead of allocating it each time. The
+    scheduler uses two shapes (occupation channels and agent rings); older
+    shapes are dropped beyond that.
+    """
+    arrays = _scratch.__dict__.setdefault(name, {})
+    if shape not in arrays:
+        if len(arrays) == 2:
+            del arrays[next(iter(arrays))]
+        arrays[shape] = np.empty(shape, dtype=dtype)
+    return arrays[shape]
+
+
+def fft_magnitude(samples: np.ndarray, out: np.ndarray | None = None):
     """Hann-windowed rFFT magnitude of one frame (or a batch of frames).
 
-    Input shape (..., FRAME_SIZE); output shape (..., FRAME_SIZE // 2 + 1).
+    Input shape (..., FRAME_SIZE); output shape (..., FRAME_SIZE // 2 + 1),
+    written into out when it is given, with the windowed frames and the
+    complex spectrum in this thread's work arrays.
     """
     if samples.shape[-1] != FRAME_SIZE:
         raise ValueError(
             f"frame length {samples.shape[-1]} != FRAME_SIZE {FRAME_SIZE}")
-    return np.abs(np.fft.rfft(samples * _HANN, axis=-1))
+    windowed = spectrum = None
+    if out is not None:
+        windowed = _work("windowed", samples.shape)
+        spectrum = _work("spectrum", out.shape, complex)
+    # nested, so a fresh windowed copy is freed before the magnitudes
+    spectrum = np.fft.rfft(np.multiply(samples, _HANN, out=windowed),
+                           axis=-1, out=spectrum)
+    return np.abs(spectrum, out=out)
 
 
 def hz_to_mel(f):
@@ -135,12 +141,15 @@ class MelFilterbank:
         self.band_edges_hz = edges_hz
         self.band_centers_hz = edges_hz[1:-1].copy()
 
-    def apply(self, magnitude: np.ndarray) -> np.ndarray:
+    def apply(self, magnitude: np.ndarray, out: np.ndarray | None = None):
         """Band energies for one magnitude spectrum or a batch.
 
-        Input (..., n_bins) -> output (..., n_bands).
+        Input (..., n_bins) -> output (..., n_bands), written into out
+        when it is given, with the power in this thread's work array.
         """
-        return np.square(magnitude) @ self.weights.T
+        power = None if out is None else _work("power", magnitude.shape)
+        power = np.square(magnitude, out=power)
+        return np.matmul(power, self.weights.T, out=out)
 
 
 _DEFAULT_BANK = None
@@ -151,12 +160,6 @@ def default_filterbank() -> MelFilterbank:
     if _DEFAULT_BANK is None:
         _DEFAULT_BANK = MelFilterbank()
     return _DEFAULT_BANK
-
-
-def mel_energies(magnitude: np.ndarray) -> MelSpectrum:
-    """Project a magnitude spectrum onto the default Mel filterbank."""
-    bank = default_filterbank()
-    return MelSpectrum(bank.apply(magnitude), bank.band_centers_hz)
 
 
 def butter_highpass_coeffs(cutoff_hz: float = HIGHPASS_HZ,
@@ -179,9 +182,9 @@ def butter_highpass_coeffs(cutoff_hz: float = HIGHPASS_HZ,
 class HighpassFilter:
     """Streaming high-pass with per-channel filter state.
 
-    process() accepts a 1-D block (channels == 1) or a (channels, n)
-    batch and preserves state across calls, so chunked filtering equals
-    filtering the concatenated signal.
+    process() accepts a (channels, n) batch, or a 1-D block when
+    channels == 1, and preserves state across calls, so chunked filtering
+    equals filtering the concatenated signal.
     """
 
     def __init__(self, cutoff_hz: float = HIGHPASS_HZ,
@@ -191,14 +194,13 @@ class HighpassFilter:
         self.reset()
 
     def reset(self):
-        if self.channels == 1:
-            self._zi = np.zeros(2)
-        else:
-            self._zi = np.zeros((self.channels, 2))
+        self._zi = np.zeros((self.channels, 2))
 
     def process(self, block: np.ndarray) -> np.ndarray:
-        y, self._zi = lfilter(self.b, self.a, block, axis=-1, zi=self._zi)
-        return y
+        y, self._zi = lfilter(self.b, self.a,
+                              np.reshape(block, (self.channels, -1)),
+                              axis=-1, zi=self._zi)
+        return y.reshape(np.shape(block))
 
 
 def highpass(samples: np.ndarray, cutoff_hz: float = HIGHPASS_HZ,

@@ -16,6 +16,8 @@ byte-identical files.
 import base64
 import hashlib
 import json
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +36,7 @@ CHANNELS = ("biophony", "geophony", "anthrophony", "cyberphony")
 D_REF_M = 2.0
 DEFAULT_NOISE_FLOOR_DBFS = -60.0
 OCCUPATION_WINDOW_TICKS = 62  # one second of hops, rounded down
+BLOCK_TICKS = 8  # ticks of bus noise drawn per fill on the noise thread
 
 EVENTS_FILE = "events.jsonl"
 SCENARIO_FILE = "scenario_resolved.json"
@@ -507,6 +510,61 @@ def build_gains(source_positions, listener_positions) -> np.ndarray:
     return 1.0 / (1.0 + d / D_REF_M)
 
 
+class BusNoise:
+    """The bus noise floor, drawn ahead of the ticks on one worker thread.
+
+    next_tick() returns the tick's unit normals, shape (n_listeners,
+    FRAME_HOP): the values one rng.standard_normal((n_listeners,
+    FRAME_HOP)) call per tick would give. The worker fills blocks of
+    BLOCK_TICKS ticks into two buffers in turn, so it draws one block while
+    the ticks read the other. It alone touches rng, so the values do not
+    depend on how the threads interleave. With rng None (no noise floor)
+    every tick gets None, and with no ticks either no thread starts.
+    Leaving the with block stops the worker, however it is left.
+    """
+
+    def __init__(self, rng, n_listeners: int, n_ticks: int):
+        self._pool = None
+        self._fills = deque()        # (future, block, ticks) in draw order
+        self._block, self._ticks, self._next = None, 0, 0
+        if rng is None or n_ticks == 0:
+            return
+        self._rng = rng
+        self._unfilled = n_ticks
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="bus-noise")
+        for _ in range(2):
+            self._fill(np.empty((BLOCK_TICKS, n_listeners, FRAME_HOP)))
+
+    def _fill(self, block: np.ndarray):
+        n = min(BLOCK_TICKS, self._unfilled)
+        if n:
+            self._unfilled -= n
+            future = self._pool.submit(self._rng.standard_normal,
+                                       out=block[:n])
+            self._fills.append((future, block, n))
+
+    def next_tick(self) -> np.ndarray | None:
+        if self._pool is None:
+            return None
+        if self._next == self._ticks:
+            if self._block is not None:
+                self._fill(self._block)  # the ticks are done with it
+            future, self._block, self._ticks = self._fills.popleft()
+            future.result()
+            self._next = 0
+        self._next += 1
+        return self._block[self._next - 1]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+
+
 def _np_default(obj):
     if isinstance(obj, np.integer):
         return int(obj)
@@ -631,12 +689,18 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     noise_rms = (None if scn.noise_floor_dbfs is None
                  else 10.0 ** (scn.noise_floor_dbfs / 20.0))
 
-    # per-channel source rows for occupation attribution
+    # per-channel source rows, their gains and a gather buffer for
+    # occupation attribution
     chan_rows = {c: [] for c in CHANNELS}
     for i, s in enumerate(sources):
         chan_rows[s.spec.channel].append(i)
     chan_rows["cyberphony"] = list(range(n_sources, n_sources + n_agents))
-    chan_idx = [np.array(chan_rows[c], dtype=int) for c in CHANNELS]
+    chan_mix = []
+    for c in CHANNELS:
+        rows = np.array(chan_rows[c], dtype=int)
+        chan_mix.append((rows, gains[rows, occ_col],
+                         np.empty((len(rows), FRAME_HOP))))
+    geophony = CHANNELS.index("geophony")
 
     bank = default_filterbank()
     hp = HighpassFilter(channels=n_agents) if n_agents else None
@@ -647,84 +711,94 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
         if agent.energy not in models:
             models.append(agent.energy)
     model_of = [models.index(agent.energy) for agent in agents]
+    n_bins = FRAME_SIZE // 2 + 1
+    # every per-tick array of fixed shape is written in place, each tick
+    pre = np.empty((len(listener_pos), FRAME_HOP))
+    scaled_noise = np.empty_like(pre)
+    mixed = np.empty_like(pre)
     rings = np.zeros((n_agents, FRAME_SIZE))
     prev_rings = np.zeros_like(rings)
+    mags = np.empty((n_agents, n_bins))
+    mels = np.empty((n_agents, N_MEL_BANDS))
     chan_rings = np.zeros((len(CHANNELS), FRAME_SIZE))
+    chan_mags = np.empty((len(CHANNELS), n_bins))
+    chan_mels = np.empty((len(CHANNELS), N_MEL_BANDS))
     n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS) if n_ticks else 0
     occupation = np.zeros((len(CHANNELS), n_windows, N_MEL_BANDS))
     render_bufs = [[] for _ in scn.monitors]
     pending = np.zeros((n_sources + n_agents, FRAME_HOP))
     src_hops = pending  # one matrix: scripted rows rewritten each tick
 
-    clock = SimClock(0, day_length_s=scn.day_length_s,
-                     night_window=scn.night_window)
-    writer = EventWriter(out_dir / EVENTS_FILE, scn.log_audio)
-    scenario_json = json.dumps(scn.to_dict(), sort_keys=True, indent=2)
-    config_hash = hashlib.sha256(scenario_json.encode()).hexdigest()
-    writer.write(0, None, "scheduler", {
-        "event": "boot", "name": scn.name, "seed": scn.seed,
-        "n_ticks": n_ticks, "n_agents": n_agents, "n_sources": n_sources,
-        "config_sha256": config_hash})
-    last_phase = None
+    with BusNoise(None if noise_rms is None else bus_rng,
+                  len(listener_pos), n_ticks) as bus_noise:
+        clock = SimClock(0, day_length_s=scn.day_length_s,
+                         night_window=scn.night_window)
+        writer = EventWriter(out_dir / EVENTS_FILE, scn.log_audio)
+        scenario_json = json.dumps(scn.to_dict(), sort_keys=True, indent=2)
+        config_hash = hashlib.sha256(scenario_json.encode()).hexdigest()
+        writer.write(0, None, "scheduler", {
+            "event": "boot", "name": scn.name, "seed": scn.seed,
+            "n_ticks": n_ticks, "n_agents": n_agents,
+            "n_sources": n_sources, "config_sha256": config_hash})
+        last_phase = None
 
-    for tick in range(n_ticks):
-        night = clock.is_night
-        if night is not last_phase:
-            writer.write(tick, None, "clock",
-                         {"event": "phase", "night": night,
-                          "time_s": clock.time_s})
-            last_phase = night
+        for tick in range(n_ticks):
+            night = clock.is_night
+            if night is not last_phase:
+                writer.write(tick, None, "clock",
+                             {"event": "phase", "night": night,
+                              "time_s": clock.time_s})
+                last_phase = night
 
-        for i, s in enumerate(sources):
-            src_hops[i] = s.hop(tick)
-        pre = gains_t @ src_hops
-        noise = None
-        if noise_rms is not None:
-            noise = bus_rng.standard_normal(pre.shape)
-            pre += noise_rms * noise
-        mixed = np.clip(pre, -1.0, 1.0)
+            for i, s in enumerate(sources):
+                src_hops[i] = s.hop(tick)
+            np.matmul(gains_t, src_hops, out=pre)
+            noise = bus_noise.next_tick()
+            if noise is not None:
+                pre += np.multiply(noise_rms, noise, out=scaled_noise)
+            np.clip(pre, -1.0, 1.0, out=mixed)
 
-        # occupation attribution happens pre-clip, per channel sub-mix
-        window = tick // OCCUPATION_WINDOW_TICKS
-        chan_rings[:, :FRAME_HOP] = chan_rings[:, FRAME_HOP:]
-        for c, rows in enumerate(chan_idx):
-            if len(rows):
-                chan_rings[c, FRAME_HOP:] = gains[rows, occ_col] @ \
-                    src_hops[rows]
-            else:
-                chan_rings[c, FRAME_HOP:] = 0.0
-        if noise is not None:
-            chan_rings[CHANNELS.index("geophony"), FRAME_HOP:] += \
-                noise_rms * noise[occ_col]
-        occupation[:, window, :] += bank.apply(fft_magnitude(chan_rings))
-
-        for m, buf in enumerate(render_bufs):
-            buf.append(mixed[n_agents + 1 + m].astype(np.float32))
-
-        if n_agents:
-            if n_agents == 1:  # single-channel filter takes a 1-D block
-                feeds = hp.process(mixed[0])[None, :]
-            else:
-                feeds = hp.process(mixed[:n_agents])
-            # two ring buffers in turn: last tick's stays whole for pre-roll
-            prev_rings, rings = rings, prev_rings
-            rings[:, :FRAME_HOP] = prev_rings[:, FRAME_HOP:]
-            rings[:, FRAME_HOP:] = feeds
-            mags = fft_magnitude(rings)
-            mels = bank.apply(mags)
-            hearing.listen(rings, prev_rings, mags, mels, clock)
-            harvest = [model.harvest_w(clock) for model in models]
-            for j, agent in enumerate(agents):
-                hop_out, events = agent.step(hearing, clock)
-                energy_step(agent, harvest[model_of[j]])
-                row = n_sources + j
-                if hop_out is None:
-                    pending[row] = 0.0
+            # occupation attribution happens pre-clip, per channel sub-mix
+            window = tick // OCCUPATION_WINDOW_TICKS
+            chan_rings[:, :FRAME_HOP] = chan_rings[:, FRAME_HOP:]
+            for c, (rows, chan_gains, gathered) in enumerate(chan_mix):
+                if len(rows):
+                    # mode "clip": the rows are in range; "raise" copies out
+                    chan_rings[c, FRAME_HOP:] = chan_gains @ np.take(
+                        src_hops, rows, axis=0, out=gathered, mode="clip")
                 else:
-                    pending[row] = hop_out
-                for event in events:
-                    writer.write(tick, agent.agent_id, agent.kind, event)
-        clock.advance()
+                    chan_rings[c, FRAME_HOP:] = 0.0
+            if noise is not None:
+                chan_rings[geophony, FRAME_HOP:] += scaled_noise[occ_col]
+            occupation[:, window, :] += bank.apply(
+                fft_magnitude(chan_rings, out=chan_mags), out=chan_mels)
+
+            for m, buf in enumerate(render_bufs):
+                buf.append(mixed[n_agents + 1 + m].astype(np.float32))
+
+            if n_agents:
+                feeds = hp.process(mixed[:n_agents])
+                # two ring buffers in turn: last tick's stays whole for
+                # pre-roll
+                prev_rings, rings = rings, prev_rings
+                rings[:, :FRAME_HOP] = prev_rings[:, FRAME_HOP:]
+                rings[:, FRAME_HOP:] = feeds
+                fft_magnitude(rings, out=mags)
+                bank.apply(mags, out=mels)
+                hearing.listen(rings, prev_rings, mags, mels, clock)
+                harvest = [model.harvest_w(clock) for model in models]
+                for j, agent in enumerate(agents):
+                    hop_out, events = agent.step(hearing, clock)
+                    energy_step(agent, harvest[model_of[j]])
+                    row = n_sources + j
+                    if hop_out is None:
+                        pending[row] = 0.0
+                    else:
+                        pending[row] = hop_out
+                    for event in events:
+                        writer.write(tick, agent.agent_id, agent.kind,
+                                     event)
+            clock.advance()
 
     agent_summaries = {}
     for agent in agents:
@@ -841,37 +915,43 @@ def replay_run(run_dir) -> dict:
     active = {aid: None for aid in agent_ids}
 
     src_hops = np.zeros((n_sources + n_agents, FRAME_HOP))
+    pre = np.empty((len(listener_pos), FRAME_HOP))
+    scaled_noise = np.empty_like(pre)
+    mixed = np.empty_like(pre)
     render_bufs = [[] for _ in scn.monitors]
 
-    for tick in range(n_ticks):
-        for i, s in enumerate(sources):
-            src_hops[i] = s.hop(tick)
-        for j, aid in enumerate(agent_ids):
-            row = n_sources + j
-            # an emission logged at tick t is mixed from tick t+1 on,
-            # exactly like a live agent's pending hop
-            if active[aid] is None and queues[aid] and \
-                    queues[aid][0][0] + 1 <= tick:
-                start, pcm = queues[aid].pop(0)
-                active[aid] = (start, pcm)
-            slot = active[aid]
-            if slot is None:
-                src_hops[row] = 0.0
-                continue
-            start, pcm = slot
-            k = tick - start - 1
-            chunk = pcm[k * FRAME_HOP:(k + 1) * FRAME_HOP]
-            hop = np.zeros(FRAME_HOP)
-            hop[:len(chunk)] = chunk
-            src_hops[row] = hop
-            if (k + 1) * FRAME_HOP >= len(pcm):
-                active[aid] = None
-        pre = gains_t @ src_hops
-        if noise_rms is not None:
-            pre += noise_rms * bus_rng.standard_normal(pre.shape)
-        mixed = np.clip(pre, -1.0, 1.0)
-        for m, buf in enumerate(render_bufs):
-            buf.append(mixed[n_agents + 1 + m].astype(np.float32))
+    with BusNoise(None if noise_rms is None else bus_rng,
+                  len(listener_pos), n_ticks) as bus_noise:
+        for tick in range(n_ticks):
+            for i, s in enumerate(sources):
+                src_hops[i] = s.hop(tick)
+            for j, aid in enumerate(agent_ids):
+                row = n_sources + j
+                # an emission logged at tick t is mixed from tick t+1 on,
+                # exactly like a live agent's pending hop
+                if active[aid] is None and queues[aid] and \
+                        queues[aid][0][0] + 1 <= tick:
+                    start, pcm = queues[aid].pop(0)
+                    active[aid] = (start, pcm)
+                slot = active[aid]
+                if slot is None:
+                    src_hops[row] = 0.0
+                    continue
+                start, pcm = slot
+                k = tick - start - 1
+                chunk = pcm[k * FRAME_HOP:(k + 1) * FRAME_HOP]
+                hop = np.zeros(FRAME_HOP)
+                hop[:len(chunk)] = chunk
+                src_hops[row] = hop
+                if (k + 1) * FRAME_HOP >= len(pcm):
+                    active[aid] = None
+            np.matmul(gains_t, src_hops, out=pre)
+            noise = bus_noise.next_tick()
+            if noise is not None:
+                pre += np.multiply(noise_rms, noise, out=scaled_noise)
+            np.clip(pre, -1.0, 1.0, out=mixed)
+            for m, buf in enumerate(render_bufs):
+                buf.append(mixed[n_agents + 1 + m].astype(np.float32))
 
     replay_dir = run_dir / "replay"
     replay_dir.mkdir(exist_ok=True)

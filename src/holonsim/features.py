@@ -107,8 +107,6 @@ class AnalysisVector:
         return np.concatenate(
             ([self.dynamic_range_db, self.zero_crossing_rate], self.mfcc))
 
-    N_DIMS = 2 + N_MFCC
-
 
 def analyze(pcm: np.ndarray, sample_rate: int = SAMPLE_RATE) -> AnalysisVector:
     """Deterministic analysis vector; same pcm always gives the same bits."""
@@ -145,14 +143,17 @@ def make_sample(pcm: np.ndarray, captured_at: int,
 
 # --- onset detection ----------------------------------------------------
 
-def spectral_flux(current: np.ndarray, previous: np.ndarray | None):
+def spectral_flux(current: np.ndarray, previous: np.ndarray | None,
+                  out: np.ndarray | None = None):
     """Sum of per-bin magnitude increases since the previous frame.
 
     Sums along the last axis, so a stack of frames gives one flux per row.
+    out, shaped like current, takes the per-bin increases when given.
     """
     if previous is None:
         return 0.0
-    return np.sum(np.maximum(current - previous, 0.0), axis=-1)
+    rise = np.subtract(current, previous, out=out)
+    return np.sum(np.maximum(rise, 0.0, out=rise), axis=-1)
 
 
 class OnsetDetector:
@@ -164,7 +165,9 @@ class OnsetDetector:
     moving while a caller is disarmed (e.g. busy recording) and the
     threshold never goes stale; all rows therefore share one fill count.
     The history is an (n, window) ring shifted left each update, so each
-    row reads oldest first, exactly as a per-stream queue would.
+    row reads oldest first, exactly as a per-stream queue would. The
+    previous spectra are copied into a buffer the detector owns, so a
+    caller may pass the same array, rewritten in place, every tick.
     flux_floor guards against firing on float rounding noise in an
     otherwise static spectrum; it sits far below the flux of any audible
     change.
@@ -179,7 +182,7 @@ class OnsetDetector:
         self.flux_floor = flux_floor
         self.window = window
         self.refractory_ticks = max(1, int(round(refractory_s / TICK_SECONDS)))
-        self._prev = None
+        self._prev = self._rise = None
         self._history = np.zeros((n, window))
         self._filled = 0
         self._cooldown = np.zeros(n, dtype=int)
@@ -190,9 +193,13 @@ class OnsetDetector:
 
         Returns whether any row fired; `fired` holds the per-row result.
         """
-        mags = np.array(magnitudes, dtype=float).reshape(self.n, -1)
-        flux = spectral_flux(mags, self._prev)
-        self._prev = mags
+        mags = np.asarray(magnitudes, dtype=float).reshape(self.n, -1)
+        if self._prev is None:
+            flux = spectral_flux(mags, None)
+            self._prev, self._rise = mags.copy(), np.empty_like(mags)
+        else:
+            flux = spectral_flux(mags, self._prev, out=self._rise)
+            np.copyto(self._prev, mags)
         if self._filled:
             hist = self._history[:, self.window - self._filled:]
             threshold = np.mean(hist, axis=1) + self.k * np.std(hist, axis=1)

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
 import yaml
 
-from holonsim import environment
+from holonsim import agents, environment
 from holonsim.audio_core import read_wav, write_wav
 from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   ScenarioError, SourceSpec, build_gains,
@@ -282,6 +283,77 @@ def test_replay_of_composers_needs_no_logged_audio(tmp_path):
     assert named(load_run_events(tmp_path / "run"), "emission_start")
     replayed = replay_run(tmp_path / "run")
     assert replayed["monitor_00.wav"] == summary.artifacts["monitor_00.wav"]
+
+
+# --- bus noise ----------------------------------------------------------------
+
+BLOCK = environment.BLOCK_TICKS
+
+
+@pytest.mark.parametrize("noise", [True, False], ids=["noise", "no_noise"])
+@pytest.mark.parametrize("n_ticks", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                     3 * BLOCK + 5])
+def test_bus_noise_matches_per_tick_draws(noise, n_ticks):
+    child = np.random.SeedSequence(99).spawn(3)[0]
+    reference = np.random.default_rng(child)
+    before = threading.active_count()
+    with environment.BusNoise(np.random.default_rng(child) if noise
+                              else None, 5, n_ticks) as bus_noise:
+        # one worker, and only when there is noise to draw
+        assert threading.active_count() - before == int(noise and n_ticks > 0)
+        for tick in range(n_ticks):
+            got = bus_noise.next_tick()
+            if noise:
+                want = reference.standard_normal((5, FRAME_HOP))
+                assert np.array_equal(got, want), f"tick {tick}"
+            else:
+                assert got is None
+    assert threading.active_count() == before
+
+
+class StepFault(Exception):
+    pass
+
+
+def test_run_stops_its_noise_thread_on_every_way_out(tmp_path, monkeypatch):
+    before = threading.active_count()
+    run_scenario(full_scenario(), tmp_path / "whole")
+    assert threading.active_count() == before
+
+    step = agents.ComposerAgent.step
+
+    def failing_step(self, hearing, clock):
+        if clock.tick == 5:
+            raise StepFault(f"tick {clock.tick}")
+        return step(self, hearing, clock)
+
+    monkeypatch.setattr(agents.ComposerAgent, "step", failing_step)
+    with pytest.raises(StepFault, match="tick 5"):
+        run_scenario(full_scenario(), tmp_path / "failed")
+    assert threading.active_count() == before
+
+
+class ClockStop(BaseException):
+    pass
+
+
+def test_base_exception_stops_the_noise_thread(tmp_path, monkeypatch):
+    # a probe that times a run's set-up stops it with a BaseException from
+    # the clock's constructor, after the noise thread has started
+    run_scenario(full_scenario(), tmp_path / "run")
+    before = threading.active_count()
+
+    def stop(*args, **kwargs):
+        raise ClockStop
+
+    monkeypatch.setattr(environment, "SimClock", stop)
+    with pytest.raises(ClockStop):
+        run_scenario(full_scenario(), tmp_path / "stopped")
+    assert threading.active_count() == before
+    monkeypatch.setattr(environment.ToneSource, "hop", stop)
+    with pytest.raises(ClockStop):
+        replay_run(tmp_path / "run")
+    assert threading.active_count() == before
 
 
 def test_manifest_checksums_match_files(tmp_path):

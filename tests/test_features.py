@@ -220,11 +220,19 @@ def test_batched_onsets_fire_like_independent_streams(data):
     refs = [oracles.OracleOnsetDetector(window=window,
                                         refractory_ticks=refractory)
             for _ in range(n)]
+    # a second detector hears through one buffer rewritten in place each
+    # tick, as the Hearing feeds it
+    reused = ft.OnsetDetector(n, window=window,
+                              refractory_s=refractory * TICK_SECONDS)
+    buffer = np.empty((n, 6))
     for t in range(ticks):
         any_fired = det.update(spectra[t], armed[t])
+        buffer[...] = spectra[t]
+        reused.update(buffer, armed[t])
         want = [ref.update(spectra[t, r], bool(armed[t, r]))
                 for r, ref in enumerate(refs)]
         assert det.fired.tolist() == want, f"tick {t}"
+        assert reused.fired.tolist() == want, f"tick {t}, reused buffer"
         assert any_fired is any(want)
 
 
