@@ -26,8 +26,8 @@ import yaml
 from scipy.signal import butter, lfilter
 
 from .agents import (AGENT_KINDS, CollectorParams, ComposerParams,
-                     DisruptorParams, EnergyModel, Hearing, energy_step,
-                     synth_tone)
+                     DisruptorParams, EmissionQueue, EnergyModel, Hearing,
+                     energy_step, synth_tone)
 from .audio_core import (HighpassFilter, SimClock, default_filterbank,
                          fft_magnitude, read_wav, write_wav)
 from .params import FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE
@@ -565,6 +565,72 @@ class BusNoise:
             self._pool = None
 
 
+class Bus:
+    """The one acoustic bus of a run, and of its replay.
+
+    Rows of `hops` are the scripted sources, then the agents' emission
+    ports (`agent_rows`); listeners are the agents, the occupation point,
+    then the monitors. mix(tick) writes the source rows and mixes every
+    listener's hop into `mixed`, so whatever the caller writes into
+    `agent_rows` after it is heard from the next tick on. The bus's
+    per-tick arrays are allocated here, once. Leaving the with block stops
+    the noise worker, which is started last so a failing build leaves no
+    thread.
+    """
+
+    def __init__(self, scn: Scenario, bus_rng, source_rngs):
+        n_ticks, n_agents = scn.n_ticks, len(scn.agents)
+        self._sources = [_SOURCE_BUILDERS[spec.kind](spec, rng, n_ticks)
+                         for spec, rng in zip(scn.sources, source_rngs)]
+        agent_pos = [a.position for a in scn.agents]
+        listener_pos = agent_pos + [scn.occupation_position] + \
+            list(scn.monitors)
+        self.gains = build_gains([s.position for s in scn.sources]
+                                 + agent_pos, listener_pos)
+        self._gains_t = self.gains.T.copy()
+        self._noise_rms = (None if scn.noise_floor_dbfs is None
+                           else 10.0 ** (scn.noise_floor_dbfs / 20.0))
+        self.hops = np.zeros((len(self._sources) + n_agents, FRAME_HOP))
+        self.agent_rows = self.hops[len(self._sources):]
+        self._pre = np.empty((len(listener_pos), FRAME_HOP))
+        self._scaled_noise = np.empty_like(self._pre)
+        self.mixed = np.empty_like(self._pre)
+        self._monitors = slice(n_agents + 1, None)
+        self._renders = np.zeros((len(scn.monitors), n_ticks * FRAME_HOP),
+                                 dtype=np.float32)
+        self._noise = BusNoise(None if self._noise_rms is None else bus_rng,
+                               len(listener_pos), n_ticks)
+
+    def mix(self, tick: int) -> np.ndarray | None:
+        """Mix one tick; returns the scaled noise it added, or None."""
+        for i, s in enumerate(self._sources):
+            self.hops[i] = s.hop(tick)
+        np.matmul(self._gains_t, self.hops, out=self._pre)
+        noise = self._noise.next_tick()
+        if noise is not None:
+            noise = np.multiply(self._noise_rms, noise, out=self._scaled_noise)
+            self._pre += noise
+        np.clip(self._pre, -1.0, 1.0, out=self.mixed)
+        self._renders[:, tick * FRAME_HOP:(tick + 1) * FRAME_HOP] = \
+            self.mixed[self._monitors]
+        return noise
+
+    def write_renders(self, out_dir: Path) -> dict:
+        """Write monitor_XX.wav per monitor; returns name -> sha256."""
+        out = {}
+        for m, samples in enumerate(self._renders):
+            name = f"monitor_{m:02d}.wav"
+            write_wav(out_dir / name, samples, subtype="float32")
+            out[name] = _sha256(out_dir / name)
+        return out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._noise.__exit__(*exc)
+
+
 def _np_default(obj):
     if isinstance(obj, np.integer):
         return int(obj)
@@ -645,11 +711,6 @@ def _build_agents(scn: Scenario, rngs):
     return agents
 
 
-def _build_sources(scn: Scenario, rngs):
-    return [_SOURCE_BUILDERS[spec.kind](spec, rng, scn.n_ticks)
-            for spec, rng in zip(scn.sources, rngs)]
-
-
 def _spawn_rngs(scn: Scenario):
     """Bus first, then sources, then agents: a fixed spawn order keeps
     every stream stable when unrelated knobs (e.g. insolation) change."""
@@ -673,34 +734,10 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     bus_rng, source_rngs, agent_rngs = _spawn_rngs(scn)
-    sources = _build_sources(scn, source_rngs)
     agents = _build_agents(scn, agent_rngs)
-    n_agents, n_sources = len(agents), len(sources)
+    n_agents, n_sources = len(agents), len(scn.sources)
     n_ticks = scn.n_ticks
-
-    listener_pos = ([a.position for a in agents]
-                    + [scn.occupation_position]
-                    + list(scn.monitors))
-    source_pos = [s.spec.position for s in sources] + \
-        [a.position for a in agents]
-    gains = build_gains(source_pos, listener_pos)
-    gains_t = gains.T.copy()
     occ_col = n_agents
-    noise_rms = (None if scn.noise_floor_dbfs is None
-                 else 10.0 ** (scn.noise_floor_dbfs / 20.0))
-
-    # per-channel source rows, their gains and a gather buffer for
-    # occupation attribution
-    chan_rows = {c: [] for c in CHANNELS}
-    for i, s in enumerate(sources):
-        chan_rows[s.spec.channel].append(i)
-    chan_rows["cyberphony"] = list(range(n_sources, n_sources + n_agents))
-    chan_mix = []
-    for c in CHANNELS:
-        rows = np.array(chan_rows[c], dtype=int)
-        chan_mix.append((rows, gains[rows, occ_col],
-                         np.empty((len(rows), FRAME_HOP))))
-    geophony = CHANNELS.index("geophony")
 
     bank = default_filterbank()
     hp = HighpassFilter(channels=n_agents) if n_agents else None
@@ -713,9 +750,6 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     model_of = [models.index(agent.energy) for agent in agents]
     n_bins = FRAME_SIZE // 2 + 1
     # every per-tick array of fixed shape is written in place, each tick
-    pre = np.empty((len(listener_pos), FRAME_HOP))
-    scaled_noise = np.empty_like(pre)
-    mixed = np.empty_like(pre)
     rings = np.zeros((n_agents, FRAME_SIZE))
     prev_rings = np.zeros_like(rings)
     mags = np.empty((n_agents, n_bins))
@@ -725,12 +759,21 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     chan_mels = np.empty((len(CHANNELS), N_MEL_BANDS))
     n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS) if n_ticks else 0
     occupation = np.zeros((len(CHANNELS), n_windows, N_MEL_BANDS))
-    render_bufs = [[] for _ in scn.monitors]
-    pending = np.zeros((n_sources + n_agents, FRAME_HOP))
-    src_hops = pending  # one matrix: scripted rows rewritten each tick
 
-    with BusNoise(None if noise_rms is None else bus_rng,
-                  len(listener_pos), n_ticks) as bus_noise:
+    with Bus(scn, bus_rng, source_rngs) as bus:
+        # per-channel bus rows, their gains at the occupation point and a
+        # gather buffer for occupation attribution
+        chan_rows = {c: [] for c in CHANNELS}
+        for i, spec in enumerate(scn.sources):
+            chan_rows[spec.channel].append(i)
+        chan_rows["cyberphony"] = list(range(n_sources, n_sources + n_agents))
+        chan_mix = []
+        for c in CHANNELS:
+            rows = np.array(chan_rows[c], dtype=int)
+            chan_mix.append((rows, bus.gains[rows, occ_col],
+                             np.empty((len(rows), FRAME_HOP))))
+        geophony = CHANNELS.index("geophony")
+
         clock = SimClock(0, day_length_s=scn.day_length_s,
                          night_window=scn.night_window)
         writer = EventWriter(out_dir / EVENTS_FILE, scn.log_audio)
@@ -750,13 +793,7 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                               "time_s": clock.time_s})
                 last_phase = night
 
-            for i, s in enumerate(sources):
-                src_hops[i] = s.hop(tick)
-            np.matmul(gains_t, src_hops, out=pre)
-            noise = bus_noise.next_tick()
-            if noise is not None:
-                pre += np.multiply(noise_rms, noise, out=scaled_noise)
-            np.clip(pre, -1.0, 1.0, out=mixed)
+            noise = bus.mix(tick)
 
             # occupation attribution happens pre-clip, per channel sub-mix
             window = tick // OCCUPATION_WINDOW_TICKS
@@ -765,19 +802,16 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                 if len(rows):
                     # mode "clip": the rows are in range; "raise" copies out
                     chan_rings[c, FRAME_HOP:] = chan_gains @ np.take(
-                        src_hops, rows, axis=0, out=gathered, mode="clip")
+                        bus.hops, rows, axis=0, out=gathered, mode="clip")
                 else:
                     chan_rings[c, FRAME_HOP:] = 0.0
             if noise is not None:
-                chan_rings[geophony, FRAME_HOP:] += scaled_noise[occ_col]
+                chan_rings[geophony, FRAME_HOP:] += noise[occ_col]
             occupation[:, window, :] += bank.apply(
                 fft_magnitude(chan_rings, out=chan_mags), out=chan_mels)
 
-            for m, buf in enumerate(render_bufs):
-                buf.append(mixed[n_agents + 1 + m].astype(np.float32))
-
             if n_agents:
-                feeds = hp.process(mixed[:n_agents])
+                feeds = hp.process(bus.mixed[:n_agents])
                 # two ring buffers in turn: last tick's stays whole for
                 # pre-roll
                 prev_rings, rings = rings, prev_rings
@@ -790,11 +824,7 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                 for j, agent in enumerate(agents):
                     hop_out, events = agent.step(hearing, clock)
                     energy_step(agent, harvest[model_of[j]])
-                    row = n_sources + j
-                    if hop_out is None:
-                        pending[row] = 0.0
-                    else:
-                        pending[row] = hop_out
+                    bus.agent_rows[j] = 0.0 if hop_out is None else hop_out
                     for event in events:
                         writer.write(tick, agent.agent_id, agent.kind,
                                      event)
@@ -819,17 +849,10 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
         "n_windows": n_windows,
         "n_bands": N_MEL_BANDS,
     }, sort_keys=True, indent=2))
-    render_names = []
-    for m, buf in enumerate(render_bufs):
-        name = f"monitor_{m:02d}.wav"
-        data = (np.concatenate(buf) if buf
-                else np.zeros(0, dtype=np.float32))
-        write_wav(out_dir / name, data, subtype="float32")
-        render_names.append(name)
-
-    artifact_names = [EVENTS_FILE, SCENARIO_FILE, OCCUPATION_NPY,
-                      OCCUPATION_META] + render_names
-    artifacts = {name: _sha256(out_dir / name) for name in artifact_names}
+    artifacts = {name: _sha256(out_dir / name)
+                 for name in [EVENTS_FILE, SCENARIO_FILE, OCCUPATION_NPY,
+                              OCCUPATION_META]}
+    artifacts.update(bus.write_renders(out_dir))
     manifest = {"format": 1, "name": scn.name, "seed": scn.seed,
                 "config_sha256": config_hash, "n_ticks": n_ticks,
                 "artifacts": artifacts}
@@ -845,7 +868,7 @@ _PCM_EMISSIONS = ("playback_start", "disrupt_start")
 
 
 def _emissions_from_log(events) -> dict:
-    """Per-agent (start_tick, float32 pcm) emission list from the log.
+    """(tick, agent_id) -> float32 pcm of every emission in the log.
 
     Refuses a log whose emissions lack their audio before synthesizing
     anything.
@@ -856,7 +879,7 @@ def _emissions_from_log(events) -> dict:
         raise ReplayError(
             "log has pcm_omitted entries (run used log_audio: "
             "false); renders cannot be reproduced")
-    schedule = {}
+    emissions = {}
     for record in events:
         payload = record.get("payload", {})
         event = record["event"]
@@ -870,9 +893,8 @@ def _emissions_from_log(events) -> dict:
                 base64.b64decode(payload["pcm_b64"]), dtype=np.float32)
         else:
             continue
-        schedule.setdefault(record["agent_id"], []).append(
-            (record["tick"], pcm))
-    return schedule
+        emissions[record["tick"], record["agent_id"]] = pcm
+    return emissions
 
 
 def load_run_events(run_dir) -> list:
@@ -883,82 +905,30 @@ def load_run_events(run_dir) -> list:
 def replay_run(run_dir) -> dict:
     """Re-render monitor WAVs from the log alone; returns name -> sha256.
 
-    Replay rebuilds the exact mixing pipeline of the original run: the
-    same source streams and bus noise (same seeds), with agent rows fed
-    from logged emissions instead of live agents. Output files land in
-    <run_dir>/replay/ and must be byte-identical to the originals.
+    Replay mixes on the same Bus as the run, with the same source streams
+    and bus noise (same seeds). Each agent row is fed by an EmissionQueue
+    that starts the clip logged at (tick, agent), exactly as the live
+    agent's own queue did. Output files land in <run_dir>/replay/ and
+    must be byte-identical to the originals.
     """
     run_dir = Path(run_dir)
     scn = Scenario.from_dict(
         json.loads((run_dir / SCENARIO_FILE).read_text()))
-    events = load_run_events(run_dir)
-    schedule = _emissions_from_log(events)
-
+    emissions = _emissions_from_log(load_run_events(run_dir))
     bus_rng, source_rngs, _ = _spawn_rngs(scn)
-    sources = _build_sources(scn, source_rngs)
-    n_agents, n_sources = len(scn.agents), len(sources)
-    n_ticks = scn.n_ticks
-
-    listener_pos = ([a.position for a in scn.agents]
-                    + [scn.occupation_position]
-                    + list(scn.monitors))
-    source_pos = [s.spec.position for s in sources] + \
-        [a.position for a in scn.agents]
-    gains_t = build_gains(source_pos, listener_pos).T.copy()
-    noise_rms = (None if scn.noise_floor_dbfs is None
-                 else 10.0 ** (scn.noise_floor_dbfs / 20.0))
-
-    # per-agent emission cursors: list sorted by start tick
     agent_ids = [a.agent_id for a in scn.agents]
-    queues = {aid: sorted(schedule.get(aid, []), key=lambda e: e[0])
-              for aid in agent_ids}
-    active = {aid: None for aid in agent_ids}
+    queues = [EmissionQueue() for _ in agent_ids]
 
-    src_hops = np.zeros((n_sources + n_agents, FRAME_HOP))
-    pre = np.empty((len(listener_pos), FRAME_HOP))
-    scaled_noise = np.empty_like(pre)
-    mixed = np.empty_like(pre)
-    render_bufs = [[] for _ in scn.monitors]
-
-    with BusNoise(None if noise_rms is None else bus_rng,
-                  len(listener_pos), n_ticks) as bus_noise:
-        for tick in range(n_ticks):
-            for i, s in enumerate(sources):
-                src_hops[i] = s.hop(tick)
-            for j, aid in enumerate(agent_ids):
-                row = n_sources + j
-                # an emission logged at tick t is mixed from tick t+1 on,
-                # exactly like a live agent's pending hop
-                if active[aid] is None and queues[aid] and \
-                        queues[aid][0][0] + 1 <= tick:
-                    start, pcm = queues[aid].pop(0)
-                    active[aid] = (start, pcm)
-                slot = active[aid]
-                if slot is None:
-                    src_hops[row] = 0.0
-                    continue
-                start, pcm = slot
-                k = tick - start - 1
-                chunk = pcm[k * FRAME_HOP:(k + 1) * FRAME_HOP]
-                hop = np.zeros(FRAME_HOP)
-                hop[:len(chunk)] = chunk
-                src_hops[row] = hop
-                if (k + 1) * FRAME_HOP >= len(pcm):
-                    active[aid] = None
-            np.matmul(gains_t, src_hops, out=pre)
-            noise = bus_noise.next_tick()
-            if noise is not None:
-                pre += np.multiply(noise_rms, noise, out=scaled_noise)
-            np.clip(pre, -1.0, 1.0, out=mixed)
-            for m, buf in enumerate(render_bufs):
-                buf.append(mixed[n_agents + 1 + m].astype(np.float32))
+    with Bus(scn, bus_rng, source_rngs) as bus:
+        for tick in range(scn.n_ticks):
+            bus.mix(tick)
+            for j, (agent_id, queue) in enumerate(zip(agent_ids, queues)):
+                pcm = emissions.get((tick, agent_id))
+                if pcm is not None:
+                    queue.start(pcm)
+                hop = queue.next_hop()
+                bus.agent_rows[j] = 0.0 if hop is None else hop
 
     replay_dir = run_dir / "replay"
     replay_dir.mkdir(exist_ok=True)
-    out = {}
-    for m, buf in enumerate(render_bufs):
-        name = f"monitor_{m:02d}.wav"
-        data = np.concatenate(buf) if buf else np.zeros(0, dtype=np.float32)
-        write_wav(replay_dir / name, data, subtype="float32")
-        out[name] = _sha256(replay_dir / name)
-    return out
+    return bus.write_renders(replay_dir)

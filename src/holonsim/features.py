@@ -7,7 +7,6 @@ analysis vectors; once the collection is full the nearest existing member
 is the one considered for replacement.
 """
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,7 +122,6 @@ class SoundSample:
     pcm: np.ndarray          # float32, the stored form
     vector: AnalysisVector
     captured_at: int         # tick of the triggering onset
-    source_label: str | None = None
 
     @property
     def duration_s(self) -> float:
@@ -134,11 +132,10 @@ class SoundSample:
         return self.pcm.nbytes
 
 
-def make_sample(pcm: np.ndarray, captured_at: int,
-                source_label: str | None = None) -> SoundSample:
+def make_sample(pcm: np.ndarray, captured_at: int) -> SoundSample:
     stored = np.asarray(pcm, dtype=np.float32)
     return SoundSample(pcm=stored, vector=analyze(stored),
-                       captured_at=captured_at, source_label=source_label)
+                       captured_at=captured_at)
 
 
 # --- onset detection ----------------------------------------------------
@@ -226,11 +223,10 @@ class RecordingSession:
     """
 
     def __init__(self, onset_tick: int, preroll: np.ndarray | None = None,
-                 source_label: str | None = None, max_s: float = MAX_RECORD_S,
+                 max_s: float = MAX_RECORD_S,
                  stop_drop_db: float = STOP_DROP_DB,
                  stop_run_hops: int = STOP_RUN_HOPS):
         self.onset_tick = onset_tick
-        self.source_label = source_label
         self._cap = int(round(max_s * SAMPLE_RATE))
         self._drop = 10.0 ** (-stop_drop_db / 20.0)
         self._run_limit = stop_run_hops
@@ -261,20 +257,7 @@ class RecordingSession:
 
     def finish(self) -> SoundSample:
         pcm = np.concatenate(self._blocks) if self._blocks else np.zeros(1)
-        return make_sample(pcm[:self._cap], self.onset_tick,
-                           self.source_label)
-
-
-def segment_recording(hops, onset_tick: int = 0,
-                      preroll: np.ndarray | None = None,
-                      **kwargs) -> SoundSample:
-    """Run a RecordingSession over an iterable of hops."""
-    session = RecordingSession(onset_tick, preroll=preroll, **kwargs)
-    for hop in hops:
-        sample = session.feed(hop, rms(hop))
-        if sample is not None:
-            return sample
-    return session.finish()
+        return make_sample(pcm[:self._cap], self.onset_tick)
 
 
 # --- novelty decision -----------------------------------------------------
@@ -370,26 +353,3 @@ class SampleCollection:
         elif decision.verdict is Verdict.REPLACE:
             self.items[decision.replace_index] = candidate
         return decision
-
-    def save_dir(self, path):
-        """Write items as WAV files plus a JSON index of their metadata."""
-        import os
-        os.makedirs(path, exist_ok=True)
-        index = []
-        for i, item in enumerate(self.items):
-            name = f"sample_{i:03d}.wav"
-            ac.write_wav(os.path.join(path, name), item.pcm,
-                         subtype="float32")
-            index.append({
-                "file": name,
-                "captured_at": item.captured_at,
-                "source_label": item.source_label,
-                "duration_s": item.duration_s,
-                "vector": {
-                    "dynamic_range_db": item.vector.dynamic_range_db,
-                    "zero_crossing_rate": item.vector.zero_crossing_rate,
-                    "mfcc": [float(c) for c in item.vector.mfcc],
-                },
-            })
-        with open(os.path.join(path, "index.json"), "w") as fh:
-            json.dump(index, fh, indent=2)

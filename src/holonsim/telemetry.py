@@ -66,15 +66,6 @@ def save_spectrogram(wav_path, csv_path=None, pgm_path=None) -> np.ndarray:
     return grid
 
 
-def load_events(path) -> list:
-    """Event records from a run directory or an events.jsonl path."""
-    path = Path(path)
-    if path.is_dir():
-        return load_run_events(path)
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def band_occupancy_threshold(mean_band_energy: np.ndarray,
                              floor: float = ComposerParams.occupancy_floor,
                              percentile: float =
@@ -197,7 +188,9 @@ def analyze_run(run_dir, out_dir=None, max_workers: int | None = None):
                                  manifest["n_ticks"])
     written = ["metrics.json", "metrics.csv"]
 
-    monitors = sorted(p.name for p in run_dir.glob("monitor_*.wav"))
+    # the manifest's renders, not whatever an earlier run left beside them
+    monitors = sorted(name for name in manifest["artifacts"]
+                      if name.startswith("monitor_"))
     if max_workers is None:
         max_workers = int(os.environ.get("HOLONSIM_THREADS",
                                          os.cpu_count() or 1))

@@ -187,6 +187,21 @@ def test_analyze_prints_metrics(tmp_path, capsys):
     assert (out / "monitor_00_spectrogram.pgm").exists()
 
 
+def test_analyze_reads_only_the_renders_the_manifest_names(tmp_path):
+    out = finished_run(tmp_path, duration_s=1.0,
+                       monitors=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    # a one-monitor run over it leaves monitor_01/02.wav on disk
+    scn = composer_scenario(tmp_path, duration_s=1.0)
+    assert main(["run", "--scenario", scn, "--out", str(out),
+                 "--force"]) == 0
+    assert (out / "monitor_02.wav").exists()
+    assert main(["analyze", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert [n for n in metrics["artifacts"] if n.startswith("monitor_")] \
+        == ["monitor_00_spectrogram.csv", "monitor_00_spectrogram.pgm"]
+    assert not list(out.glob("monitor_0[12]_spectrogram.*"))
+
+
 def test_analyze_empty_roster_reports_na(tmp_path, capsys):
     scn = write_scenario(tmp_path, {"seed": 4, "duration_s": 2.0})
     out = tmp_path / "run"

@@ -16,6 +16,7 @@ from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   load_scenario, replay_run, run_scenario)
 from holonsim.params import FRAME_HOP, SAMPLE_RATE
 
+import test_golden as golden
 from synth import sine
 
 
@@ -283,6 +284,44 @@ def test_replay_of_composers_needs_no_logged_audio(tmp_path):
     assert named(load_run_events(tmp_path / "run"), "emission_start")
     replayed = replay_run(tmp_path / "run")
     assert replayed["monitor_00.wav"] == summary.artifacts["monitor_00.wav"]
+
+
+def audible_ticks(start):
+    """First and last tick at which a logged emission is mixed."""
+    payload = start["payload"]
+    n = payload.get("n_samples", payload.get("out_samples"))
+    return start["tick"] + 1, start["tick"] + -(-n // FRAME_HOP)
+
+
+# Cuts of the golden mixed night scenario. Its first composer note is logged
+# on tick 0 and the collectors' first playbacks on tick 92; clips started at
+# ticks 0, 31 and 92 are still playing at tick 149; the first note's last
+# hop is mixed on tick 188; a disruptor's clip is logged on tick 400.
+@pytest.mark.parametrize("n_ticks,edge", [
+    (1, "logged"), (93, "logged"), (150, "playing"), (189, "last_hop"),
+    (401, "logged")])
+def test_replay_equals_run_at_the_edges_of_the_schedule(tmp_path, n_ticks,
+                                                        edge):
+    mixed = write_yaml(tmp_path, golden.MIXED)
+    scn = load_scenario(mixed)
+    scn.duration_s = n_ticks * FRAME_HOP / SAMPLE_RATE
+    summary = run_scenario(scn, tmp_path / "run")
+    assert summary.n_ticks == n_ticks
+    starts = [e for e in load_run_events(tmp_path / "run")
+              if e["event"] in ("emission_start", "playback_start",
+                                "disrupt_start")]
+    last = n_ticks - 1
+    spans = [audible_ticks(start) for start in starts]
+    if edge == "logged":
+        assert any(start["tick"] == last for start in starts)
+    elif edge == "playing":
+        assert any(first <= last < end for first, end in spans)
+    else:
+        assert any(end == last for _, end in spans)
+    replayed = replay_run(tmp_path / "run")
+    assert sorted(replayed) == ["monitor_00.wav", "monitor_01.wav"]
+    for name, digest in replayed.items():
+        assert digest == summary.artifacts[name], name
 
 
 # --- bus noise ----------------------------------------------------------------

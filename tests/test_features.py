@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -243,18 +242,28 @@ def test_onset_window_must_be_at_least_eight():
 
 # --- segmentation -----------------------------------------------------------
 
+def record(stream, onset_tick=0, preroll=None):
+    """Feed hops to a RecordingSession until it or the stream ends."""
+    session = ft.RecordingSession(onset_tick, preroll=preroll)
+    for hop in stream:
+        sample = session.feed(hop, ft.rms(hop))
+        if sample is not None:
+            return sample
+    return session.finish()
+
+
 def test_segment_burst_then_silence_duration():
     rng = np.random.default_rng(60)
     pcm = np.concatenate([synth.white_noise(rng, 1.0, amp=0.5),
                           synth.silence(5.0)])
-    sample = ft.segment_recording(hops(pcm))
+    sample = record(hops(pcm))
     slack = (ft.STOP_RUN_HOPS + ft.PREROLL_HOPS) * FRAME_HOP / SAMPLE_RATE
     assert 1.0 <= sample.duration_s <= 1.0 + slack + 1e-9
 
 
 def test_segment_continuous_tone_caps_at_30s():
     tone = synth.sine(500.0, 60.0, amp=0.5)
-    sample = ft.segment_recording(hops(tone))
+    sample = record(hops(tone))
     assert sample.duration_s == pytest.approx(30.0)
     assert len(sample.pcm) == 30 * SAMPLE_RATE
 
@@ -262,7 +271,7 @@ def test_segment_continuous_tone_caps_at_30s():
 def test_segment_cap_includes_preroll():
     preroll = np.zeros(2 * FRAME_HOP)
     tone = synth.sine(500.0, 31.0, amp=0.5)
-    sample = ft.segment_recording(hops(tone), preroll=preroll)
+    sample = record(hops(tone), preroll=preroll)
     assert len(sample.pcm) == 30 * SAMPLE_RATE
 
 
@@ -270,7 +279,7 @@ def test_segment_subhop_burst_still_valid():
     burst = np.zeros(FRAME_HOP)
     burst[:100] = 0.9
     stream = [burst] + [np.zeros(FRAME_HOP)] * 40
-    sample = ft.segment_recording(stream)
+    sample = record(stream)
     assert len(sample.pcm) >= FRAME_HOP
     assert sample.duration_s <= (1 + ft.STOP_RUN_HOPS + 2) * FRAME_HOP / SAMPLE_RATE
 
@@ -279,7 +288,7 @@ def test_segment_preroll_prepended():
     preroll = np.linspace(-0.5, 0.5, 2 * FRAME_HOP)
     loud = np.full(FRAME_HOP, 0.7)
     stream = [loud] + [np.zeros(FRAME_HOP)] * 30
-    sample = ft.segment_recording(stream, onset_tick=12, preroll=preroll)
+    sample = record(stream, onset_tick=12, preroll=preroll)
     assert np.allclose(sample.pcm[:2 * FRAME_HOP],
                        preroll.astype(np.float32))
     assert sample.captured_at == 12
@@ -287,7 +296,7 @@ def test_segment_preroll_prepended():
 
 def test_segment_stream_ending_early_finishes():
     stream = [np.full(FRAME_HOP, 0.5)] * 3
-    sample = ft.segment_recording(stream)
+    sample = record(stream)
     assert len(sample.pcm) == 3 * FRAME_HOP
 
 
@@ -397,28 +406,3 @@ def test_byte_budget_treated_as_full_and_never_exceeded():
         assert coll.total_bytes <= capacity
         assert len(coll) <= 32
     assert any(len(s) > 0 for s in [state])  # something was collected
-
-
-def test_collection_save_dir_round_trip(tmp_path):
-    rng = np.random.default_rng(125)
-    coll = ft.SampleCollection()
-    for tick in (3, 9):
-        coll.add(ft.make_sample(rng.uniform(-1, 1, 3000), captured_at=tick,
-                                source_label="unit"))
-    out = tmp_path / "collection"
-    coll.save_dir(out)
-    index = json.loads((out / "index.json").read_text())
-    assert len(index) == len(coll)
-    for entry, item in zip(index, coll.items):
-        pcm, rate = ac.read_wav(out / entry["file"], target_rate=None)
-        assert rate == SAMPLE_RATE
-        assert np.array_equal(pcm.astype(np.float32), item.pcm)
-        assert entry["captured_at"] == item.captured_at
-        got_vec = np.concatenate((
-            [entry["vector"]["dynamic_range_db"],
-             entry["vector"]["zero_crossing_rate"]],
-            entry["vector"]["mfcc"]))
-        assert np.allclose(got_vec, item.vector.as_array(), rtol=1e-12)
-        # the stored vector is recomputable from the file contents
-        assert np.array_equal(ft.analyze(pcm.astype(np.float32)).as_array(),
-                              item.vector.as_array())

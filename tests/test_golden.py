@@ -9,7 +9,8 @@ A change that moves these bytes on purpose re-pins the file with
 
 and says why in CHANGES.md. Digests depend on the numpy build, so the
 file records the numpy version it was made with and the test skips under
-another one.
+another one. It records the BLAS too, which the failure message names
+beside the running one.
 """
 
 import hashlib
@@ -93,11 +94,18 @@ def digests(scn: Scenario, run_dir: Path) -> tuple:
     return out, events
 
 
+def blas() -> dict:
+    """Name and version of the BLAS numpy was built against."""
+    info = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"name": info["name"], "version": info["version"]}
+
+
 def test_runs_match_pinned_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     if golden["numpy"] != np.__version__:
         pytest.skip(f"digests pinned with numpy {golden['numpy']}, "
                     f"running {np.__version__}")
+    build = f"BLAS pinned {golden['blas']}, running {blas()}"
     seen = set()
     got = {}
     for name, scn in cases(tmp_path).items():
@@ -106,15 +114,15 @@ def test_runs_match_pinned_digests(tmp_path):
     assert REQUIRED_EVENTS <= seen, sorted(REQUIRED_EVENTS - seen)
     assert sorted(got) == sorted(golden["runs"])
     for name in got:
-        assert got[name] == golden["runs"][name], name
+        assert got[name] == golden["runs"][name], f"{name}; {build}"
 
 
 def pin(work: Path):
     runs = {name: digests(scn, work / name)[0]
             for name, scn in cases(work).items()}
-    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "cut_s": CUT_S,
-                                  "runs": runs}, indent=2, sort_keys=True)
-                      + "\n")
+    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "blas": blas(),
+                                  "cut_s": CUT_S, "runs": runs},
+                                 indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

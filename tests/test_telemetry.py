@@ -10,7 +10,7 @@ from holonsim.environment import (AgentSpec, CHANNELS, Scenario, SourceSpec,
                                   run_scenario)
 from holonsim.params import FRAME_HOP, SAMPLE_RATE
 from holonsim.telemetry import (analyze_run, band_occupancy_threshold,
-                                load_events, occupation_metrics,
+                                occupation_metrics,
                                 save_spectrogram, save_spectrogram_csv,
                                 save_spectrogram_pgm, spectrogram_grid)
 
@@ -236,11 +236,3 @@ def test_thread_cap_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("HOLONSIM_THREADS", "1")
     metrics = analyze_run(out)
     assert metrics["workers"] == 1
-
-
-def test_load_events_accepts_dir_or_file(tmp_path):
-    out = quiet_composer_run(tmp_path)
-    from_dir = load_events(out)
-    from_file = load_events(out / "events.jsonl")
-    assert from_dir == from_file
-    assert from_dir[0]["event"] == "boot"
