@@ -9,10 +9,11 @@ A change that moves these bytes on purpose re-pins the file with
 
 and says why in CHANGES.md. Digests depend on the numpy build, so the
 file records the numpy version it was made with and the test skips under
-another one. It records the BLAS too, which the failure message names
-beside the running one.
+another one. It records the BLAS build and the OpenBLAS kernel set numpy
+ran on too, and the failure message names both beside the running ones.
 """
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -54,6 +55,24 @@ MIXED = {
     ],
 }
 
+# Scripted sources only: no agents and no monitors leave the occupation
+# point as the bus's one listener, whose mixed row no artifact reads.
+SOURCES = {
+    "name": "golden_sources",
+    "seed": 5,
+    "duration_s": 3.0,
+    "sources": [
+        {"id": "hum", "kind": "tone", "channel": "anthrophony",
+         "position": [1.0, 0.0], "level_dbfs": -30.0, "freq_hz": 440.0},
+        {"id": "wind", "kind": "band_noise", "channel": "geophony",
+         "position": [0.0, 2.0], "level_dbfs": -33.0,
+         "band_hz": [300.0, 900.0], "start_s": 0.4, "stop_s": 2.2},
+        {"id": "gull", "kind": "chirp_train", "channel": "biophony",
+         "position": [-2.0, -1.0], "level_dbfs": -24.0, "start_s": 0.7,
+         "chirp_s": 0.25, "period_s": 0.9, "count": 2},
+    ],
+}
+
 REQUIRED_EVENTS = {"emission_start", "record_start", "capture_start",
                    "disrupt_start", "sample_decision", "playback_start"}
 
@@ -65,9 +84,10 @@ def cases(work: Path) -> dict:
         scn = load_scenario(path)
         scn.duration_s = min(scn.duration_s, CUT_S)
         out[path.stem] = scn
-    mixed = work / f"{MIXED['name']}.yaml"
-    mixed.write_text(yaml.safe_dump(MIXED))
-    out[MIXED["name"]] = load_scenario(mixed)
+    for raw in (MIXED, SOURCES):
+        path = work / f"{raw['name']}.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out[raw["name"]] = load_scenario(path)
     return out
 
 
@@ -100,12 +120,25 @@ def blas() -> dict:
     return {"name": info["name"], "version": info["version"]}
 
 
+def blas_core() -> str | None:
+    """The OpenBLAS kernel set numpy runs on here (e.g. SkylakeX), or None
+    when numpy does not bundle scipy-openblas."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def test_runs_match_pinned_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     if golden["numpy"] != np.__version__:
         pytest.skip(f"digests pinned with numpy {golden['numpy']}, "
                     f"running {np.__version__}")
-    build = f"BLAS pinned {golden['blas']}, running {blas()}"
+    build = (f"BLAS pinned {golden['blas']} on core "
+             f"{golden.get('blas_core')}, running {blas()} on core "
+             f"{blas_core()}")
     seen = set()
     got = {}
     for name, scn in cases(tmp_path).items():
@@ -121,7 +154,8 @@ def pin(work: Path):
     runs = {name: digests(scn, work / name)[0]
             for name, scn in cases(work).items()}
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "blas": blas(),
-                                  "cut_s": CUT_S, "runs": runs},
+                                  "blas_core": blas_core(), "cut_s": CUT_S,
+                                  "runs": runs},
                                  indent=2, sort_keys=True) + "\n")
 
 
