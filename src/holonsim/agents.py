@@ -536,13 +536,15 @@ class CollectorAgent(_Listener):
             self._tone_run = 0
 
     def _tone_trigger_ready(self, clock) -> bool:
-        return (clock.is_night
-                and not self.is_recording
+        # the agent's own state first: a recording collector never asks
+        # the clock whether it is night
+        return (not self.is_recording
                 and not self.is_emitting
                 and len(self.collection) > 0
                 and self._tone_run >= self.params.tone_frames
                 and clock.tick >= self._refractory_until
-                and self.battery_wh >= self.energy.emission_floor_wh)
+                and self.battery_wh >= self.energy.emission_floor_wh
+                and clock.is_night)
 
     def _start_playback(self, clock, events: list):
         index = int(self.rng.integers(len(self.collection)))

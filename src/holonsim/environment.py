@@ -571,11 +571,12 @@ class Bus:
     Rows of `hops` are the scripted sources, then the agents' emission
     ports (`agent_rows`); listeners are the agents, the occupation point,
     then the monitors. mix(tick) writes the source rows and mixes every
-    listener's hop into `mixed`, so whatever the caller writes into
-    `agent_rows` after it is heard from the next tick on. The bus's
-    per-tick arrays are allocated here, once. Leaving the with block stops
-    the noise worker, which is started last so a failing build leaves no
-    thread.
+    listener's hop into `mixed`; an agent's hop written with emit() after
+    it is heard from the next tick on. `active` marks the agent rows that
+    hold sound, and the gain product reads only those and the source rows.
+    The bus's per-tick arrays are allocated here, once. Leaving the with
+    block stops the noise worker, which is started last so a failing build
+    leaves no thread.
     """
 
     def __init__(self, scn: Scenario, bus_rng, source_rngs):
@@ -592,6 +593,10 @@ class Bus:
                            else 10.0 ** (scn.noise_floor_dbfs / 20.0))
         self.hops = np.zeros((len(self._sources) + n_agents, FRAME_HOP))
         self.agent_rows = self.hops[len(self._sources):]
+        self.active = [False] * n_agents
+        self._rows = None            # the rows the product reads; None: stale
+        self._gain_cols = np.empty(self._gains_t.size)
+        self._hop_rows = np.empty_like(self.hops)
         self._pre = np.empty((len(listener_pos), FRAME_HOP))
         self._scaled_noise = np.empty_like(self._pre)
         self.mixed = np.empty_like(self._pre)
@@ -605,7 +610,7 @@ class Bus:
         """Mix one tick; returns the scaled noise it added, or None."""
         for i, s in enumerate(self._sources):
             self.hops[i] = s.hop(tick)
-        np.matmul(self._gains_t, self.hops, out=self._pre)
+        np.matmul(*self._sounding(), out=self._pre)
         noise = self._noise.next_tick()
         if noise is not None:
             noise = np.multiply(self._noise_rms, noise, out=self._scaled_noise)
@@ -614,6 +619,43 @@ class Bus:
         self._renders[:, tick * FRAME_HOP:(tick + 1) * FRAME_HOP] = \
             self.mixed[self._monitors]
         return noise
+
+    def emit(self, j: int, hop: np.ndarray | None):
+        """Write agent j's next hop. None or an all-zero hop (a clip can
+        open on recorded silence) silences its row, which is zeroed once."""
+        if hop is not None and hop.any():
+            self.agent_rows[j] = hop
+            if not self.active[j]:
+                self.active[j], self._rows = True, None
+        elif self.active[j]:
+            self.agent_rows[j] = 0.0
+            self.active[j], self._rows = False, None
+
+    def _sounding(self) -> tuple:
+        """The gain product's factors over the source and active rows.
+
+        Silent agent rows are zero, and leaving them out changes no byte
+        of the product with two or more listeners. With one listener numpy
+        takes the gemv path, where it could; but that bus has no agents, so
+        the product reads every row, and no monitors, so nothing reads its
+        mixed row.
+        """
+        n_sources = len(self._sources)
+        if self._rows is None:
+            self._rows = np.array(
+                [*range(n_sources),
+                 *(n_sources + j for j, on in enumerate(self.active) if on)],
+                dtype=np.intp)
+            shape = (len(self._gains_t), len(self._rows))
+            self._gains_act = np.take(
+                self._gains_t, self._rows, axis=1, mode="clip",
+                out=self._gain_cols[:shape[0] * shape[1]].reshape(shape))
+        if len(self._rows) == len(self.hops):
+            return self._gains_t, self.hops
+        # mode "clip": the rows are in range; "raise" copies out
+        return self._gains_act, np.take(self.hops, self._rows, axis=0,
+                                        out=self._hop_rows[:len(self._rows)],
+                                        mode="clip")
 
     def write_renders(self, out_dir: Path) -> dict:
         """Write monitor_XX.wav per monitor; returns name -> sha256."""
@@ -640,7 +682,10 @@ def _np_default(obj):
 
 
 class EventWriter:
-    """JSON-lines event log with optional embedded emission audio."""
+    """JSON-lines event log with optional embedded emission audio.
+
+    Leaving its with block closes the file, however the block is left.
+    """
 
     def __init__(self, path, log_audio: bool):
         self.path = Path(path)
@@ -670,6 +715,12 @@ class EventWriter:
 
     def close(self):
         self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def _sha256(path) -> str:
@@ -760,25 +811,31 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS) if n_ticks else 0
     occupation = np.zeros((len(CHANNELS), n_windows, N_MEL_BANDS))
 
-    with Bus(scn, bus_rng, source_rngs) as bus:
-        # per-channel bus rows, their gains at the occupation point and a
-        # gather buffer for occupation attribution
+    scenario_json = json.dumps(scn.to_dict(), sort_keys=True, indent=2)
+    config_hash = hashlib.sha256(scenario_json.encode()).hexdigest()
+    with (Bus(scn, bus_rng, source_rngs) as bus,
+          EventWriter(out_dir / EVENTS_FILE, scn.log_audio) as writer):
+        # per-channel bus rows and their gains at the occupation point; a
+        # channel whose rows are contiguous (the agents' for cyberphony) is
+        # read in place, the others are gathered into a buffer
         chan_rows = {c: [] for c in CHANNELS}
         for i, spec in enumerate(scn.sources):
             chan_rows[spec.channel].append(i)
         chan_rows["cyberphony"] = list(range(n_sources, n_sources + n_agents))
         chan_mix = []
         for c in CHANNELS:
-            rows = np.array(chan_rows[c], dtype=int)
-            chan_mix.append((rows, bus.gains[rows, occ_col],
-                             np.empty((len(rows), FRAME_HOP))))
+            rows = chan_rows[c]
+            first = rows[0] if rows else 0
+            if rows == list(range(first, first + len(rows))):
+                chan_mix.append((None, bus.gains[rows, occ_col],
+                                 bus.hops[first:first + len(rows)]))
+            else:
+                chan_mix.append((np.array(rows), bus.gains[rows, occ_col],
+                                 np.empty((len(rows), FRAME_HOP))))
         geophony = CHANNELS.index("geophony")
 
         clock = SimClock(0, day_length_s=scn.day_length_s,
                          night_window=scn.night_window)
-        writer = EventWriter(out_dir / EVENTS_FILE, scn.log_audio)
-        scenario_json = json.dumps(scn.to_dict(), sort_keys=True, indent=2)
-        config_hash = hashlib.sha256(scenario_json.encode()).hexdigest()
         writer.write(0, None, "scheduler", {
             "event": "boot", "name": scn.name, "seed": scn.seed,
             "n_ticks": n_ticks, "n_agents": n_agents,
@@ -798,13 +855,12 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
             # occupation attribution happens pre-clip, per channel sub-mix
             window = tick // OCCUPATION_WINDOW_TICKS
             chan_rings[:, :FRAME_HOP] = chan_rings[:, FRAME_HOP:]
-            for c, (rows, chan_gains, gathered) in enumerate(chan_mix):
-                if len(rows):
+            for c, (rows, chan_gains, chan_hops) in enumerate(chan_mix):
+                if rows is not None:
                     # mode "clip": the rows are in range; "raise" copies out
-                    chan_rings[c, FRAME_HOP:] = chan_gains @ np.take(
-                        bus.hops, rows, axis=0, out=gathered, mode="clip")
-                else:
-                    chan_rings[c, FRAME_HOP:] = 0.0
+                    np.take(bus.hops, rows, axis=0, out=chan_hops,
+                            mode="clip")
+                chan_rings[c, FRAME_HOP:] = chan_gains @ chan_hops
             if noise is not None:
                 chan_rings[geophony, FRAME_HOP:] += noise[occ_col]
             occupation[:, window, :] += bank.apply(
@@ -824,21 +880,20 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                 for j, agent in enumerate(agents):
                     hop_out, events = agent.step(hearing, clock)
                     energy_step(agent, harvest[model_of[j]])
-                    bus.agent_rows[j] = 0.0 if hop_out is None else hop_out
+                    bus.emit(j, hop_out)
                     for event in events:
                         writer.write(tick, agent.agent_id, agent.kind,
                                      event)
             clock.advance()
 
-    agent_summaries = {}
-    for agent in agents:
-        summary = agent.summary()
-        agent_summaries[agent.agent_id] = summary
-        writer.write(n_ticks, agent.agent_id, agent.kind,
-                     {"event": "summary", **summary})
-    writer.write(n_ticks, None, "scheduler",
-                 {"event": "end", "n_ticks": n_ticks})
-    writer.close()
+        agent_summaries = {}
+        for agent in agents:
+            summary = agent.summary()
+            agent_summaries[agent.agent_id] = summary
+            writer.write(n_ticks, agent.agent_id, agent.kind,
+                         {"event": "summary", **summary})
+        writer.write(n_ticks, None, "scheduler",
+                     {"event": "end", "n_ticks": n_ticks})
 
     (out_dir / SCENARIO_FILE).write_text(scenario_json)
     np.save(out_dir / OCCUPATION_NPY, occupation)
@@ -926,8 +981,7 @@ def replay_run(run_dir) -> dict:
                 pcm = emissions.get((tick, agent_id))
                 if pcm is not None:
                     queue.start(pcm)
-                hop = queue.next_hop()
-                bus.agent_rows[j] = 0.0 if hop is None else hop
+                bus.emit(j, queue.next_hop())
 
     replay_dir = run_dir / "replay"
     replay_dir.mkdir(exist_ok=True)

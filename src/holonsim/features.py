@@ -230,22 +230,28 @@ class RecordingSession:
         self._cap = int(round(max_s * SAMPLE_RATE))
         self._drop = 10.0 ** (-stop_drop_db / 20.0)
         self._run_limit = stop_run_hops
-        # blocks are kept in the stored sample's float32, half the memory of
-        # the hops' float64 and the same values once the sample is made
-        self._blocks = []
+        # one buffer in the stored sample's float32, half the memory of the
+        # hops' float64 and the same values once the sample is made; the
+        # sample never outgrows the cap, and pages are touched as written
+        self._pcm = np.empty(self._cap, dtype=np.float32)
         self._count = 0
-        if preroll is not None and len(preroll):
-            # copy: callers may hand us views into a live ring buffer
-            self._blocks.append(np.array(preroll, dtype=np.float32))
-            self._count = len(preroll)
+        if preroll is not None:
+            self._append(preroll)
         self._peak = 0.0
         self._quiet_run = 0
+
+    def _append(self, x: np.ndarray):
+        start = self._count
+        self._count = end = start + len(x)
+        if end <= self._cap:
+            self._pcm[start:end] = x
+        elif start < self._cap:
+            self._pcm[start:] = x[:self._cap - start]
 
     def feed(self, hop: np.ndarray, level: float) -> SoundSample | None:
         """Add one hop and its RMS level; returns the finished sample once
         the sound ends."""
-        self._blocks.append(np.array(hop, dtype=np.float32))
-        self._count += len(hop)
+        self._append(hop)
         self._peak = max(self._peak, level)
         if self._peak > 0.0 and level < self._peak * self._drop:
             self._quiet_run += 1
@@ -256,8 +262,10 @@ class RecordingSession:
         return None
 
     def finish(self) -> SoundSample:
-        pcm = np.concatenate(self._blocks) if self._blocks else np.zeros(1)
-        return make_sample(pcm[:self._cap], self.onset_tick)
+        n = min(self._count, self._cap)
+        # copy: the kept sample should not hold the whole capped buffer
+        pcm = self._pcm[:n].copy() if self._count else np.zeros(1)
+        return make_sample(pcm, self.onset_tick)
 
 
 # --- novelty decision -----------------------------------------------------

@@ -1,12 +1,16 @@
 """World tests: scenario loading, propagation, mixing, and replay."""
 
+import gc
 import hashlib
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonsim import agents, environment
 from holonsim.audio_core import read_wav, write_wav
@@ -324,6 +328,69 @@ def test_replay_equals_run_at_the_edges_of_the_schedule(tmp_path, n_ticks,
         assert digest == summary.artifacts[name], name
 
 
+# --- active-set mixing ---------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_listeners=st.integers(2, 132), n_sources=st.integers(0, 2),
+       share=st.sampled_from(["none", "one", "some", "all"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_active_rows_mix_as_the_full_product(n_listeners, n_sources, share,
+                                             seed):
+    rng = np.random.default_rng(seed)
+    n_agents = int(rng.integers(1, min(n_listeners - 1, 130) + 1))
+    n_monitors = n_listeners - 1 - n_agents
+
+    def place(n):
+        return [tuple(p) for p in rng.uniform(-8.0, 8.0, (n, 2))]
+
+    scn = Scenario(
+        name="active", seed=seed, duration_s=4 * FRAME_HOP / SAMPLE_RATE,
+        noise_floor_dbfs=None, monitors=place(n_monitors),
+        agents=[AgentSpec(f"composer_{j:03d}", "composer", pos)
+                for j, pos in enumerate(place(n_agents))],
+        sources=[SourceSpec(f"s{i}", "tone", pos, "anthrophony",
+                            level_dbfs=-40.0, freq_hz=300.0 + 200.0 * i)
+                 for i, pos in enumerate(place(n_sources))])
+    size = {"none": 0, "one": 1, "all": n_agents}.get(
+        share, int(rng.integers(0, n_agents + 1)))
+    with environment.Bus(scn, None, [rng] * n_sources) as bus:
+        gains_t = np.ascontiguousarray(bus.gains.T)
+        for tick in range(scn.n_ticks):
+            # hops small enough that no listener clips
+            for j in rng.choice(n_agents, size, replace=False):
+                bus.emit(j, 1e-3 * rng.standard_normal(FRAME_HOP))
+            for j in rng.choice(n_agents, n_agents // 3, replace=False):
+                bus.emit(j, None)
+            bus.mix(tick)
+            assert np.array_equal(bus.mixed, gains_t @ bus.hops), tick
+
+
+def test_active_rows_are_the_rows_that_sound(tmp_path, monkeypatch):
+    checked = []
+
+    class CheckedBus(environment.Bus):
+        def check(self):
+            sounding = np.any(self.agent_rows != 0.0, axis=1)
+            assert self.active == sounding.tolist(), len(checked)
+            checked.append(sum(self.active))
+
+        def mix(self, tick):
+            self.check()   # the rows the ticks before wrote
+            return super().mix(tick)
+
+        def __exit__(self, *exc):
+            self.check()
+            super().__exit__(*exc)
+
+    monkeypatch.setattr(environment, "Bus", CheckedBus)
+    scn = load_scenario(write_yaml(tmp_path, golden.MIXED))
+    run_scenario(scn, tmp_path / "run")
+    replay_run(tmp_path / "run")
+    # once per tick and at the end, in run and replay; rows did sound
+    assert len(checked) == 2 * (scn.n_ticks + 1)
+    assert max(checked) > 0
+
+
 # --- bus noise ----------------------------------------------------------------
 
 BLOCK = environment.BLOCK_TICKS
@@ -370,6 +437,26 @@ def test_run_stops_its_noise_thread_on_every_way_out(tmp_path, monkeypatch):
     with pytest.raises(StepFault, match="tick 5"):
         run_scenario(full_scenario(), tmp_path / "failed")
     assert threading.active_count() == before
+
+
+def test_failed_run_closes_its_event_log(tmp_path, monkeypatch):
+    step = agents.ComposerAgent.step
+
+    def failing_step(self, hearing, clock):
+        if clock.tick == 5:
+            raise StepFault(f"tick {clock.tick}")
+        return step(self, hearing, clock)
+
+    monkeypatch.setattr(agents.ComposerAgent, "step", failing_step)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            run_scenario(full_scenario(), tmp_path / "failed")
+        except StepFault:
+            pass   # leaving the handler drops the frames that held the log
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert (tmp_path / "failed" / "events.jsonl").read_text().count("\n")
 
 
 class ClockStop(BaseException):

@@ -275,6 +275,24 @@ def test_segment_cap_includes_preroll():
     assert len(sample.pcm) == 30 * SAMPLE_RATE
 
 
+@pytest.mark.parametrize("cap", [1, 300, 2 * FRAME_HOP, 2 * FRAME_HOP + 1,
+                                 5 * FRAME_HOP - 7, 5 * FRAME_HOP])
+def test_segment_keeps_the_float32_stream_up_to_the_cap(cap):
+    rng = np.random.default_rng(cap)
+    preroll = rng.standard_normal(2 * FRAME_HOP)
+    stream = [rng.standard_normal(FRAME_HOP) for _ in range(6)]
+    session = ft.RecordingSession(3, preroll=preroll,
+                                  max_s=cap / SAMPLE_RATE)
+    sample = None
+    for hop in stream:
+        sample = session.feed(hop, 1.0)
+        if sample is not None:
+            break
+    whole = np.concatenate([preroll] + stream).astype(np.float32)
+    assert sample.pcm.dtype == np.float32
+    assert sample.pcm.tobytes() == whole[:cap].tobytes()
+
+
 def test_segment_subhop_burst_still_valid():
     burst = np.zeros(FRAME_HOP)
     burst[:100] = 0.9
