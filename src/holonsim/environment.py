@@ -594,7 +594,8 @@ class Bus:
         self.hops = np.zeros((len(self._sources) + n_agents, FRAME_HOP))
         self.agent_rows = self.hops[len(self._sources):]
         self.active = [False] * n_agents
-        self._rows = None            # the rows the product reads; None: stale
+        # the rows the product reads (None: stale) and their gain columns
+        self._rows = self._gains_act = None
         self._gain_cols = np.empty(self._gains_t.size)
         self._hop_rows = np.empty_like(self.hops)
         self._pre = np.empty((len(listener_pos), FRAME_HOP))
@@ -636,26 +637,26 @@ class Bus:
 
         Silent agent rows are zero, and leaving them out changes no byte
         of the product with two or more listeners. With one listener numpy
-        takes the gemv path, where it could; but that bus has no agents, so
-        the product reads every row, and no monitors, so nothing reads its
-        mixed row.
+        takes the gemv path, where leaving rows out can change the last
+        bit; but that bus has no agents, so the product reads every row,
+        and no monitors, so nothing reads its mixed row.
         """
-        n_sources = len(self._sources)
         if self._rows is None:
+            n_sources = len(self._sources)
             self._rows = np.array(
                 [*range(n_sources),
                  *(n_sources + j for j, on in enumerate(self.active) if on)],
                 dtype=np.intp)
             shape = (len(self._gains_t), len(self._rows))
+            # mode "clip": the rows are in range; "raise" copies out
             self._gains_act = np.take(
                 self._gains_t, self._rows, axis=1, mode="clip",
                 out=self._gain_cols[:shape[0] * shape[1]].reshape(shape))
-        if len(self._rows) == len(self.hops):
+        k = len(self._rows)
+        if k == len(self.hops):
             return self._gains_t, self.hops
-        # mode "clip": the rows are in range; "raise" copies out
         return self._gains_act, np.take(self.hops, self._rows, axis=0,
-                                        out=self._hop_rows[:len(self._rows)],
-                                        mode="clip")
+                                        out=self._hop_rows[:k], mode="clip")
 
     def write_renders(self, out_dir: Path) -> dict:
         """Write monitor_XX.wav per monitor; returns name -> sha256."""

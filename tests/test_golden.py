@@ -126,7 +126,7 @@ def blas_core() -> str | None:
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
     return None
 
