@@ -513,23 +513,24 @@ def build_gains(source_positions, listener_positions) -> np.ndarray:
 class BusNoise:
     """The bus noise floor, drawn ahead of the ticks on one worker thread.
 
-    next_tick() returns the tick's unit normals, shape (n_listeners,
-    FRAME_HOP): the values one rng.standard_normal((n_listeners,
-    FRAME_HOP)) call per tick would give. The worker fills blocks of
-    BLOCK_TICKS ticks into two buffers in turn, so it draws one block while
-    the ticks read the other. It alone touches rng, so the values do not
-    depend on how the threads interleave. With rng None (no noise floor)
-    every tick gets None, and with no ticks either no thread starts.
-    Leaving the with block stops the worker, however it is left.
+    next_tick() returns the tick's noise, shape (n_listeners, FRAME_HOP):
+    rms times the unit normals one rng.standard_normal((n_listeners,
+    FRAME_HOP)) call per tick would give. The worker draws and scales
+    blocks of BLOCK_TICKS ticks into two buffers in turn, so it fills one
+    block while the ticks read the other. It alone touches rng, so the
+    values do not depend on how the threads interleave. With rms None (no
+    noise floor) every tick gets None, and with no ticks either no thread
+    starts. Leaving the with block stops the worker, however it is left.
     """
 
-    def __init__(self, rng, n_listeners: int, n_ticks: int):
+    def __init__(self, rng, rms: float | None, n_listeners: int,
+                 n_ticks: int):
         self._pool = None
         self._fills = deque()        # (future, block, ticks) in draw order
         self._block, self._ticks, self._next = None, 0, 0
-        if rng is None or n_ticks == 0:
+        if rms is None or n_ticks == 0:
             return
-        self._rng = rng
+        self._rng, self._rms = rng, rms
         self._unfilled = n_ticks
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="bus-noise")
@@ -540,9 +541,12 @@ class BusNoise:
         n = min(BLOCK_TICKS, self._unfilled)
         if n:
             self._unfilled -= n
-            future = self._pool.submit(self._rng.standard_normal,
-                                       out=block[:n])
+            future = self._pool.submit(self._draw, block[:n])
             self._fills.append((future, block, n))
+
+    def _draw(self, out: np.ndarray):
+        self._rng.standard_normal(out=out)
+        np.multiply(self._rms, out, out=out)
 
     def next_tick(self) -> np.ndarray | None:
         if self._pool is None:
@@ -589,8 +593,6 @@ class Bus:
         self.gains = build_gains([s.position for s in scn.sources]
                                  + agent_pos, listener_pos)
         self._gains_t = self.gains.T.copy()
-        self._noise_rms = (None if scn.noise_floor_dbfs is None
-                           else 10.0 ** (scn.noise_floor_dbfs / 20.0))
         self.hops = np.zeros((len(self._sources) + n_agents, FRAME_HOP))
         self.agent_rows = self.hops[len(self._sources):]
         self.active = [False] * n_agents
@@ -598,25 +600,24 @@ class Bus:
         self._rows = self._gains_act = None
         self._gain_cols = np.empty(self._gains_t.size)
         self._hop_rows = np.empty_like(self.hops)
-        self._pre = np.empty((len(listener_pos), FRAME_HOP))
-        self._scaled_noise = np.empty_like(self._pre)
-        self.mixed = np.empty_like(self._pre)
+        self.mixed = np.empty((len(listener_pos), FRAME_HOP))
         self._monitors = slice(n_agents + 1, None)
         self._renders = np.zeros((len(scn.monitors), n_ticks * FRAME_HOP),
                                  dtype=np.float32)
-        self._noise = BusNoise(None if self._noise_rms is None else bus_rng,
-                               len(listener_pos), n_ticks)
+        self._noise = BusNoise(
+            bus_rng, (None if scn.noise_floor_dbfs is None
+                      else 10.0 ** (scn.noise_floor_dbfs / 20.0)),
+            len(listener_pos), n_ticks)
 
     def mix(self, tick: int) -> np.ndarray | None:
-        """Mix one tick; returns the scaled noise it added, or None."""
+        """Mix one tick; returns the noise it added, or None."""
         for i, s in enumerate(self._sources):
             self.hops[i] = s.hop(tick)
-        np.matmul(*self._sounding(), out=self._pre)
+        np.matmul(*self._sounding(), out=self.mixed)
         noise = self._noise.next_tick()
         if noise is not None:
-            noise = np.multiply(self._noise_rms, noise, out=self._scaled_noise)
-            self._pre += noise
-        np.clip(self._pre, -1.0, 1.0, out=self.mixed)
+            self.mixed += noise
+        np.clip(self.mixed, -1.0, 1.0, out=self.mixed)
         self._renders[:, tick * FRAME_HOP:(tick + 1) * FRAME_HOP] = \
             self.mixed[self._monitors]
         return noise

@@ -402,15 +402,17 @@ BLOCK = environment.BLOCK_TICKS
 def test_bus_noise_matches_per_tick_draws(noise, n_ticks):
     child = np.random.SeedSequence(99).spawn(3)[0]
     reference = np.random.default_rng(child)
+    rms = 10.0 ** (-60.0 / 20.0)
     before = threading.active_count()
-    with environment.BusNoise(np.random.default_rng(child) if noise
-                              else None, 5, n_ticks) as bus_noise:
+    with environment.BusNoise(np.random.default_rng(child),
+                              rms if noise else None, 5,
+                              n_ticks) as bus_noise:
         # one worker, and only when there is noise to draw
         assert threading.active_count() - before == int(noise and n_ticks > 0)
         for tick in range(n_ticks):
             got = bus_noise.next_tick()
             if noise:
-                want = reference.standard_normal((5, FRAME_HOP))
+                want = rms * reference.standard_normal((5, FRAME_HOP))
                 assert np.array_equal(got, want), f"tick {tick}"
             else:
                 assert got is None

@@ -137,7 +137,7 @@ def test_runs_match_pinned_digests(tmp_path):
         pytest.skip(f"digests pinned with numpy {golden['numpy']}, "
                     f"running {np.__version__}")
     build = (f"BLAS pinned {golden['blas']} on core "
-             f"{golden.get('blas_core')}, running {blas()} on core "
+             f"{golden['blas_core']}, running {blas()} on core "
              f"{blas_core()}")
     seen = set()
     got = {}
