@@ -575,8 +575,8 @@ class Bus:
     Rows of `hops` are the scripted sources, then the agents' emission
     ports (`agent_rows`); listeners are the agents, the occupation point,
     then the monitors. mix(tick) writes the source rows and mixes every
-    listener's hop into `mixed`; an agent's hop written with emit() after
-    it is heard from the next tick on. `active` marks the agent rows that
+    listener's hop into `mixed`; a hop the caller then writes with emit()
+    is heard from the next tick on. `active` marks the agent rows that
     hold sound, and the gain product reads only those and the source rows.
     The bus's per-tick arrays are allocated here, once. Leaving the with
     block stops the noise worker, which is started last so a failing build

@@ -356,11 +356,12 @@ def test_active_rows_mix_as_the_full_product(n_listeners, n_sources, share,
     with environment.Bus(scn, None, [rng] * n_sources) as bus:
         gains_t = np.ascontiguousarray(bus.gains.T)
         for tick in range(scn.n_ticks):
-            # hops small enough that no listener clips
-            for j in rng.choice(n_agents, size, replace=False):
-                bus.emit(j, 1e-3 * rng.standard_normal(FRAME_HOP))
-            for j in rng.choice(n_agents, n_agents // 3, replace=False):
-                bus.emit(j, None)
+            # a fresh active set each tick; hops small enough not to clip
+            active = set(rng.choice(n_agents, size, replace=False))
+            for j in range(n_agents):
+                bus.emit(j, 1e-3 * rng.standard_normal(FRAME_HOP)
+                         if j in active else None)
+            assert sum(bus.active) == size
             bus.mix(tick)
             assert np.array_equal(bus.mixed, gains_t @ bus.hops), tick
 
@@ -423,11 +424,7 @@ class StepFault(Exception):
     pass
 
 
-def test_run_stops_its_noise_thread_on_every_way_out(tmp_path, monkeypatch):
-    before = threading.active_count()
-    run_scenario(full_scenario(), tmp_path / "whole")
-    assert threading.active_count() == before
-
+def fail_composers_at_tick_5(monkeypatch):
     step = agents.ComposerAgent.step
 
     def failing_step(self, hearing, clock):
@@ -436,20 +433,21 @@ def test_run_stops_its_noise_thread_on_every_way_out(tmp_path, monkeypatch):
         return step(self, hearing, clock)
 
     monkeypatch.setattr(agents.ComposerAgent, "step", failing_step)
+
+
+def test_run_stops_its_noise_thread_on_every_way_out(tmp_path, monkeypatch):
+    before = threading.active_count()
+    run_scenario(full_scenario(), tmp_path / "whole")
+    assert threading.active_count() == before
+
+    fail_composers_at_tick_5(monkeypatch)
     with pytest.raises(StepFault, match="tick 5"):
         run_scenario(full_scenario(), tmp_path / "failed")
     assert threading.active_count() == before
 
 
 def test_failed_run_closes_its_event_log(tmp_path, monkeypatch):
-    step = agents.ComposerAgent.step
-
-    def failing_step(self, hearing, clock):
-        if clock.tick == 5:
-            raise StepFault(f"tick {clock.tick}")
-        return step(self, hearing, clock)
-
-    monkeypatch.setattr(agents.ComposerAgent, "step", failing_step)
+    fail_composers_at_tick_5(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         try:
