@@ -47,6 +47,8 @@ def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ScenarioError("--seed must not be negative")
             scenario.seed = args.seed
         if args.duration is not None:
             scenario.duration_s = parse_duration(args.duration)

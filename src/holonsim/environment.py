@@ -16,9 +16,10 @@ byte-identical files.
 import base64
 import hashlib
 import json
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from .params import FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE
 
 CHANNELS = ("biophony", "geophony", "anthrophony", "cyberphony")
 D_REF_M = 2.0
-DEFAULT_NOISE_FLOOR_DBFS = -60.0
 OCCUPATION_WINDOW_TICKS = 62  # one second of hops, rounded down
 BLOCK_TICKS = 8  # ticks of bus noise drawn per fill on the noise thread
 
@@ -59,13 +59,16 @@ def distance_gain(d_m: float, d_ref_m: float = D_REF_M) -> float:
 
 
 # --- scenario ---------------------------------------------------------------
+# The dataclasses are the schema of a scenario: each field is named as its
+# key in the YAML file and in scenario_resolved.json, and each default is
+# written here once; the loader takes an omitted key's default from them.
 
 @dataclass
 class SourceSpec:
-    source_id: str
+    id: str
     kind: str                    # tone | band_noise | chirp_train | wav
     position: tuple
-    channel: str
+    channel: str = "anthrophony"
     level_dbfs: float = -30.0
     start_s: float = 0.0
     stop_s: float | None = None
@@ -77,23 +80,10 @@ class SourceSpec:
     path: str | None = None
     gain: float = 1.0
 
-    def to_dict(self) -> dict:
-        d = {"id": self.source_id, "kind": self.kind,
-             "position": list(self.position), "channel": self.channel,
-             "level_dbfs": self.level_dbfs, "start_s": self.start_s,
-             "gain": self.gain}
-        for key in ("stop_s", "freq_hz", "chirp_s", "period_s", "count",
-                    "path"):
-            if getattr(self, key) is not None:
-                d[key] = getattr(self, key)
-        if self.band_hz is not None:
-            d["band_hz"] = list(self.band_hz)
-        return d
-
 
 @dataclass
 class AgentSpec:
-    agent_id: str
+    id: str
     kind: str
     position: tuple
     battery_wh: float | None = None
@@ -102,19 +92,11 @@ class AgentSpec:
     params: dict = field(default_factory=dict)
     energy: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        d = {"id": self.agent_id, "kind": self.kind,
-             "position": list(self.position),
-             "slot_offset_ticks": self.slot_offset_ticks}
-        if self.battery_wh is not None:
-            d["battery_wh"] = self.battery_wh
-        if self.preferred_band is not None:
-            d["preferred_band"] = self.preferred_band
-        if self.params:
-            d["params"] = dict(self.params)
-        if self.energy:
-            d["energy"] = dict(self.energy)
-        return d
+
+def _spec_dict(spec) -> dict:
+    """A source or agent as resolved JSON, less the keys left unset."""
+    return {key: value for key, value in asdict(spec).items()
+            if value is not None and value != {}}
 
 
 @dataclass
@@ -124,7 +106,7 @@ class Scenario:
     duration_s: float
     day_length_s: float = 240.0
     night_window: tuple = (0.5, 1.0)
-    noise_floor_dbfs: float | None = DEFAULT_NOISE_FLOOR_DBFS
+    noise_floor_dbfs: float | None = -60.0  # None: no noise floor
     log_audio: bool = True
     layout_radius_m: float = 4.0
     occupation_position: tuple = (0.0, 0.0)
@@ -137,69 +119,77 @@ class Scenario:
         return int(round(self.duration_s * SAMPLE_RATE)) // FRAME_HOP
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "day_length_s": self.day_length_s,
-            "night_window": list(self.night_window),
-            "noise_floor_dbfs": self.noise_floor_dbfs,
-            "log_audio": self.log_audio,
-            "layout_radius_m": self.layout_radius_m,
-            "occupation_position": list(self.occupation_position),
-            "monitors": [list(m) for m in self.monitors],
-            "agents": [a.to_dict() for a in self.agents],
-            "sources": [s.to_dict() for s in self.sources],
-        }
+        """The resolved JSON: every top-level key, a null noise floor (no
+        noise) included, and each source and agent less its unset keys."""
+        return dict(asdict(self),
+                    agents=[_spec_dict(a) for a in self.agents],
+                    sources=[_spec_dict(s) for s in self.sources])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        agents = [AgentSpec(a["id"], a["kind"], tuple(a["position"]),
-                            a.get("battery_wh"), a.get("preferred_band"),
-                            a.get("slot_offset_ticks", 0),
-                            a.get("params", {}), a.get("energy", {}))
-                  for a in raw.get("agents", [])]
-        sources = [SourceSpec(s["id"], s["kind"], tuple(s["position"]),
-                              s["channel"], s.get("level_dbfs", -30.0),
-                              s.get("start_s", 0.0), s.get("stop_s"),
-                              tuple(s["band_hz"]) if "band_hz" in s else None,
-                              s.get("freq_hz"), s.get("chirp_s"),
-                              s.get("period_s"), s.get("count"),
-                              s.get("path"), s.get("gain", 1.0))
-                   for s in raw.get("sources", [])]
-        return cls(raw["name"], raw["seed"], raw["duration_s"],
-                   raw.get("day_length_s", 240.0),
-                   tuple(raw.get("night_window", (0.5, 1.0))),
-                   raw.get("noise_floor_dbfs"),
-                   raw.get("log_audio", True),
-                   raw.get("layout_radius_m", 4.0),
-                   tuple(raw.get("occupation_position", (0.0, 0.0))),
-                   [tuple(m) for m in raw.get("monitors", [])],
-                   agents, sources)
+        """The inverse of to_dict, as replay reads scenario_resolved.json."""
+        return cls(**dict(raw,
+                          agents=[AgentSpec(**a) for a in raw["agents"]],
+                          sources=[SourceSpec(**s) for s in raw["sources"]]))
 
 
-_TOP_KEYS = {"name", "seed", "duration_s", "day_length_s", "night_window",
-             "noise_floor_dbfs", "log_audio", "layout_radius_m",
-             "occupation_position", "monitors", "agents", "sources"}
-_AGENT_KEYS = {"kind", "count", "position", "battery_wh", "preferred_band",
-               "slot_offset_ticks", "params", "energy"}
-_SOURCE_KEYS = {"id", "kind", "position", "channel", "level_dbfs", "start_s",
-                "stop_s", "band_hz", "freq_hz", "chirp_s", "period_s",
-                "count", "path", "gain"}
+_TOP_KEYS = {f.name for f in fields(Scenario)}
+_SOURCE_KEYS = {f.name for f in fields(SourceSpec)}
+_AGENT_KEYS = {f.name for f in fields(AgentSpec)} - {"id"} | {"count"}
 _SOURCE_KINDS = {"tone", "band_noise", "chirp_train", "wav"}
+_REQUIRED = object()
+_KIND_NAMES = {float: "a finite number", int: "an integer",
+               bool: "true or false", str: "a string",
+               tuple: "a pair [a, b] of finite numbers", list: "a list",
+               dict: "a mapping"}
 
 
-def _require(raw: dict, key: str, context: str):
-    if key not in raw or raw[key] is None:
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _checked(value, kind, where: str):
+    """value as kind, or a ScenarioError that names where it was read.
+
+    A float may be written as an int but never as a bool, and a tuple is
+    a pair of finite numbers (a position, a band or a window).
+    """
+    if kind is float:
+        ok = _finite(value)
+    elif kind is tuple:
+        ok = (isinstance(value, (list, tuple)) and len(value) == 2
+              and all(map(_finite, value)))
+    else:
+        ok = isinstance(value, kind) and (kind is bool
+                                          or not isinstance(value, bool))
+    if not ok:
+        raise ScenarioError(f"{where} must be {_KIND_NAMES[kind]}, "
+                            f"not {value!r}")
+    return tuple(map(float, value)) if kind is tuple else kind(value)
+
+
+def _value(raw: dict, key: str, kind, context: str, default=_REQUIRED,
+           nullable: bool = False):
+    """raw[key] checked as kind, or default when the key is omitted.
+
+    A key without a default is required. null is taken, as None, where
+    the default is None or where nullable says that None has a meaning.
+    """
+    value = raw.get(key, default)
+    if value is _REQUIRED:
         raise ScenarioError(f"{context}: missing required key {key!r}")
-    return raw[key]
+    if value is None and (nullable or default is None):
+        return None
+    return _checked(value, kind, f"{context}: {key}")
 
 
-def _position(value, context: str) -> tuple:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
-        raise ScenarioError(f"{context}: position must be [x, y] meters")
-    return (float(value[0]), float(value[1]))
+def _check_keys(raw, known: set, context: str):
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{context}: must be a mapping")
+    for key in raw:
+        if key not in known:
+            raise ScenarioError(f"{context}: unknown key {key!r}")
 
 
 def load_scenario(path) -> Scenario:
@@ -212,102 +202,106 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     if not path.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
-    raw = yaml.safe_load(path.read_text())
+    try:
+        raw = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{path}: not valid YAML ({exc})")
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
     return _scenario_from_raw(raw, path.parent, default_name=path.stem)
 
 
 def _scenario_from_raw(raw: dict, base_dir: Path, default_name: str):
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise ScenarioError(f"unknown scenario key {key!r}")
-    seed = _require(raw, "seed", "scenario")
-    if not isinstance(seed, int):
-        raise ScenarioError("scenario: seed must be an integer")
-    duration = _require(raw, "duration_s", "scenario")
-    if not isinstance(duration, (int, float)) or duration <= 0:
-        raise ScenarioError("scenario: duration_s must be positive")
-
-    day_length = raw.get("day_length_s", 240.0)
-    if not isinstance(day_length, (int, float)) or day_length <= 0:
-        raise ScenarioError("scenario: day_length_s must be positive")
-
-    night = tuple(raw.get("night_window", (0.5, 1.0)))
-    if len(night) != 2 or not all(0.0 <= v <= 1.0 for v in night):
+    context = "scenario"
+    _check_keys(raw, _TOP_KEYS, context)
+    seed = _value(raw, "seed", int, context)
+    if seed < 0:
+        raise ScenarioError("scenario: seed must not be negative")
+    duration = _value(raw, "duration_s", float, context)
+    day_length = _value(raw, "day_length_s", float, context,
+                        Scenario.day_length_s)
+    for key, value in (("duration_s", duration),
+                       ("day_length_s", day_length)):
+        if value <= 0:
+            raise ScenarioError(f"scenario: {key} must be positive")
+    night = _value(raw, "night_window", tuple, context,
+                   Scenario.night_window)
+    if not all(0.0 <= v <= 1.0 for v in night):
         raise ScenarioError("scenario: night_window must be two day "
                             "fractions in [0, 1]")
-
-    scn = Scenario(
-        name=str(raw.get("name", default_name)),
+    floor = _value(raw, "noise_floor_dbfs", float, context,
+                   Scenario.noise_floor_dbfs, nullable=True)
+    if floor is not None and floor > 0:
+        raise ScenarioError("scenario: noise_floor_dbfs must be at most 0")
+    radius = _value(raw, "layout_radius_m", float, context,
+                    Scenario.layout_radius_m)
+    return Scenario(
+        name=_value(raw, "name", str, context, default_name),
         seed=seed,
-        duration_s=float(duration),
-        day_length_s=float(day_length),
-        night_window=(float(night[0]), float(night[1])),
-        noise_floor_dbfs=raw.get("noise_floor_dbfs",
-                                 DEFAULT_NOISE_FLOOR_DBFS),
-        log_audio=bool(raw.get("log_audio", True)),
-        layout_radius_m=float(raw.get("layout_radius_m", 4.0)),
-        occupation_position=_position(
-            raw.get("occupation_position", (0.0, 0.0)),
-            "occupation_position"),
-        monitors=[_position(m, f"monitors[{i}]")
-                  for i, m in enumerate(raw.get("monitors", []))],
+        duration_s=duration,
+        day_length_s=day_length,
+        night_window=night,
+        noise_floor_dbfs=floor,
+        log_audio=_value(raw, "log_audio", bool, context, Scenario.log_audio),
+        layout_radius_m=radius,
+        occupation_position=_value(raw, "occupation_position", tuple,
+                                   context, Scenario.occupation_position),
+        monitors=[_checked(m, tuple, f"scenario: monitors[{i}]") for i, m
+                  in enumerate(_value(raw, "monitors", list, context, []))],
+        sources=[_source_from_raw(s, i, base_dir) for i, s
+                 in enumerate(_value(raw, "sources", list, context, []))],
+        agents=_roster_from_raw(_value(raw, "agents", list, context, []),
+                                radius),
     )
-    scn.sources = [_source_from_raw(s, i, base_dir)
-                   for i, s in enumerate(raw.get("sources", []))]
-    scn.agents = _roster_from_raw(raw.get("agents", []), scn.layout_radius_m)
-    return scn
 
 
 def _source_from_raw(raw: dict, index: int, base_dir: Path) -> SourceSpec:
     context = f"sources[{index}]"
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{context}: must be a mapping")
-    for key in raw:
-        if key not in _SOURCE_KEYS:
-            raise ScenarioError(f"{context}: unknown key {key!r}")
-    kind = _require(raw, "kind", context)
+    _check_keys(raw, _SOURCE_KEYS, context)
+    kind = _value(raw, "kind", str, context)
     if kind not in _SOURCE_KINDS:
         raise ScenarioError(
             f"{context}: unknown source kind {kind!r} "
             f"(expected one of {sorted(_SOURCE_KINDS)})")
-    channel = raw.get("channel", "anthrophony")
+    channel = _value(raw, "channel", str, context, SourceSpec.channel)
     if channel not in CHANNELS or channel == "cyberphony":
         raise ScenarioError(
             f"{context}: channel must be biophony, geophony or anthrophony "
             "(cyberphony is reserved for agents)")
     spec = SourceSpec(
-        source_id=str(raw.get("id", f"{kind}_{index:02d}")),
+        id=_value(raw, "id", str, context, f"{kind}_{index:02d}"),
         kind=kind,
-        position=_position(_require(raw, "position", context), context),
+        position=_value(raw, "position", tuple, context),
         channel=channel,
-        level_dbfs=float(raw.get("level_dbfs", -30.0)),
-        start_s=float(raw.get("start_s", 0.0)),
-        stop_s=None if raw.get("stop_s") is None else float(raw["stop_s"]),
-        gain=float(raw.get("gain", 1.0)),
+        level_dbfs=_value(raw, "level_dbfs", float, context,
+                          SourceSpec.level_dbfs),
+        start_s=_value(raw, "start_s", float, context, SourceSpec.start_s),
+        stop_s=_value(raw, "stop_s", float, context, SourceSpec.stop_s),
+        gain=_value(raw, "gain", float, context, SourceSpec.gain),
     )
+    if spec.level_dbfs > 0:
+        raise ScenarioError(f"{context}: level_dbfs must be at most 0")
     if kind == "tone":
-        spec.freq_hz = float(_require(raw, "freq_hz", context))
+        spec.freq_hz = _value(raw, "freq_hz", float, context)
         if not 0.0 < spec.freq_hz < NYQUIST:
             raise ScenarioError(f"{context}: freq_hz out of range")
     elif kind == "band_noise":
-        band = _require(raw, "band_hz", context)
-        if (not isinstance(band, (list, tuple)) or len(band) != 2
-                or not 0.0 < float(band[0]) < float(band[1]) < NYQUIST):
+        spec.band_hz = _value(raw, "band_hz", tuple, context)
+        if not 0.0 < spec.band_hz[0] < spec.band_hz[1] < NYQUIST:
             raise ScenarioError(
                 f"{context}: band_hz must be [low, high] inside "
                 f"(0, {NYQUIST})")
-        spec.band_hz = (float(band[0]), float(band[1]))
     elif kind == "chirp_train":
-        spec.chirp_s = float(_require(raw, "chirp_s", context))
-        spec.period_s = float(_require(raw, "period_s", context))
-        spec.count = int(_require(raw, "count", context))
+        spec.chirp_s = _value(raw, "chirp_s", float, context)
+        spec.period_s = _value(raw, "period_s", float, context)
+        spec.count = _value(raw, "count", int, context)
         if spec.chirp_s <= 0 or spec.period_s < spec.chirp_s:
             raise ScenarioError(
                 f"{context}: need 0 < chirp_s <= period_s")
+        if spec.count < 0:
+            raise ScenarioError(f"{context}: count must not be negative")
     elif kind == "wav":
-        rel = _require(raw, "path", context)
+        rel = _value(raw, "path", str, context)
         resolved = (base_dir / rel).resolve()
         if not resolved.is_file():
             raise ScenarioError(f"{context}: wav file not found: {resolved}")
@@ -316,57 +310,47 @@ def _source_from_raw(raw: dict, index: int, base_dir: Path) -> SourceSpec:
 
 
 def _roster_from_raw(entries: list, radius_m: float) -> list:
-    expanded = []
+    specs = []
     for i, raw in enumerate(entries):
         context = f"agents[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"{context}: must be a mapping")
-        for key in raw:
-            if key not in _AGENT_KEYS:
-                raise ScenarioError(f"{context}: unknown key {key!r}")
-        kind = _require(raw, "kind", context)
+        _check_keys(raw, _AGENT_KEYS, context)
+        kind = _value(raw, "kind", str, context)
         if kind not in AGENT_KINDS:
             raise ScenarioError(
                 f"{context}: unknown agent kind {kind!r} "
                 f"(expected one of {sorted(AGENT_KINDS)})")
-        count = int(raw.get("count", 1))
+        count = _value(raw, "count", int, context, 1)
         if count < 1:
             raise ScenarioError(f"{context}: count must be >= 1")
-        if "position" in raw and count != 1:
+        position = _value(raw, "position", tuple, context, None)
+        if position is not None and count != 1:
             raise ScenarioError(
                 f"{context}: give position only for single agents")
-        band = raw.get("preferred_band")
-        if band is not None and (not isinstance(band, int)
-                                 or not 0 <= band < N_MEL_BANDS):
+        band = _value(raw, "preferred_band", int, context,
+                      AgentSpec.preferred_band)
+        if band is not None and not 0 <= band < N_MEL_BANDS:
             raise ScenarioError(
                 f"{context}: preferred_band must be a Mel band index in "
                 f"[0, {N_MEL_BANDS})")
-        for _ in range(count):
-            expanded.append((kind, raw))
+        battery = _value(raw, "battery_wh", float, context,
+                         AgentSpec.battery_wh)
+        offset = _value(raw, "slot_offset_ticks", int, context,
+                        AgentSpec.slot_offset_ticks)
+        params = _value(raw, "params", dict, context, {})
+        energy = _value(raw, "energy", dict, context, {})
+        specs += [AgentSpec(None, kind, position, battery, band, offset,
+                            dict(params), dict(energy)) for _ in range(count)]
 
+    # ids count up per kind; agents without a position share one ring
     counters = dict.fromkeys(AGENT_KINDS, 0)
-    total = len(expanded)
-    specs = []
-    for j, (kind, raw) in enumerate(expanded):
-        idx = counters[kind]
-        counters[kind] += 1
-        if "position" in raw:
-            pos = _position(raw["position"], f"agents ({kind}_{idx:03d})")
-        else:
+    for j, spec in enumerate(specs):
+        spec.id = f"{spec.kind}_{counters[spec.kind]:03d}"
+        counters[spec.kind] += 1
+        if spec.position is None:
             # even spacing around a circle keeps everyone in earshot
-            angle = 2.0 * np.pi * j / max(total, 1)
-            pos = (round(radius_m * float(np.cos(angle)), 6),
-                   round(radius_m * float(np.sin(angle)), 6))
-        specs.append(AgentSpec(
-            agent_id=f"{kind}_{idx:03d}",
-            kind=kind,
-            position=pos,
-            battery_wh=raw.get("battery_wh"),
-            preferred_band=raw.get("preferred_band"),
-            slot_offset_ticks=int(raw.get("slot_offset_ticks", 0)),
-            params=dict(raw.get("params", {})),
-            energy=dict(raw.get("energy", {})),
-        ))
+            angle = 2.0 * np.pi * j / len(specs)
+            spec.position = (round(radius_m * float(np.cos(angle)), 6),
+                             round(radius_m * float(np.sin(angle)), 6))
 
     # stagger composer decision grids so first claims do not pile up
     composers = [s for s in specs if s.kind == "composer"]
@@ -753,12 +737,12 @@ def _build_agents(scn: Scenario, rngs):
             params = param_types[spec.kind](**spec.params)
         except TypeError as exc:
             raise ScenarioError(
-                f"agent {spec.agent_id}: bad params/energy key ({exc})")
+                f"agent {spec.id}: bad params/energy key ({exc})")
         kwargs = {"params": params}
         if spec.kind == "composer":
             kwargs["preferred_band"] = spec.preferred_band
             kwargs["slot_offset_ticks"] = spec.slot_offset_ticks
-        agents.append(cls(spec.agent_id, spec.position, rng,
+        agents.append(cls(spec.id, spec.position, rng,
                           energy=energy, battery_wh=spec.battery_wh,
                           **kwargs))
     return agents
@@ -973,7 +957,7 @@ def replay_run(run_dir) -> dict:
         json.loads((run_dir / SCENARIO_FILE).read_text()))
     emissions = _emissions_from_log(load_run_events(run_dir))
     bus_rng, source_rngs, _ = _spawn_rngs(scn)
-    agent_ids = [a.agent_id for a in scn.agents]
+    agent_ids = [a.id for a in scn.agents]
     queues = [EmissionQueue() for _ in agent_ids]
 
     with Bus(scn, bus_rng, source_rngs) as bus:

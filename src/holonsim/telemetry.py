@@ -169,16 +169,14 @@ def _metrics_csv_lines(metrics: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def analyze_run(run_dir, out_dir=None, max_workers: int | None = None):
+def analyze_run(run_dir):
     """Metrics JSON/CSV plus a spectrogram pair per monitor render.
 
-    max_workers caps the spectrogram worker pool (HOLONSIM_THREADS or
-    the CPU count when unset). Returns the metrics dict with a list of
-    written artifact names under "artifacts".
+    Spectrograms render on one worker per monitor, up to the CPU count.
+    Returns the metrics dict with a list of written artifact names under
+    "artifacts".
     """
     run_dir = Path(run_dir)
-    out_dir = run_dir if out_dir is None else Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = json.loads((run_dir / MANIFEST_FILE).read_text())
     events = load_run_events(run_dir)
     occupation = np.load(run_dir / OCCUPATION_NPY)
@@ -191,25 +189,22 @@ def analyze_run(run_dir, out_dir=None, max_workers: int | None = None):
     # the manifest's renders, not whatever an earlier run left beside them
     monitors = sorted(name for name in manifest["artifacts"]
                       if name.startswith("monitor_"))
-    if max_workers is None:
-        max_workers = int(os.environ.get("HOLONSIM_THREADS",
-                                         os.cpu_count() or 1))
-    max_workers = max(1, min(max_workers, max(len(monitors), 1)))
 
     def render(name):
         stem = name[:-len(".wav")]
         save_spectrogram(run_dir / name,
-                         csv_path=out_dir / f"{stem}_spectrogram.csv",
-                         pgm_path=out_dir / f"{stem}_spectrogram.pgm")
+                         csv_path=run_dir / f"{stem}_spectrogram.csv",
+                         pgm_path=run_dir / f"{stem}_spectrogram.pgm")
         return [f"{stem}_spectrogram.csv", f"{stem}_spectrogram.pgm"]
 
     if monitors:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        workers = min(len(monitors), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for names in pool.map(render, monitors):
                 written.extend(names)
 
-    metrics = dict(metrics, artifacts=sorted(written), workers=max_workers)
-    (out_dir / "metrics.json").write_text(
+    metrics = dict(metrics, artifacts=sorted(written))
+    (run_dir / "metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True))
-    (out_dir / "metrics.csv").write_text(_metrics_csv_lines(metrics))
+    (run_dir / "metrics.csv").write_text(_metrics_csv_lines(metrics))
     return metrics

@@ -115,6 +115,13 @@ def test_run_bad_scenario_key_exits_two(tmp_path, capsys):
     assert "gravity" in capsys.readouterr().err
 
 
+def test_run_negative_seed_override_exits_two(tmp_path, capsys):
+    scn = write_scenario(tmp_path, {"seed": 1, "duration_s": 1.0})
+    assert main(["run", "--scenario", scn, "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_run_bad_agent_param_exits_two(tmp_path, capsys):
     scn = write_scenario(tmp_path, {
         "seed": 1, "duration_s": 1.0,

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holonsim import agents, environment
@@ -522,8 +522,7 @@ def test_load_yaml_with_defaults(tmp_path):
     assert scn.night_window == (0.5, 1.0)
     assert scn.noise_floor_dbfs == -60.0
     assert len(scn.agents) == 2
-    assert [a.agent_id for a in scn.agents] == ["composer_000",
-                                                "composer_001"]
+    assert [a.id for a in scn.agents] == ["composer_000", "composer_001"]
 
 
 def test_roster_expansion_positions_and_offsets(tmp_path):
@@ -547,13 +546,29 @@ def test_resolved_scenario_round_trips(tmp_path):
         agents=[{"kind": "composer", "position": [0, 0],
                  "preferred_band": 64, "battery_wh": 2.5,
                  "params": {"slot_s": 2.0}, "energy": {"harvest_peak_w": 1.0}},
-                {"kind": "disruptor", "count": 2}],
+                {"kind": "disruptor", "count": 2},
+                {"kind": "collector", "params": {}}],
         sources=[{"kind": "band_noise", "position": [5, 5],
-                  "channel": "anthrophony", "band_hz": [200, 600]}],
+                  "channel": "anthrophony", "band_hz": [200, 600]},
+                 {"kind": "chirp_train", "position": [0, 3], "chirp_s": 0.5,
+                  "period_s": 1.0, "count": 2, "stop_s": 1.7}],
+        noise_floor_dbfs=None,
     )
     scn = load_scenario(write_yaml(tmp_path, body))
     again = Scenario.from_dict(scn.to_dict())
     assert again.to_dict() == scn.to_dict()
+
+    # through JSON text, the way replay reads scenario_resolved.json
+    text = json.dumps(scn.to_dict(), sort_keys=True, indent=2)
+    rebuilt = Scenario.from_dict(json.loads(text))
+    assert json.dumps(rebuilt.to_dict(), sort_keys=True, indent=2) == text
+    resolved = json.loads(text)
+    assert resolved["noise_floor_dbfs"] is None
+    assert set(resolved["sources"][1]) == {
+        "id", "kind", "position", "channel", "level_dbfs", "start_s",
+        "stop_s", "chirp_s", "period_s", "count", "gain"}
+    assert set(resolved["agents"][3]) == {"id", "kind", "position",
+                                          "slot_offset_ticks"}
 
 
 @pytest.mark.parametrize("mutate,message", [
@@ -563,6 +578,18 @@ def test_resolved_scenario_round_trips(tmp_path):
     (lambda b: b.update(velocity=3), "velocity"),
     (lambda b: b.update(night_window=[0.2, 1.4]), "night_window"),
     (lambda b: b.update(day_length_s=0), "day_length_s"),
+    (lambda b: b.update(seed=-1), "seed must not be negative"),
+    (lambda b: b.update(duration_s=float("inf")),
+     "duration_s must be a finite number"),
+    (lambda b: b.update(layout_radius_m="abc"), "layout_radius_m"),
+    (lambda b: b.update(monitors=5), "monitors"),
+    (lambda b: b.update(monitors=[[1.0, "x"]]), "monitors.0. must be a pair"),
+    (lambda b: b.update(agents=7), "agents"),
+    (lambda b: b.update(noise_floor_dbfs="loud"),
+     "noise_floor_dbfs must be a finite number"),
+    (lambda b: b.update(noise_floor_dbfs=10000.0),
+     "noise_floor_dbfs must be at most 0"),
+    (lambda b: b.update(log_audio="no"), "log_audio"),
 ])
 def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     body = base_yaml()
@@ -585,6 +612,13 @@ def test_scenario_errors_name_the_key(tmp_path, mutate, message):
       "wobble": 1}, "wobble"),
     ({"kind": "chirp_train", "position": [0, 0], "chirp_s": 2.0,
       "period_s": 1.0, "count": 3}, "chirp_s"),
+    ({"kind": "chirp_train", "position": [0, 0], "chirp_s": 0.5,
+      "period_s": 1.0, "count": -1}, "count"),
+    ({"kind": "tone", "position": [0, 0], "freq_hz": 440.0,
+      "level_dbfs": "x"}, "level_dbfs must be a finite number"),
+    ({"kind": "tone", "position": [0, 0], "freq_hz": 440.0,
+      "level_dbfs": 10000.0}, "level_dbfs must be at most 0"),
+    ({"kind": ["tone"], "position": [0, 0]}, "kind"),
 ])
 def test_source_errors_name_the_key(tmp_path, source, message):
     body = base_yaml(sources=[source])
@@ -598,6 +632,9 @@ def test_source_errors_name_the_key(tmp_path, source, message):
     ({"kind": "composer", "count": 0}, "count"),
     ({"kind": "composer", "flavour": "lemon"}, "flavour"),
     ({"kind": "composer", "preferred_band": 200}, "preferred_band"),
+    ({"kind": "composer", "preferred_band": True}, "preferred_band"),
+    ({"kind": "composer", "slot_offset_ticks": "x"}, "slot_offset_ticks"),
+    ({"kind": "composer", "params": 5}, "params"),
 ])
 def test_agent_errors_name_the_key(tmp_path, agent, message):
     body = base_yaml(agents=[agent])
@@ -616,3 +653,53 @@ def test_bad_agent_params_key_is_reported(tmp_path):
 def test_missing_scenario_file(tmp_path):
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario(tmp_path / "ghost.yaml")
+
+
+def test_malformed_yaml_is_a_scenario_error(tmp_path):
+    path = tmp_path / "scn.yaml"
+    path.write_text("seed: [1\n")
+    with pytest.raises(ScenarioError, match="YAML"):
+        load_scenario(path)
+
+
+FUZZ_SCENARIO = base_yaml(
+    monitors=[[1.0, 0.0]],
+    agents=[{"kind": "composer", "position": [0, 0], "preferred_band": 10,
+             "battery_wh": 1.0, "slot_offset_ticks": 3,
+             "params": {"slot_s": 2.0}, "energy": {"harvest_peak_w": 1.0}},
+            {"kind": "collector", "count": 2}],
+    sources=[{"id": "t", "kind": "tone", "position": [1, 1],
+              "freq_hz": 440.0, "start_s": 0.5, "stop_s": 2.0},
+             {"kind": "band_noise", "position": [2, 1],
+              "band_hz": [200, 600]},
+             {"kind": "chirp_train", "position": [0, 2], "chirp_s": 0.1,
+              "period_s": 0.3, "count": 3},
+             {"kind": "wav", "position": [0, -2], "path": "w.wav"}])
+FUZZ_KEYS = (
+    [(key,) for key in sorted(environment._TOP_KEYS)]
+    + [("sources", i, key) for i in range(4)
+       for key in sorted(environment._SOURCE_KEYS)]
+    + [("agents", i, key) for i in range(2)
+       for key in sorted(environment._AGENT_KEYS)])
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(FUZZ_KEYS), value=ANY_VALUE)
+def test_a_bad_value_fails_at_load_or_not_at_all(tmp_path, path, value):
+    write_wav(tmp_path / "w.wav", np.zeros(800, dtype=np.float32))
+    body = json.loads(json.dumps(FUZZ_SCENARIO))
+    target = body
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        scn = load_scenario(write_yaml(tmp_path, body))
+    except ScenarioError:
+        return
+    json.dumps(scn.to_dict(), allow_nan=False)

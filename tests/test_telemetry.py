@@ -1,6 +1,7 @@
 """Spectrogram rendering and occupation metrics."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -231,8 +232,11 @@ def test_analyze_is_deterministic(tmp_path):
     assert (out / "metrics.json").read_bytes() == first
 
 
-def test_thread_cap_respected(tmp_path, monkeypatch):
-    out = quiet_composer_run(tmp_path)
-    monkeypatch.setenv("HOLONSIM_THREADS", "1")
-    metrics = analyze_run(out)
-    assert metrics["workers"] == 1
+def test_metrics_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    out = quiet_composer_run(tmp_path, monitors=[(1.0, 1.0), (-1.0, 0.0)])
+    written = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        analyze_run(out)
+        written.append((out / "metrics.json").read_bytes())
+    assert written[0] == written[1]
