@@ -24,19 +24,11 @@ from .audio_core import SimClock, default_filterbank
 from .params import (FRAME_HOP, FRAME_SIZE, LOG_FLOOR, N_MEL_BANDS,
                      SAMPLE_RATE, TICK_SECONDS)
 
-CHANNEL_AGENT = "cyberphony"  # every agent emission is machine-made sound
-
-
 class LedMode(Enum):
     OFF = "off"
     EMITTING = "emitting"
     ACQUIRING_RED = "acquiring_red"
     ACCEPTED_BLUE = "accepted_blue"
-
-
-@dataclass
-class LedState:
-    mode: LedMode = LedMode.OFF
 
 
 # --- energy ---------------------------------------------------------------
@@ -217,19 +209,19 @@ def synth_tone(freq_hz: float, amp: float, n_samples: int,
 # --- agents -------------------------------------------------------------------
 
 class AgentBase:
-    kind = "agent"
-    channel = CHANNEL_AGENT
+    """An agent built from its scenario entry (an AgentSpec) and its own
+    random stream; each kind names its parameter dataclass as Params."""
 
-    def __init__(self, agent_id: str, position, rng: np.random.Generator,
-                 energy: EnergyModel | None = None,
-                 battery_wh: float | None = None):
-        self.agent_id = agent_id
-        self.position = tuple(position)
+    kind = "agent"
+
+    def __init__(self, spec, rng: np.random.Generator):
+        self.agent_id = spec.id
         self.rng = rng
-        self.energy = energy or EnergyModel()
+        self.energy = EnergyModel(**spec.energy)
+        self.params = self.Params(**spec.params)
         self.battery_wh = (self.energy.battery_max_wh
-                           if battery_wh is None else battery_wh)
-        self.led = LedState()
+                           if spec.battery_wh is None else spec.battery_wh)
+        self.led = LedMode.OFF
         self.queue = EmissionQueue()
         self.emitted_this_tick = False
         self._self_audible_until = -1
@@ -256,9 +248,9 @@ class AgentBase:
         return tick <= self._self_audible_until
 
     def _set_led(self, mode: LedMode, events: list):
-        if mode is not self.led.mode:
+        if mode is not self.led:
             events.append({"event": "led", "mode": mode.value})
-        self.led.mode = mode
+        self.led = mode
 
     def step(self, hearing: "Hearing", clock):
         """Decide this tick from this agent's row of the Hearing, which
@@ -287,6 +279,10 @@ class ComposerParams:
     long_half_life_s: float = 120.0
     short_half_life_s: float = 2.0
 
+    @property
+    def slot_ticks(self) -> int:
+        return max(1, int(round(self.slot_s / TICK_SECONDS)))
+
 
 class ComposerAgent(AgentBase):
     """Claims the quietest Mel niche it can find and sings there.
@@ -300,21 +296,14 @@ class ComposerAgent(AgentBase):
     """
 
     kind = "composer"
+    Params = ComposerParams
 
-    def __init__(self, agent_id, position, rng, energy=None, battery_wh=None,
-                 params: ComposerParams | None = None,
-                 preferred_band: int | None = None,
-                 slot_offset_ticks: int = 0):
-        super().__init__(agent_id, position, rng, energy, battery_wh)
-        self.params = params or ComposerParams()
-        # own one-row memory until a Hearing makes it a row of a shared one
-        self.profile = SpectralProfile(
-            long_half_life_s=self.params.long_half_life_s,
-            short_half_life_s=self.params.short_half_life_s)
-        self.profile_row = 0
-        self.preferred_band = preferred_band
-        self.slot_ticks = max(1, int(round(self.params.slot_s / TICK_SECONDS)))
-        self.slot_offset_ticks = slot_offset_ticks % self.slot_ticks
+    def __init__(self, spec, rng):
+        super().__init__(spec, rng)
+        self.profile = self.profile_row = None  # set by the Hearing
+        self.preferred_band = spec.preferred_band
+        self.slot_ticks = self.params.slot_ticks
+        self.slot_offset_ticks = spec.slot_offset_ticks % self.slot_ticks
         self.current_band = None
         self.night_emissions = 0
         self.total_emissions = 0
@@ -462,11 +451,10 @@ class CollectorAgent(_Listener):
     composer tones at night with a stored sound."""
 
     kind = "collector"
+    Params = CollectorParams
 
-    def __init__(self, agent_id, position, rng, energy=None, battery_wh=None,
-                 params: CollectorParams | None = None):
-        super().__init__(agent_id, position, rng, energy, battery_wh)
-        self.params = params or CollectorParams()
+    def __init__(self, spec, rng):
+        super().__init__(spec, rng)
         self.collection = ft.SampleCollection(
             max_items=self.params.max_items,
             capacity_bytes=self.params.capacity_bytes)
@@ -580,11 +568,10 @@ class DisruptorAgent(_Listener):
     """Captures whatever starts up nearby, warps it, and plays it back."""
 
     kind = "disruptor"
+    Params = DisruptorParams
 
-    def __init__(self, agent_id, position, rng, energy=None, battery_wh=None,
-                 params: DisruptorParams | None = None):
-        super().__init__(agent_id, position, rng, energy, battery_wh)
-        self.params = params or DisruptorParams()
+    def __init__(self, spec, rng):
+        super().__init__(spec, rng)
         self.disruptions = 0
 
     @property

@@ -64,9 +64,6 @@ def cmd_run(args) -> int:
 
     try:
         summary = run_scenario(scenario, out)
-    except ScenarioError as exc:  # bad agent params surface at build time
-        fail(str(exc))
-        return EXIT_CONFIG
     except Exception as exc:
         fail(f"run aborted: {exc}")
         return EXIT_RUNTIME

@@ -26,12 +26,12 @@ import numpy as np
 import yaml
 from scipy.signal import butter, lfilter
 
-from .agents import (AGENT_KINDS, CollectorParams, ComposerParams,
-                     DisruptorParams, EmissionQueue, EnergyModel, Hearing,
-                     energy_step, synth_tone)
+from .agents import (AGENT_KINDS, ComposerParams, EmissionQueue, EnergyModel,
+                     Hearing, energy_step, synth_tone)
 from .audio_core import (HighpassFilter, SimClock, default_filterbank,
                          fft_magnitude, read_wav, write_wav)
-from .params import FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE
+from .params import (FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE,
+                     TICK_SECONDS)
 
 CHANNELS = ("biophony", "geophony", "anthrophony", "cyberphony")
 D_REF_M = 2.0
@@ -142,6 +142,29 @@ _KIND_NAMES = {float: "a finite number", int: "an integer",
                bool: "true or false", str: "a string",
                tuple: "a pair [a, b] of finite numbers", list: "a list",
                dict: "a mapping"}
+# The agent parameter and energy values that would abort a run, as (rule,
+# test); any other number of the field's type runs. A time the agent counts
+# in samples or ticks must give a finite count, and a recording cap must
+# hold at least one sample.
+_POSITIVE = ("positive", lambda v: v > 0)
+_SAMPLES = ("a finite count of samples",
+            lambda v: math.isfinite(v * SAMPLE_RATE))
+_LENGTH = ("a finite count of samples, not negative",
+           lambda v: 0 <= v * SAMPLE_RATE < math.inf)
+_ONE_SAMPLE = ("at least one sample long",
+               lambda v: math.isfinite(v * SAMPLE_RATE)
+               and round(v * SAMPLE_RATE) >= 1)
+_TICKS = ("a finite count of ticks", lambda v: math.isfinite(v / TICK_SECONDS))
+_FIELD_RANGES = {
+    "battery_max_wh": _POSITIVE, "long_half_life_s": _POSITIVE,
+    "short_half_life_s": _POSITIVE, "range_full_db": _POSITIVE,
+    "occupancy_percentile": ("in [0, 100]", lambda v: 0 <= v <= 100),
+    "note_min_s": _LENGTH, "note_max_s": _LENGTH,
+    "attack_fast_s": _SAMPLES, "attack_slow_s": _SAMPLES,
+    "record_max_s": _ONE_SAMPLE, "capture_max_s": _ONE_SAMPLE,
+    "slot_s": _TICKS, "playback_refractory_s": _TICKS,
+    "accepted_blue_s": _TICKS,
+}
 
 
 def _finite(value) -> bool:
@@ -182,6 +205,20 @@ def _value(raw: dict, key: str, kind, context: str, default=_REQUIRED,
     if value is None and (nullable or default is None):
         return None
     return _checked(value, kind, f"{context}: {key}")
+
+
+def _checked_fields(raw: dict, model, context: str) -> dict:
+    """raw checked against the fields of the dataclass model: each key a
+    field, each value of the field's type and inside its range."""
+    types = {f.name: f.type for f in fields(model)}
+    _check_keys(raw, types.keys(), context)
+    out = {}
+    for key, value in raw.items():
+        out[key] = _checked(value, types[key], f"{context}.{key}")
+        rule, ok = _FIELD_RANGES.get(key, (None, None))
+        if ok is not None and not ok(out[key]):
+            raise ScenarioError(f"{context}.{key} must be {rule}")
+    return out
 
 
 def _check_keys(raw, known: set, context: str):
@@ -336,8 +373,12 @@ def _roster_from_raw(entries: list, radius_m: float) -> list:
                          AgentSpec.battery_wh)
         offset = _value(raw, "slot_offset_ticks", int, context,
                         AgentSpec.slot_offset_ticks)
-        params = _value(raw, "params", dict, context, {})
-        energy = _value(raw, "energy", dict, context, {})
+        params = _checked_fields(
+            _value(raw, "params", dict, context, {}),
+            AGENT_KINDS[kind].Params, f"{context}: params")
+        energy = _checked_fields(
+            _value(raw, "energy", dict, context, {}),
+            EnergyModel, f"{context}: energy")
         specs += [AgentSpec(None, kind, position, battery, band, offset,
                             dict(params), dict(energy)) for _ in range(count)]
 
@@ -356,9 +397,8 @@ def _roster_from_raw(entries: list, radius_m: float) -> list:
     composers = [s for s in specs if s.kind == "composer"]
     for i, spec in enumerate(composers):
         if spec.slot_offset_ticks == 0:
-            slot_s = spec.params.get("slot_s", ComposerParams.slot_s)
-            slot_ticks = max(1, int(round(slot_s * SAMPLE_RATE / FRAME_HOP)))
-            spec.slot_offset_ticks = (i * slot_ticks) // len(composers)
+            spec.slot_offset_ticks = (
+                i * ComposerParams(**spec.params).slot_ticks) // len(composers)
     return specs
 
 
@@ -723,29 +763,6 @@ class RunSummary:
     n_ticks: int
     n_events: int
     artifacts: dict
-    agent_summaries: dict
-
-
-def _build_agents(scn: Scenario, rngs):
-    param_types = {"composer": ComposerParams, "collector": CollectorParams,
-                   "disruptor": DisruptorParams}
-    agents = []
-    for spec, rng in zip(scn.agents, rngs):
-        cls = AGENT_KINDS[spec.kind]
-        try:
-            energy = EnergyModel(**spec.energy)
-            params = param_types[spec.kind](**spec.params)
-        except TypeError as exc:
-            raise ScenarioError(
-                f"agent {spec.id}: bad params/energy key ({exc})")
-        kwargs = {"params": params}
-        if spec.kind == "composer":
-            kwargs["preferred_band"] = spec.preferred_band
-            kwargs["slot_offset_ticks"] = spec.slot_offset_ticks
-        agents.append(cls(spec.id, spec.position, rng,
-                          energy=energy, battery_wh=spec.battery_wh,
-                          **kwargs))
-    return agents
 
 
 def _spawn_rngs(scn: Scenario):
@@ -771,7 +788,8 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     bus_rng, source_rngs, agent_rngs = _spawn_rngs(scn)
-    agents = _build_agents(scn, agent_rngs)
+    agents = [AGENT_KINDS[s.kind](s, rng)
+              for s, rng in zip(scn.agents, agent_rngs)]
     n_agents, n_sources = len(agents), len(scn.sources)
     n_ticks = scn.n_ticks
     occ_col = n_agents
@@ -872,12 +890,9 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                                      event)
             clock.advance()
 
-        agent_summaries = {}
         for agent in agents:
-            summary = agent.summary()
-            agent_summaries[agent.agent_id] = summary
             writer.write(n_ticks, agent.agent_id, agent.kind,
-                         {"event": "summary", **summary})
+                         {"event": "summary", **agent.summary()})
         writer.write(n_ticks, None, "scheduler",
                      {"event": "end", "n_ticks": n_ticks})
 
@@ -899,8 +914,7 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                 "artifacts": artifacts}
     (out_dir / MANIFEST_FILE).write_text(
         json.dumps(manifest, sort_keys=True, indent=2))
-    return RunSummary(out_dir, n_ticks, writer.count, artifacts,
-                      agent_summaries)
+    return RunSummary(out_dir, n_ticks, writer.count, artifacts)
 
 
 # --- replay ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import holonsim.agents as ag
 import holonsim.dsp_transforms as dsp
 import holonsim.features as ft
 from holonsim.audio_core import SimClock, default_filterbank, fft_magnitude
+from holonsim.environment import AgentSpec
 from holonsim.params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE, TICK_SECONDS
 
 import oracles
@@ -49,9 +50,17 @@ def named(all_events, name):
             for e in evs if e["event"] == name]
 
 
+def make(cls, seed=0, battery=None, energy=None, preferred_band=None,
+         **params):
+    """An agent of class cls built from its AgentSpec, as a run builds it."""
+    spec = AgentSpec(cls.kind, cls.kind, (0.0, 0.0), battery_wh=battery,
+                     preferred_band=preferred_band, params=params,
+                     energy=energy or {})
+    return cls(spec, np.random.default_rng(seed))
+
+
 def composer(seed=0, battery=None, energy=None, **kwargs):
-    return ag.ComposerAgent("c0", (0.0, 0.0), np.random.default_rng(seed),
-                            energy=energy, battery_wh=battery, **kwargs)
+    return make(ag.ComposerAgent, seed, battery, energy, **kwargs)
 
 
 # --- energy -----------------------------------------------------------------
@@ -67,9 +76,10 @@ def test_harvest_arc_zero_at_night_peaks_midday():
 
 
 def test_energy_ledger_balances_with_clamping():
-    model = ag.EnergyModel(battery_max_wh=0.0005, harvest_peak_w=2.0,
-                           cost_idle_w=0.5, cost_emit_w=1.0)
-    agent = composer(battery=0.0005, energy=model)
+    agent = composer(battery=0.0005, energy={
+        "battery_max_wh": 0.0005, "harvest_peak_w": 2.0,
+        "cost_idle_w": 0.5, "cost_emit_w": 1.0})
+    model = agent.energy
     clock = SimClock(0, day_length_s=20.0)
     rng = np.random.default_rng(7)
     start = agent.battery_wh
@@ -175,7 +185,7 @@ def test_synth_tone_envelope_and_determinism():
 
 
 def test_hearing_hops_are_the_latest_hop():
-    agent = ag.CollectorAgent("c", (0.0, 0.0), np.random.default_rng(0))
+    agent = collector()
     hearing = ag.Hearing([agent])
     frames = np.arange(float(FRAME_SIZE))[None] / FRAME_SIZE
     mag = fft_magnitude(frames)
@@ -235,8 +245,8 @@ def test_composer_trigger_ticks_nest_by_battery():
     # be a subset of the richer one's, because both consume the same
     # uniform draw at every slot boundary
     frozen = dict(harvest_peak_w=0.0, cost_idle_w=0.0, cost_emit_w=0.0)
-    rich = composer(seed=5, battery=10.0, energy=ag.EnergyModel(**frozen))
-    poor = composer(seed=5, battery=2.0, energy=ag.EnergyModel(**frozen))
+    rich = composer(seed=5, battery=10.0, energy=frozen)
+    poor = composer(seed=5, battery=2.0, energy=frozen)
     quiet = silence(120.0)
     rich_events, _ = drive(rich, quiet)
     poor_events, _ = drive(poor, quiet)
@@ -266,6 +276,7 @@ def test_composer_waits_out_broadband_cover():
 
 def test_select_band_detours_around_banded_intrusion_then_returns():
     agent = composer(seed=3, preferred_band=64)
+    ag.Hearing([agent])  # gives the composer its row of spectral memory
     quiet = np.full(128, 1e-4)
     for _ in range(400):
         agent.profile.update(quiet)
@@ -287,6 +298,7 @@ def test_select_band_detours_around_banded_intrusion_then_returns():
 
 def test_select_band_refuses_broadband_instant_cover():
     agent = composer(seed=4, preferred_band=64)
+    ag.Hearing([agent])
     quiet = np.full(128, 1e-4)
     for _ in range(400):
         agent.profile.update(quiet)
@@ -317,9 +329,7 @@ def test_composer_profile_freezes_while_it_sings():
 # --- collector --------------------------------------------------------------------
 
 def collector(seed=0, battery=None, **params):
-    return ag.CollectorAgent("k0", (0.0, 0.0), np.random.default_rng(seed),
-                             battery_wh=battery,
-                             params=ag.CollectorParams(**params))
+    return make(ag.CollectorAgent, seed, battery, **params)
 
 
 def test_collector_records_one_burst_exactly():
@@ -414,9 +424,7 @@ def test_collector_empty_collection_never_plays():
 # --- disruptor -------------------------------------------------------------------
 
 def disruptor(seed=0, battery=None, energy=None, **params):
-    return ag.DisruptorAgent("d0", (0.0, 0.0), np.random.default_rng(seed),
-                             energy=energy, battery_wh=battery,
-                             params=ag.DisruptorParams(**params))
+    return make(ag.DisruptorAgent, seed, battery, energy, **params)
 
 
 def test_disruptor_captures_transforms_and_reemits():
@@ -473,8 +481,7 @@ def test_disruptor_is_deterministic_for_a_seed():
 
 
 def test_disruptor_skips_emission_below_battery_floor():
-    model = ag.EnergyModel(harvest_peak_w=0.0)
-    agent = disruptor(seed=13, battery=0.005, energy=model)
+    agent = disruptor(seed=13, battery=0.005, energy={"harvest_peak_w": 0.0})
     rng = np.random.default_rng(34)
     pcm = np.concatenate([silence(1.024), white_noise(rng, 0.4, 0.4),
                           silence(4.0)])

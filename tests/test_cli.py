@@ -128,7 +128,9 @@ def test_run_bad_agent_param_exits_two(tmp_path, capsys):
         "agents": [{"kind": "composer", "params": {"volume": 11}}]})
     assert main(["run", "--scenario", scn,
                  "--out", str(tmp_path / "out")]) == 2
-    assert "composer_000" in capsys.readouterr().err
+    assert ("agents[0]: params: unknown key 'volume'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()  # refused at load
 
 
 # --- features --------------------------------------------------------------------

@@ -3,8 +3,10 @@
 import gc
 import hashlib
 import json
+import math
 import threading
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -635,19 +637,86 @@ def test_source_errors_name_the_key(tmp_path, source, message):
     ({"kind": "composer", "preferred_band": True}, "preferred_band"),
     ({"kind": "composer", "slot_offset_ticks": "x"}, "slot_offset_ticks"),
     ({"kind": "composer", "params": 5}, "params"),
+    ({"kind": "composer", "params": {"slot_s": "x"}}, "params.slot_s"),
+    ({"kind": "collector", "params": {"tone_frames": "x"}},
+     "params.tone_frames must be an integer"),
+    ({"kind": "collector", "params": {"max_items": 1.5}},
+     "params.max_items must be an integer"),
+    ({"kind": "composer", "energy": {"battery_max_wh": 0}},
+     "energy.battery_max_wh must be positive"),
+    ({"kind": "composer", "params": {"long_half_life_s": 0}},
+     "params.long_half_life_s must be positive"),
+    ({"kind": "composer", "params": {"short_half_life_s": 0}},
+     "params.short_half_life_s must be positive"),
+    ({"kind": "composer", "params": {"range_full_db": 0}},
+     "params.range_full_db must be positive"),
+    ({"kind": "composer", "params": {"occupancy_percentile": 150}},
+     "params.occupancy_percentile"),
+    ({"kind": "composer", "params": {"note_min_s": -1}}, "params.note_min_s"),
+    ({"kind": "composer", "params": {"note_max_s": -1}}, "params.note_max_s"),
+    ({"kind": "composer", "params": {"note_max_s": 1.0e+308}},
+     "params.note_max_s must be a finite count of samples"),
+    ({"kind": "composer", "params": {"attack_slow_s": -1.0e+308}},
+     "params.attack_slow_s must be a finite count of samples"),
+    ({"kind": "collector", "params": {"record_max_s": 0}},
+     "params.record_max_s must be at least one sample"),
+    ({"kind": "disruptor", "params": {"capture_max_s": -1}},
+     "params.capture_max_s must be at least one sample"),
+    ({"kind": "collector", "params": {"record_max_s": 1.0e-5}},
+     "params.record_max_s must be at least one sample"),
+    ({"kind": "composer", "params": {"slot_s": 1.0e+308}},
+     "params.slot_s must be a finite count of ticks"),
+    ({"kind": "composer", "slot_offset_ticks": 3,
+      "params": {"slot_s": 1.0e+308}}, "params.slot_s"),
+    ({"kind": "collector", "params": {"accepted_blue_s": 1.0e+308}},
+     "params.accepted_blue_s"),
+    ({"kind": "collector", "params": {"playback_refractory_s": -1.0e+308}},
+     "params.playback_refractory_s"),
+    ({"kind": "disruptor", "params": {"slot_s": 2.0}},
+     "params: unknown key 'slot_s'"),
+    ({"kind": "composer", "energy": {"battery_max_wh": True}},
+     "energy.battery_max_wh must be a finite number"),
 ])
 def test_agent_errors_name_the_key(tmp_path, agent, message):
     body = base_yaml(agents=[agent])
-    with pytest.raises(ScenarioError, match=message):
+    with pytest.raises(ScenarioError, match=r"agents\[0\]: ") as info:
         load_scenario(write_yaml(tmp_path, body))
+    assert message in str(info.value)
 
 
 def test_bad_agent_params_key_is_reported(tmp_path):
     body = base_yaml(agents=[{"kind": "composer",
                               "params": {"slot_speed": 2.0}}])
+    with pytest.raises(ScenarioError,
+                       match="agents.0.: params: unknown key 'slot_speed'"):
+        load_scenario(write_yaml(tmp_path, body))
+
+
+def test_composer_slot_offsets_stay_inside_the_grid(tmp_path):
+    # 0.344 s is 21.5 ticks, where two ways of rounding to ticks part
+    body = base_yaml(agents=[{"kind": "composer", "count": 30,
+                              "params": {"slot_s": 0.344}}])
     scn = load_scenario(write_yaml(tmp_path, body))
-    with pytest.raises(ScenarioError, match="composer_000"):
-        run_scenario(scn, tmp_path / "run")
+    for spec in scn.agents:
+        agent = agents.ComposerAgent(spec, np.random.default_rng(0))
+        assert spec.slot_offset_ticks < agent.slot_ticks
+
+
+def test_a_one_sample_recording_cap_runs(tmp_path):
+    # the smallest accepted cap: half a sample or less rounds to none
+    cap_s = 0.5 / SAMPLE_RATE
+    body = base_yaml(duration_s=2.0, agents=[
+        {"kind": "collector", "params": {"record_max_s": cap_s}}])
+    with pytest.raises(ScenarioError, match="record_max_s"):
+        load_scenario(write_yaml(tmp_path, body))
+    cap_s = math.nextafter(cap_s, 1.0)
+    body["agents"] = [{"kind": "collector", "params": {"record_max_s": cap_s}},
+                      {"kind": "disruptor", "params": {"capture_max_s": cap_s}}]
+    run_scenario(load_scenario(write_yaml(tmp_path, body)), tmp_path / "run")
+    events = load_run_events(tmp_path / "run")
+    ends = named(events, "record_end") + named(events, "capture_end")
+    assert {e["kind"] for e in ends} == {"collector", "disruptor"}
+    assert {e["payload"]["duration_s"] for e in ends} == {1 / SAMPLE_RATE}
 
 
 def test_missing_scenario_file(tmp_path):
@@ -667,7 +736,8 @@ FUZZ_SCENARIO = base_yaml(
     agents=[{"kind": "composer", "position": [0, 0], "preferred_band": 10,
              "battery_wh": 1.0, "slot_offset_ticks": 3,
              "params": {"slot_s": 2.0}, "energy": {"harvest_peak_w": 1.0}},
-            {"kind": "collector", "count": 2}],
+            {"kind": "collector", "count": 2, "params": {}, "energy": {}},
+            {"kind": "disruptor", "params": {}, "energy": {}}],
     sources=[{"id": "t", "kind": "tone", "position": [1, 1],
               "freq_hz": 440.0, "start_s": 0.5, "stop_s": 2.0},
              {"kind": "band_noise", "position": [2, 1],
@@ -679,8 +749,13 @@ FUZZ_KEYS = (
     [(key,) for key in sorted(environment._TOP_KEYS)]
     + [("sources", i, key) for i in range(4)
        for key in sorted(environment._SOURCE_KEYS)]
-    + [("agents", i, key) for i in range(2)
-       for key in sorted(environment._AGENT_KEYS)])
+    + [("agents", i, key) for i in range(3)
+       for key in sorted(environment._AGENT_KEYS)]
+    + [("agents", i, part, f.name)
+       for i, kind in enumerate(["composer", "collector", "disruptor"])
+       for part, model in [("params", agents.AGENT_KINDS[kind].Params),
+                           ("energy", agents.EnergyModel)]
+       for f in fields(model)])
 ANY_VALUE = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
@@ -688,7 +763,7 @@ ANY_VALUE = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(path=st.sampled_from(FUZZ_KEYS), value=ANY_VALUE)
 def test_a_bad_value_fails_at_load_or_not_at_all(tmp_path, path, value):
@@ -703,3 +778,5 @@ def test_a_bad_value_fails_at_load_or_not_at_all(tmp_path, path, value):
     except ScenarioError:
         return
     json.dumps(scn.to_dict(), allow_nan=False)
+    agents.Hearing([agents.AGENT_KINDS[spec.kind](spec, None)
+                    for spec in scn.agents])
