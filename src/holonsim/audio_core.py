@@ -203,13 +203,6 @@ class HighpassFilter:
         return y.reshape(np.shape(block))
 
 
-def highpass(samples: np.ndarray, cutoff_hz: float = HIGHPASS_HZ,
-             sample_rate: int = SAMPLE_RATE) -> np.ndarray:
-    """One-shot high-pass of a whole signal from zero state."""
-    b, a = butter_highpass_coeffs(cutoff_hz, sample_rate)
-    return lfilter(b, a, samples)
-
-
 def frames(pcm: np.ndarray) -> np.ndarray:
     """Full FRAME_SIZE windows at FRAME_HOP steps, shape (n_frames, FRAME_SIZE).
 

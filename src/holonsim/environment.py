@@ -53,11 +53,6 @@ class ReplayError(ValueError):
     """The event log cannot reproduce the run (e.g. audio not logged)."""
 
 
-def distance_gain(d_m: float, d_ref_m: float = D_REF_M) -> float:
-    """Propagation attenuation: 1 at the source, 1/2 at d_ref."""
-    return 1.0 / (1.0 + d_m / d_ref_m)
-
-
 # --- scenario ---------------------------------------------------------------
 # The dataclasses are the schema of a scenario: each field is named as its
 # key in the YAML file and in scenario_resolved.json, and each default is
@@ -155,7 +150,11 @@ _ONE_SAMPLE = ("at least one sample long",
                lambda v: math.isfinite(v * SAMPLE_RATE)
                and round(v * SAMPLE_RATE) >= 1)
 _TICKS = ("a finite count of ticks", lambda v: math.isfinite(v / TICK_SECONDS))
+# a note is rendered as float32, which holds no larger magnitude
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 _FIELD_RANGES = {
+    "amplitude": (f"at most {_FLOAT32_MAX!r} in magnitude, the float32 "
+                  "maximum", lambda v: abs(v) <= _FLOAT32_MAX),
     "battery_max_wh": _POSITIVE, "long_half_life_s": _POSITIVE,
     "short_half_life_s": _POSITIVE, "range_full_db": _POSITIVE,
     "occupancy_percentile": ("in [0, 100]", lambda v: 0 <= v <= 100),
@@ -187,9 +186,27 @@ def _checked(value, kind, where: str):
         ok = isinstance(value, kind) and (kind is bool
                                           or not isinstance(value, bool))
     if not ok:
+        hint = _float_hint(value) if kind is float else ""
         raise ScenarioError(f"{where} must be {_KIND_NAMES[kind]}, "
-                            f"not {value!r}")
+                            f"not {value!r}{hint}")
     return tuple(map(float, value)) if kind is tuple else kind(value)
+
+
+def _float_hint(value) -> str:
+    """Advice for a number that YAML 1.1 read as a string: it takes a
+    float only with a point and a signed exponent, so 1e-5 is a string."""
+    try:
+        finite = isinstance(value, str) and math.isfinite(float(value))
+    except ValueError:
+        return ""
+    if not finite:
+        return ""
+    mantissa, e, exponent = value.strip().lower().partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    if exponent[:1] not in ("", "+", "-"):
+        exponent = "+" + exponent
+    return f"; write it with a point, e.g. {mantissa}{e}{exponent}"
 
 
 def _value(raw: dict, key: str, kind, context: str, default=_REQUIRED,

@@ -9,6 +9,7 @@ is the one considered for replacement.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct
@@ -117,11 +118,15 @@ def analyze(pcm: np.ndarray, sample_rate: int = SAMPLE_RATE) -> AnalysisVector:
 
 @dataclass
 class SoundSample:
-    """One segmented recording with its analysis vector."""
+    """One segmented recording; its analysis vector is computed when it is
+    first read, so a sample nobody judges is never analyzed."""
 
     pcm: np.ndarray          # float32, the stored form
-    vector: AnalysisVector
     captured_at: int         # tick of the triggering onset
+
+    @cached_property
+    def vector(self) -> AnalysisVector:
+        return analyze(self.pcm)
 
     @property
     def duration_s(self) -> float:
@@ -133,8 +138,7 @@ class SoundSample:
 
 
 def make_sample(pcm: np.ndarray, captured_at: int) -> SoundSample:
-    stored = np.asarray(pcm, dtype=np.float32)
-    return SoundSample(pcm=stored, vector=analyze(stored),
+    return SoundSample(pcm=np.asarray(pcm, dtype=np.float32),
                        captured_at=captured_at)
 
 

@@ -30,14 +30,144 @@ def spectrogram_grid(samples: np.ndarray) -> np.ndarray:
     return fft_magnitude(frames(samples))
 
 
+# --- "%.6g" text from array ops -------------------------------------------
+# A value v > 0 is written from e = floor(log10 v) and its six significant
+# digits D = rint(v * 10**(5 - e)), 10**5 <= D < 10**6. "%g" writes fixed
+# notation for -4 <= e <= 5 and d.ddddde±XX otherwise, with trailing
+# fraction zeros (and a bare point) dropped. Each value gets a slot of
+# _SLOT bytes, separator last; the bytes a value does not use stay _PAD and
+# are dropped before writing. A row holding any other value is written by
+# CPython's own "%.6g" (_FALLBACK): negatives and -0.0, inf and NaN, values
+# outside [1e-300, 1e300], values within a few ulp of a power of ten (where
+# log10 can miss e by one), and values whose seventh digit is a near-tie.
+
+CSV_CHUNK_ROWS = 256      # rows formatted at once; bounds the kernel's memory
+_SLOT = 13                # "d.ddddde-ddd" and its separator
+_PAD = 0
+_ZERO, _EXP, _FALLBACK = 0, 11, 12   # classes; 1 to 10 are fixed, e + 5
+_POW10_LOW = -295
+# 10**k correctly rounded, for every k that 5 - e can take
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_LOW, 306)])
+# the product v * 10**(5 - e) is off by at most a few ulp (< 1e-9 below
+# 10**6), so rint gives the correctly rounded digits away from half
+_TIE_MARGIN = 1e-6
+_LEAD_BELOW_ONE = np.frombuffer(b"0.000", dtype=np.uint8)
+
+
+def _classify(v: np.ndarray):
+    """(class, e, D) of each value; D and e are meaningful only for the
+    fixed and exponent classes."""
+    fast = (v >= 1e-300) & (v <= 1e300)
+    safe = np.where(fast, v, 1.0)
+    e = np.floor(np.log10(safe)).astype(np.int64)
+    m = safe * _POW10[5 - e - _POW10_LOW]
+    fast &= (m >= 1e5) & (m < 1e6)   # e was right
+    fast &= np.abs(m - np.floor(m) - 0.5) >= _TIE_MARGIN
+    digits = np.rint(m).astype(np.int32)
+    carry = digits == 10 ** 6     # 999999.5 and up round to 1.00000e(e+1)
+    digits[carry] = 10 ** 5
+    e += carry
+    cls = np.where((e >= -4) & (e <= 5), e + 5, _EXP).astype(np.int8)
+    cls[~fast] = _FALLBACK
+    cls[(v == 0) & ~np.signbit(v)] = _ZERO
+    return cls, e, digits
+
+
+def _fill_slots(slots: np.ndarray, cls: np.ndarray, e: np.ndarray,
+                digits: np.ndarray):
+    """Write each value's text into its slot; all three arrays are sorted
+    by class, so each class is one block of rows."""
+    ends = np.cumsum(np.bincount(cls, minlength=_FALLBACK + 1))
+    # raw[s] is the character of digit s (most significant first); frac
+    # drops the trailing zeros, which "%g" omits after a point
+    raw = np.empty((6, cls.size), dtype=np.uint8)
+    q = digits
+    for s in range(5, -1, -1):
+        q, raw[s] = np.divmod(q, 10)
+    raw += ord("0")
+    frac = raw.copy()
+    keep = np.zeros(cls.size, dtype=bool)
+    for s in range(5, 0, -1):
+        keep |= frac[s] != ord("0")
+        frac[s] *= keep
+
+    def point(s, lo, hi):
+        """"." before digit s where that digit is kept, else a pad."""
+        return np.where(frac[s, lo:hi] != _PAD, ord("."), _PAD)
+
+    slots[:ends[_ZERO], 0] = ord("0")
+    for c in range(1, _EXP):
+        lo, hi = ends[c - 1], ends[c]
+        if lo == hi:
+            continue
+        x = c - 5
+        block = slots[lo:hi]
+        if x >= 0:    # "ddd.ddd": integer digits always, then the fraction
+            block[:, :x + 1] = raw[:x + 1, lo:hi].T
+            if x < 5:
+                block[:, x + 1] = point(x + 1, lo, hi)
+                block[:, x + 2:7] = frac[x + 1:, lo:hi].T
+        else:         # "0.000dddddd"
+            block[:, :-x + 1] = _LEAD_BELOW_ONE[:-x + 1]
+            block[:, -x + 1:-x + 7] = frac[:, lo:hi].T
+    lo, hi = ends[_EXP - 1], ends[_EXP]
+    if lo < hi:
+        block = slots[lo:hi]
+        x = e[lo:hi]
+        a = np.abs(x)
+        wide = a >= 100
+        block[:, 0] = raw[0, lo:hi]
+        block[:, 1] = point(1, lo, hi)
+        block[:, 2:7] = frac[1:, lo:hi].T
+        block[:, 7] = ord("e")
+        block[:, 8] = np.where(x < 0, ord("-"), ord("+"))
+        block[:, 9] = np.where(wide, a // 100, a // 10 % 10) + ord("0")
+        block[:, 10] = np.where(wide, a // 10 % 10, a % 10) + ord("0")
+        block[:, 11] = np.where(wide, a % 10 + ord("0"), _PAD)
+
+
+def format_csv_rows(values: np.ndarray) -> bytes:
+    """A 2-D float array as the bytes np.savetxt(fmt="%.6g", delimiter=",")
+    writes for it: values joined by ",", each row ended by a newline."""
+    values = np.asarray(values, dtype=np.float64)
+    n_rows, n_cols = values.shape
+    if values.size == 0:
+        return b"\n" * n_rows
+    cls, e, digits = _classify(values.ravel())
+    order = np.argsort(cls, kind="stable")
+    slots = np.zeros((cls.size, _SLOT), dtype=np.uint8)
+    _fill_slots(slots, cls[order], e[order], digits[order])
+    out = np.empty_like(slots)
+    out.view(f"V{_SLOT}")[order] = slots.view(f"V{_SLOT}")
+    out = out.reshape(n_rows, n_cols, _SLOT)
+    out[:, :, -1] = ord(",")
+    out[:, -1, -1] = ord("\n")
+    text = out[out != _PAD].tobytes()
+    fallback = (cls == _FALLBACK).reshape(n_rows, n_cols).any(axis=1)
+    if not fallback.any():
+        return text
+    lines = text.split(b"\n")
+    for r in np.flatnonzero(fallback):
+        lines[r] = ",".join("%.6g" % x for x in values[r].tolist()).encode()
+    return b"\n".join(lines)
+
+
 def save_spectrogram_csv(path, grid: np.ndarray):
-    """Magnitude grid as RFC-4180 CSV: one row per frame, time first."""
+    """Magnitude grid as RFC-4180 CSV: one row per frame, time first.
+
+    The text is np.savetxt's with fmt="%.6g", written CSV_CHUNK_ROWS rows
+    at a time.
+    """
     n_frames, n_bins = grid.shape
     header = "time_s," + ",".join(f"hz_{k * BIN_HZ:.2f}"
                                   for k in range(n_bins))
     times = np.arange(n_frames) * FRAME_HOP / SAMPLE_RATE
-    np.savetxt(path, np.column_stack([times, grid]), fmt="%.6g",
-               delimiter=",", header=header, comments="")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for start in range(0, n_frames, CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            fh.write(format_csv_rows(
+                np.column_stack([times[start:stop], grid[start:stop]])))
 
 
 def save_spectrogram_pgm(path, grid: np.ndarray, db_floor: float = DB_FLOOR):

@@ -9,6 +9,7 @@ import collections
 import math
 
 import numpy as np
+from scipy.signal import butter, lfilter
 
 RATE = 32000
 N = 1024
@@ -229,3 +230,15 @@ class OracleSpectralProfile:
             level, self.peak + self.alpha_long * (level - self.peak))
         self.floor = np.minimum(
             level, self.floor + self.alpha_long * (level - self.floor))
+
+
+def oracle_distance_gain(d_m, d_ref_m=2.0):
+    """Propagation attenuation 1 / (1 + d / d_ref): 1 at the source, 1/2
+    at d_ref."""
+    return 1.0 / (1.0 + d_m / d_ref_m)
+
+
+def oracle_highpass(samples, cutoff_hz=80.0, rate=RATE):
+    """One-shot 2nd-order Butterworth high-pass from zero state."""
+    b, a = butter(2, cutoff_hz, btype="highpass", fs=rate)
+    return lfilter(b, a, samples)

@@ -455,6 +455,19 @@ def test_disruptor_captures_transforms_and_reemits():
     assert "acquiring_red" in modes and "emitting" in modes
 
 
+def test_disruptor_capture_is_never_analyzed(monkeypatch):
+    calls = []
+    analyze = ft.analyze
+    monkeypatch.setattr(ft, "analyze", lambda pcm: calls.append(pcm)
+                        or analyze(pcm))
+    rng = np.random.default_rng(31)
+    pcm = np.concatenate([silence(1.024), white_noise(rng, 0.4, 0.4),
+                          silence(2.0)])
+    events, _ = drive(disruptor(seed=11), pcm)
+    assert len(named(events, "disrupt_start")) == 1
+    assert calls == []
+
+
 def test_disruptor_capture_caps_at_five_seconds():
     agent = disruptor(seed=12)
     rng = np.random.default_rng(32)

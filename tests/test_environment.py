@@ -18,10 +18,11 @@ from holonsim import agents, environment
 from holonsim.audio_core import read_wav, write_wav
 from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   ScenarioError, SourceSpec, build_gains,
-                                  distance_gain, load_run_events,
-                                  load_scenario, replay_run, run_scenario)
+                                  load_run_events, load_scenario, replay_run,
+                                  run_scenario)
 from holonsim.params import FRAME_HOP, SAMPLE_RATE
 
+import oracles
 import test_golden as golden
 from synth import sine
 
@@ -45,9 +46,11 @@ def named(events, name):
 # --- propagation -------------------------------------------------------------
 
 def test_distance_gain_analytic():
-    assert distance_gain(0.0) == 1.0
-    assert distance_gain(2.0) == 0.5
-    assert distance_gain(6.0) == 0.25
+    distances = [0.0, 2.0, 6.0]
+    g = build_gains([(0.0, 0.0)], [(d, 0.0) for d in distances])
+    assert g.tolist() == [[1.0, 0.5, 0.25]]
+    assert g.tolist() == [[oracles.oracle_distance_gain(d)
+                           for d in distances]]
 
 
 def test_gain_matrix_from_positions():
@@ -84,7 +87,7 @@ def test_two_equidistant_sources_add_linearly(tmp_path):
     one, _ = read_wav(tmp_path / "one" / "monitor_00.wav")
     two, _ = read_wav(tmp_path / "two" / "monitor_00.wav")
     assert np.allclose(two, 2.0 * one, atol=1e-7)
-    expected_rms = distance_gain(3.0) * 10.0 ** (-30.0 / 20.0)
+    expected_rms = oracles.oracle_distance_gain(3.0) * 10.0 ** (-30.0 / 20.0)
     assert np.sqrt(np.mean(np.square(one))) == pytest.approx(
         expected_rms, rel=0.02)
 
@@ -676,12 +679,35 @@ def test_source_errors_name_the_key(tmp_path, source, message):
      "params: unknown key 'slot_s'"),
     ({"kind": "composer", "energy": {"battery_max_wh": True}},
      "energy.battery_max_wh must be a finite number"),
+    ({"kind": "composer", "params": {"amplitude": 1.0e+308}},
+     "params.amplitude must be at most 3.4028234663852886e+38"),
+    ({"kind": "composer", "params": {"amplitude": -1.0e+39}},
+     "params.amplitude must be at most"),
+    ({"kind": "collector", "params": {"record_max_s": "1e-5"}},
+     "not '1e-5'; write it with a point, e.g. 1.0e-5"),
 ])
 def test_agent_errors_name_the_key(tmp_path, agent, message):
     body = base_yaml(agents=[agent])
     with pytest.raises(ScenarioError, match=r"agents\[0\]: ") as info:
         load_scenario(write_yaml(tmp_path, body))
     assert message in str(info.value)
+
+
+def test_float32_maximum_amplitude_loads(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    body = base_yaml(agents=[{"kind": "composer",
+                              "params": {"amplitude": -top}}])
+    scn = load_scenario(write_yaml(tmp_path, body))
+    assert scn.agents[0].params["amplitude"] == -top
+
+
+def test_float_hint_is_a_yaml_float():
+    for text, hint in [("1e-5", "1.0e-5"), ("2E8", "2.0e+8"),
+                       ("3.5e2", "3.5e+2"), ("7", "7.0")]:
+        assert environment._float_hint(text).endswith(f"e.g. {hint}")
+        assert isinstance(yaml.safe_load(hint), float)
+    assert environment._float_hint("nan") == ""
+    assert environment._float_hint("fast") == ""
 
 
 def test_bad_agent_params_key_is_reported(tmp_path):

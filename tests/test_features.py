@@ -24,8 +24,10 @@ def hops(pcm):
 def fake_sample(vector_values, n_samples=100, tick=0):
     vec = ft.AnalysisVector(float(vector_values[0]), float(vector_values[1]),
                             np.asarray(vector_values[2:], dtype=float))
-    return ft.SoundSample(pcm=np.zeros(n_samples, dtype=np.float32),
-                          vector=vec, captured_at=tick)
+    sample = ft.SoundSample(pcm=np.zeros(n_samples, dtype=np.float32),
+                            captured_at=tick)
+    sample.vector = vec   # fills the cache, so analyze never runs
+    return sample
 
 
 # --- scalar features ------------------------------------------------------
@@ -136,6 +138,19 @@ def test_sample_vector_recomputable_from_stored_pcm():
     assert sample.pcm.dtype == np.float32
     again = ft.analyze(sample.pcm)
     assert np.array_equal(sample.vector.as_array(), again.as_array())
+
+
+def test_sample_vector_is_analyzed_once_on_first_read(monkeypatch):
+    calls = []
+    analyze = ft.analyze
+    monkeypatch.setattr(ft, "analyze", lambda pcm: calls.append(pcm)
+                        or analyze(pcm))
+    sample = ft.make_sample(np.random.default_rng(35).uniform(-1, 1, 5000),
+                            captured_at=3)
+    assert calls == []
+    first = sample.vector
+    assert sample.vector is first
+    assert len(calls) == 1 and calls[0] is sample.pcm
 
 
 # --- onset detection -------------------------------------------------------

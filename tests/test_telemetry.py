@@ -2,15 +2,20 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holonsim.audio_core import write_wav
 from holonsim.environment import (AgentSpec, CHANNELS, Scenario, SourceSpec,
                                   run_scenario)
 from holonsim.params import FRAME_HOP, SAMPLE_RATE
-from holonsim.telemetry import (analyze_run, band_occupancy_threshold,
+from holonsim.telemetry import (BIN_HZ, CSV_CHUNK_ROWS, analyze_run,
+                                band_occupancy_threshold, format_csv_rows,
                                 occupation_metrics,
                                 save_spectrogram, save_spectrogram_csv,
                                 save_spectrogram_pgm, spectrogram_grid)
@@ -79,6 +84,98 @@ def test_save_spectrogram_from_wav(tmp_path):
     assert (tmp_path / "out.csv").exists()
     assert (tmp_path / "out.pgm").exists()
     assert int(np.argmax(grid.sum(axis=0))) == 64  # 2000 Hz bin
+
+
+# --- CSV text ---------------------------------------------------------------------
+
+def percent_g_rows(values):
+    """The reference text: CPython's "%.6g" of every value, row by row."""
+    return "".join(",".join("%.6g" % v for v in row) + "\n"
+                   for row in values.tolist()).encode()
+
+
+def savetxt_csv(path, grid):
+    """save_spectrogram_csv as np.savetxt writes it."""
+    header = "time_s," + ",".join(f"hz_{k * BIN_HZ:.2f}"
+                                  for k in range(grid.shape[1]))
+    times = np.arange(grid.shape[0]) * FRAME_HOP / SAMPLE_RATE
+    np.savetxt(path, np.column_stack([times, grid]), fmt="%.6g",
+               delimiter=",", header=header, comments="")
+
+
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-324, 309)]
+
+
+def near_powers_of_ten():
+    """Powers of ten and their neighbours one ulp away, where log10 can
+    miss the decimal exponent."""
+    p = st.sampled_from(POWERS_OF_TEN)
+    return st.one_of(p, p.map(lambda x: np.nextafter(x, 0.0)),
+                     p.map(lambda x: np.nextafter(x, np.inf)))
+
+
+def halfway_values():
+    """x.xxxxx5 times a power of ten: the seventh digit sits on a tie, or
+    as near one as float64 gets."""
+    return st.builds(lambda d, k: float(f"{d}5e{k}"),
+                     st.integers(100000, 999999), st.integers(-310, 300))
+
+
+VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                             allow_subnormal=True),
+                   near_powers_of_ten(), halfway_values(),
+                   st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300,
+                                    999999.5, 0.0001, 0.00001]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6),
+                                        st.integers(1, 9)),
+                  elements=st.one_of(VALUES, VALUES.map(lambda x: -x))))
+def test_csv_rows_match_percent_g(values):
+    assert format_csv_rows(values) == percent_g_rows(values)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                    CSV_CHUNK_ROWS + 1])
+def test_csv_equals_savetxt(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    # every layout: zeros, fixed notation and exponents of both signs
+    grid = np.abs(rng.normal(size=(n_rows, 40))) ** rng.uniform(0, 12, 40)
+    grid[:, ::7] = 0.0
+    grid[:, 1] *= 1e7
+    save_spectrogram_csv(tmp_path / "kernel.csv", grid)
+    savetxt_csv(tmp_path / "savetxt.csv", grid)
+    assert ((tmp_path / "kernel.csv").read_bytes()
+            == (tmp_path / "savetxt.csv").read_bytes())
+
+
+def test_csv_of_a_spectrogram_equals_savetxt(tmp_path):
+    rng = np.random.default_rng(9)
+    pcm = (sine(1500.0, duration_s=10.0, amp=0.4)
+           + rng.normal(0.0, 0.01, 10 * SAMPLE_RATE))
+    grid = spectrogram_grid(pcm)
+    assert grid.shape[0] > 2 * CSV_CHUNK_ROWS
+    save_spectrogram_csv(tmp_path / "kernel.csv", grid)
+    savetxt_csv(tmp_path / "savetxt.csv", grid)
+    assert ((tmp_path / "kernel.csv").read_bytes()
+            == (tmp_path / "savetxt.csv").read_bytes())
+
+
+def test_csv_memory_does_not_grow_with_rows(tmp_path):
+    rng = np.random.default_rng(10)
+    peaks = []
+    for n_chunks in (4, 16):
+        grid = np.abs(rng.normal(size=(n_chunks * CSV_CHUNK_ROWS, 513)))
+        tracemalloc.start()
+        try:
+            save_spectrogram_csv(tmp_path / "grid.csv", grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one chunk's working set; the 16-chunk grid alone is 17 MB
+    assert max(peaks) < 16e6
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 # --- occupation metrics -----------------------------------------------------------
