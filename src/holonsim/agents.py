@@ -69,8 +69,7 @@ class EnergyModel:
         return rate if is_night else rate * self.day_liveliness_scale
 
 
-def energy_step(agent: "AgentBase", harvest: float,
-                dt_s: float = TICK_SECONDS):
+def energy_step(agent: "AgentBase", harvest: float):
     """Integrate one tick of harvest and consumption, clamped to the pack.
 
     harvest is agent.energy.harvest_w(clock) for the tick. It depends only
@@ -81,7 +80,7 @@ def energy_step(agent: "AgentBase", harvest: float,
     cost = model.cost_idle_w + model.cost_listen_w
     if agent.emitted_this_tick:
         cost += model.cost_emit_w
-    dt_h = dt_s / 3600.0
+    dt_h = TICK_SECONDS / 3600.0
     raw = agent.battery_wh + (harvest - cost) * dt_h
     agent.harvested_wh += harvest * dt_h
     agent.consumed_wh += cost * dt_h
@@ -96,8 +95,8 @@ def energy_step(agent: "AgentBase", harvest: float,
 
 # --- spectral memory --------------------------------------------------------
 
-def _ema_alpha(half_life_s: float, dt_s: float = TICK_SECONDS) -> float:
-    return 1.0 - 2.0 ** (-dt_s / half_life_s)
+def _ema_alpha(half_life_s: float) -> float:
+    return 1.0 - 2.0 ** (-TICK_SECONDS / half_life_s)
 
 
 def _row_alphas(half_life_s, n: int) -> np.ndarray:

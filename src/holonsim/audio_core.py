@@ -119,24 +119,24 @@ def mel_to_hz(m):
 class MelFilterbank:
     """Triangular Mel filterbank over the rFFT bins.
 
-    n_bands triangles with edges evenly spaced on the Mel scale between
-    fmin and fmax; each triangle's falling half is its right neighbour's
-    rising half.  Band energy is the weighted sum of squared magnitudes.
+    N_MEL_BANDS triangles with edges evenly spaced on the Mel scale between
+    MEL_FMIN_HZ and MEL_FMAX_HZ; each triangle's falling half is its right
+    neighbour's rising half.  Band energy is the weighted sum of squared
+    magnitudes.
     """
 
-    def __init__(self, n_bands: int = N_MEL_BANDS, fmin_hz: float = MEL_FMIN_HZ,
-                 fmax_hz: float = MEL_FMAX_HZ, sample_rate: int = SAMPLE_RATE,
-                 frame_size: int = FRAME_SIZE):
-        edges_hz = mel_to_hz(
-            np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_bands + 2))
-        bin_hz = np.arange(frame_size // 2 + 1) * sample_rate / frame_size
-        weights = np.zeros((n_bands, frame_size // 2 + 1))
-        for b in range(n_bands):
+    def __init__(self):
+        edges_hz = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN_HZ),
+                                         hz_to_mel(MEL_FMAX_HZ),
+                                         N_MEL_BANDS + 2))
+        bin_hz = np.arange(FRAME_SIZE // 2 + 1) * SAMPLE_RATE / FRAME_SIZE
+        weights = np.zeros((N_MEL_BANDS, FRAME_SIZE // 2 + 1))
+        for b in range(N_MEL_BANDS):
             left, center, right = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
             rising = (bin_hz - left) / (center - left)
             falling = (right - bin_hz) / (right - center)
             weights[b] = np.clip(np.minimum(rising, falling), 0.0, None)
-        self.n_bands = n_bands
+        self.n_bands = N_MEL_BANDS
         self.weights = weights
         self.band_edges_hz = edges_hz
         self.band_centers_hz = edges_hz[1:-1].copy()
@@ -187,9 +187,8 @@ class HighpassFilter:
     equals filtering the concatenated signal.
     """
 
-    def __init__(self, cutoff_hz: float = HIGHPASS_HZ,
-                 sample_rate: int = SAMPLE_RATE, channels: int = 1):
-        self.b, self.a = butter_highpass_coeffs(cutoff_hz, sample_rate)
+    def __init__(self, channels: int = 1):
+        self.b, self.a = butter_highpass_coeffs()
         self.channels = channels
         self.reset()
 

@@ -58,24 +58,22 @@ def pitch_shift_octave(pcm: np.ndarray, direction: int) -> np.ndarray:
     return np.interp(positions, np.arange(n), pcm)
 
 
-def ring_mod(pcm: np.ndarray, carrier_hz: float,
-             sample_rate: int = SAMPLE_RATE) -> np.ndarray:
+def ring_mod(pcm: np.ndarray, carrier_hz: float) -> np.ndarray:
     """Multiply by a carrier sine: y[i] = x[i] * sin(2 pi c i / fs)."""
     pcm = np.asarray(pcm, dtype=float)
     i = np.arange(len(pcm))
-    return pcm * np.sin(2.0 * np.pi * carrier_hz * i / sample_rate)
+    return pcm * np.sin(2.0 * np.pi * carrier_hz * i / SAMPLE_RATE)
 
 
 def freq_mod(pcm: np.ndarray, carrier_hz: float,
-             fm_index: float = DEFAULT_FM_INDEX,
-             sample_rate: int = SAMPLE_RATE) -> np.ndarray:
+             fm_index: float = DEFAULT_FM_INDEX) -> np.ndarray:
     """Use the input as a frequency deviation around a carrier.
 
     phase[i] = phase[i-1] + 2 pi (carrier_hz + fm_index * x[i]) / fs,
     output sin(phase); a zero input therefore gives the bare carrier.
     """
     pcm = np.asarray(pcm, dtype=float)
-    increments = 2.0 * np.pi * (carrier_hz + fm_index * pcm) / sample_rate
+    increments = 2.0 * np.pi * (carrier_hz + fm_index * pcm) / SAMPLE_RATE
     return np.sin(np.cumsum(increments))
 
 

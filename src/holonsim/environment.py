@@ -19,8 +19,9 @@ import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import yaml
@@ -55,8 +56,9 @@ class ReplayError(ValueError):
 
 # --- scenario ---------------------------------------------------------------
 # The dataclasses are the schema of a scenario: each field is named as its
-# key in the YAML file and in scenario_resolved.json, and each default is
-# written here once; the loader takes an omitted key's default from them.
+# key in the YAML file and in scenario_resolved.json, and its annotation and
+# default are written here once; the loader checks each key's value against
+# the annotation and leaves an omitted key's default to the dataclass.
 
 @dataclass
 class SourceSpec:
@@ -80,7 +82,7 @@ class SourceSpec:
 class AgentSpec:
     id: str
     kind: str
-    position: tuple
+    position: tuple | None = None  # None: resolution places it on the ring
     battery_wh: float | None = None
     preferred_band: int | None = None
     slot_offset_ticks: int = 0
@@ -128,36 +130,53 @@ class Scenario:
                           sources=[SourceSpec(**s) for s in raw["sources"]]))
 
 
-_TOP_KEYS = {f.name for f in fields(Scenario)}
-_SOURCE_KEYS = {f.name for f in fields(SourceSpec)}
 _AGENT_KEYS = {f.name for f in fields(AgentSpec)} - {"id"} | {"count"}
-_SOURCE_KINDS = {"tone", "band_noise", "chirp_train", "wav"}
-_REQUIRED = object()
+# each source kind's own keys, (required, optional); no other kind takes them
+_SOURCE_KINDS = {"tone": (("freq_hz",), ()),
+                 "band_noise": (("band_hz",), ()),
+                 "chirp_train": (("chirp_s", "period_s", "count"), ()),
+                 "wav": (("path",), ("gain",))}
+_KIND_KEYS = {key for required, optional in _SOURCE_KINDS.values()
+              for key in required + optional}
 _KIND_NAMES = {float: "a finite number", int: "an integer",
                bool: "true or false", str: "a string",
                tuple: "a pair [a, b] of finite numbers", list: "a list",
                dict: "a mapping"}
-# The agent parameter and energy values that would abort a run, as (rule,
-# test); any other number of the field's type runs. A time the agent counts
-# in samples or ticks must give a finite count, and a recording cap must
-# hold at least one sample.
-_POSITIVE = ("positive", lambda v: v > 0)
-_SAMPLES = ("a finite count of samples",
+# The values of a field that would abort a run or mean nothing, as (rule,
+# test), keyed by field name across the scenario, source, agent, energy and
+# parameter dataclasses; any other value of the field's type runs. A time
+# the agent counts in samples or ticks must give a finite count, and a
+# recording cap must hold at least one sample.
+_POSITIVE = ("must be positive", lambda v: v > 0)
+_NOT_NEGATIVE = ("must not be negative", lambda v: v >= 0)
+_AT_MOST_0 = ("must be at most 0", lambda v: v <= 0)
+_SAMPLES = ("must be a finite count of samples",
             lambda v: math.isfinite(v * SAMPLE_RATE))
-_LENGTH = ("a finite count of samples, not negative",
+_LENGTH = ("must be a finite count of samples, not negative",
            lambda v: 0 <= v * SAMPLE_RATE < math.inf)
-_ONE_SAMPLE = ("at least one sample long",
+_ONE_SAMPLE = ("must be at least one sample long",
                lambda v: math.isfinite(v * SAMPLE_RATE)
                and round(v * SAMPLE_RATE) >= 1)
-_TICKS = ("a finite count of ticks", lambda v: math.isfinite(v / TICK_SECONDS))
+_TICKS = ("must be a finite count of ticks",
+          lambda v: math.isfinite(v / TICK_SECONDS))
 # a note is rendered as float32, which holds no larger magnitude
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 _FIELD_RANGES = {
-    "amplitude": (f"at most {_FLOAT32_MAX!r} in magnitude, the float32 "
-                  "maximum", lambda v: abs(v) <= _FLOAT32_MAX),
+    "seed": _NOT_NEGATIVE, "duration_s": _POSITIVE, "day_length_s": _POSITIVE,
+    "night_window": ("must be two day fractions in [0, 1]",
+                     lambda v: all(0.0 <= x <= 1.0 for x in v)),
+    "noise_floor_dbfs": _AT_MOST_0, "level_dbfs": _AT_MOST_0,
+    "freq_hz": (f"must be inside (0, {NYQUIST})", lambda v: 0 < v < NYQUIST),
+    "band_hz": (f"must be [low, high] inside (0, {NYQUIST})",
+                lambda v: 0 < v[0] < v[1] < NYQUIST),
+    "count": _NOT_NEGATIVE,
+    "preferred_band": (f"must be a Mel band index in [0, {N_MEL_BANDS})",
+                       lambda v: 0 <= v < N_MEL_BANDS),
+    "amplitude": (f"must be at most {_FLOAT32_MAX!r} in magnitude, the "
+                  "float32 maximum", lambda v: abs(v) <= _FLOAT32_MAX),
     "battery_max_wh": _POSITIVE, "long_half_life_s": _POSITIVE,
     "short_half_life_s": _POSITIVE, "range_full_db": _POSITIVE,
-    "occupancy_percentile": ("in [0, 100]", lambda v: 0 <= v <= 100),
+    "occupancy_percentile": ("must be in [0, 100]", lambda v: 0 <= v <= 100),
     "note_min_s": _LENGTH, "note_max_s": _LENGTH,
     "attack_fast_s": _SAMPLES, "attack_slow_s": _SAMPLES,
     "record_max_s": _ONE_SAMPLE, "capture_max_s": _ONE_SAMPLE,
@@ -209,41 +228,40 @@ def _float_hint(value) -> str:
     return f"; write it with a point, e.g. {mantissa}{e}{exponent}"
 
 
-def _value(raw: dict, key: str, kind, context: str, default=_REQUIRED,
-           nullable: bool = False):
-    """raw[key] checked as kind, or default when the key is omitted.
-
-    A key without a default is required. null is taken, as None, where
-    the default is None or where nullable says that None has a meaning.
-    """
-    value = raw.get(key, default)
-    if value is _REQUIRED:
-        raise ScenarioError(f"{context}: missing required key {key!r}")
-    if value is None and (nullable or default is None):
-        return None
-    return _checked(value, kind, f"{context}: {key}")
-
-
-def _checked_fields(raw: dict, model, context: str) -> dict:
+def _checked_fields(raw, model, prefix: str, required=()) -> dict:
     """raw checked against the fields of the dataclass model: each key a
-    field, each value of the field's type and inside its range."""
+    field, each value of the field's annotated type (null only where the
+    annotation takes None) and inside its range, and each required key
+    given. An error names the key as prefix + key."""
     types = {f.name: f.type for f in fields(model)}
-    _check_keys(raw, types.keys(), context)
+    _check_keys(raw, types.keys(), prefix)
+    _require(raw, required, prefix)
     out = {}
     for key, value in raw.items():
-        out[key] = _checked(value, types[key], f"{context}.{key}")
+        kind, *none = get_args(types[key]) or (types[key],)
+        if value is None and none:
+            out[key] = None
+            continue
+        out[key] = _checked(value, kind, prefix + key)
         rule, ok = _FIELD_RANGES.get(key, (None, None))
         if ok is not None and not ok(out[key]):
-            raise ScenarioError(f"{context}.{key} must be {rule}")
+            raise ScenarioError(f"{prefix}{key} {rule}")
     return out
 
 
-def _check_keys(raw, known: set, context: str):
+def _check_keys(raw, known, prefix: str):
+    where = prefix.rstrip(": .")  # the mapping, e.g. "agents[0]: params"
     if not isinstance(raw, dict):
-        raise ScenarioError(f"{context}: must be a mapping")
+        raise ScenarioError(f"{where}: must be a mapping")
     for key in raw:
         if key not in known:
-            raise ScenarioError(f"{context}: unknown key {key!r}")
+            raise ScenarioError(f"{where}: unknown key {key!r}")
+
+
+def _require(raw: dict, keys, prefix: str):
+    for key in keys:
+        if raw.get(key) is None:
+            raise ScenarioError(f"{prefix}missing required key {key!r}")
 
 
 def load_scenario(path) -> Scenario:
@@ -266,99 +284,43 @@ def load_scenario(path) -> Scenario:
 
 
 def _scenario_from_raw(raw: dict, base_dir: Path, default_name: str):
-    context = "scenario"
-    _check_keys(raw, _TOP_KEYS, context)
-    seed = _value(raw, "seed", int, context)
-    if seed < 0:
-        raise ScenarioError("scenario: seed must not be negative")
-    duration = _value(raw, "duration_s", float, context)
-    day_length = _value(raw, "day_length_s", float, context,
-                        Scenario.day_length_s)
-    for key, value in (("duration_s", duration),
-                       ("day_length_s", day_length)):
-        if value <= 0:
-            raise ScenarioError(f"scenario: {key} must be positive")
-    night = _value(raw, "night_window", tuple, context,
-                   Scenario.night_window)
-    if not all(0.0 <= v <= 1.0 for v in night):
-        raise ScenarioError("scenario: night_window must be two day "
-                            "fractions in [0, 1]")
-    floor = _value(raw, "noise_floor_dbfs", float, context,
-                   Scenario.noise_floor_dbfs, nullable=True)
-    if floor is not None and floor > 0:
-        raise ScenarioError("scenario: noise_floor_dbfs must be at most 0")
-    radius = _value(raw, "layout_radius_m", float, context,
-                    Scenario.layout_radius_m)
-    return Scenario(
-        name=_value(raw, "name", str, context, default_name),
-        seed=seed,
-        duration_s=duration,
-        day_length_s=day_length,
-        night_window=night,
-        noise_floor_dbfs=floor,
-        log_audio=_value(raw, "log_audio", bool, context, Scenario.log_audio),
-        layout_radius_m=radius,
-        occupation_position=_value(raw, "occupation_position", tuple,
-                                   context, Scenario.occupation_position),
-        monitors=[_checked(m, tuple, f"scenario: monitors[{i}]") for i, m
-                  in enumerate(_value(raw, "monitors", list, context, []))],
-        sources=[_source_from_raw(s, i, base_dir) for i, s
-                 in enumerate(_value(raw, "sources", list, context, []))],
-        agents=_roster_from_raw(_value(raw, "agents", list, context, []),
-                                radius),
-    )
+    prefix = "scenario: "
+    scn = Scenario(**{"name": default_name, **_checked_fields(
+        raw, Scenario, prefix, required=("seed", "duration_s"))})
+    scn.monitors = [_checked(m, tuple, f"{prefix}monitors[{i}]")
+                    for i, m in enumerate(scn.monitors)]
+    scn.sources = [_source_from_raw(s, i, base_dir)
+                   for i, s in enumerate(scn.sources)]
+    scn.agents = _roster_from_raw(scn.agents, scn.layout_radius_m)
+    return scn
 
 
-def _source_from_raw(raw: dict, index: int, base_dir: Path) -> SourceSpec:
-    context = f"sources[{index}]"
-    _check_keys(raw, _SOURCE_KEYS, context)
-    kind = _value(raw, "kind", str, context)
+def _source_from_raw(raw, index: int, base_dir: Path) -> SourceSpec:
+    prefix = f"sources[{index}]: "
+    checked = _checked_fields(raw, SourceSpec, prefix,
+                              required=("kind", "position"))
+    kind = checked["kind"]
     if kind not in _SOURCE_KINDS:
         raise ScenarioError(
-            f"{context}: unknown source kind {kind!r} "
+            f"{prefix}unknown source kind {kind!r} "
             f"(expected one of {sorted(_SOURCE_KINDS)})")
-    channel = _value(raw, "channel", str, context, SourceSpec.channel)
-    if channel not in CHANNELS or channel == "cyberphony":
+    required, optional = _SOURCE_KINDS[kind]
+    stray = sorted(checked.keys() & _KIND_KEYS - {*required, *optional})
+    if stray:
         raise ScenarioError(
-            f"{context}: channel must be biophony, geophony or anthrophony "
+            f"{prefix}{stray[0]} does not apply to a {kind} source")
+    _require(checked, required, prefix)
+    spec = SourceSpec(**{"id": f"{kind}_{index:02d}", **checked})
+    if spec.channel not in CHANNELS or spec.channel == "cyberphony":
+        raise ScenarioError(
+            f"{prefix}channel must be biophony, geophony or anthrophony "
             "(cyberphony is reserved for agents)")
-    spec = SourceSpec(
-        id=_value(raw, "id", str, context, f"{kind}_{index:02d}"),
-        kind=kind,
-        position=_value(raw, "position", tuple, context),
-        channel=channel,
-        level_dbfs=_value(raw, "level_dbfs", float, context,
-                          SourceSpec.level_dbfs),
-        start_s=_value(raw, "start_s", float, context, SourceSpec.start_s),
-        stop_s=_value(raw, "stop_s", float, context, SourceSpec.stop_s),
-        gain=_value(raw, "gain", float, context, SourceSpec.gain),
-    )
-    if spec.level_dbfs > 0:
-        raise ScenarioError(f"{context}: level_dbfs must be at most 0")
-    if kind == "tone":
-        spec.freq_hz = _value(raw, "freq_hz", float, context)
-        if not 0.0 < spec.freq_hz < NYQUIST:
-            raise ScenarioError(f"{context}: freq_hz out of range")
-    elif kind == "band_noise":
-        spec.band_hz = _value(raw, "band_hz", tuple, context)
-        if not 0.0 < spec.band_hz[0] < spec.band_hz[1] < NYQUIST:
-            raise ScenarioError(
-                f"{context}: band_hz must be [low, high] inside "
-                f"(0, {NYQUIST})")
-    elif kind == "chirp_train":
-        spec.chirp_s = _value(raw, "chirp_s", float, context)
-        spec.period_s = _value(raw, "period_s", float, context)
-        spec.count = _value(raw, "count", int, context)
-        if spec.chirp_s <= 0 or spec.period_s < spec.chirp_s:
-            raise ScenarioError(
-                f"{context}: need 0 < chirp_s <= period_s")
-        if spec.count < 0:
-            raise ScenarioError(f"{context}: count must not be negative")
-    elif kind == "wav":
-        rel = _value(raw, "path", str, context)
-        resolved = (base_dir / rel).resolve()
+    if kind == "chirp_train" and not 0 < spec.chirp_s <= spec.period_s:
+        raise ScenarioError(f"{prefix}need 0 < chirp_s <= period_s")
+    if kind == "wav":
+        resolved = (base_dir / spec.path).resolve()
         if not resolved.is_file():
-            raise ScenarioError(f"{context}: wav file not found: {resolved}")
+            raise ScenarioError(f"{prefix}wav file not found: {resolved}")
         spec.path = str(resolved)
     return spec
 
@@ -366,38 +328,27 @@ def _source_from_raw(raw: dict, index: int, base_dir: Path) -> SourceSpec:
 def _roster_from_raw(entries: list, radius_m: float) -> list:
     specs = []
     for i, raw in enumerate(entries):
-        context = f"agents[{i}]"
-        _check_keys(raw, _AGENT_KEYS, context)
-        kind = _value(raw, "kind", str, context)
-        if kind not in AGENT_KINDS:
-            raise ScenarioError(
-                f"{context}: unknown agent kind {kind!r} "
-                f"(expected one of {sorted(AGENT_KINDS)})")
-        count = _value(raw, "count", int, context, 1)
+        prefix = f"agents[{i}]: "
+        _check_keys(raw, _AGENT_KEYS, prefix)
+        count = _checked(raw.get("count", 1), int, f"{prefix}count")
         if count < 1:
-            raise ScenarioError(f"{context}: count must be >= 1")
-        position = _value(raw, "position", tuple, context, None)
-        if position is not None and count != 1:
+            raise ScenarioError(f"{prefix}count must be >= 1")
+        spec = AgentSpec(None, **_checked_fields(
+            {k: v for k, v in raw.items() if k != "count"}, AgentSpec,
+            prefix, required=("kind",)))
+        if spec.kind not in AGENT_KINDS:
             raise ScenarioError(
-                f"{context}: give position only for single agents")
-        band = _value(raw, "preferred_band", int, context,
-                      AgentSpec.preferred_band)
-        if band is not None and not 0 <= band < N_MEL_BANDS:
+                f"{prefix}unknown agent kind {spec.kind!r} "
+                f"(expected one of {sorted(AGENT_KINDS)})")
+        if spec.position is not None and count != 1:
             raise ScenarioError(
-                f"{context}: preferred_band must be a Mel band index in "
-                f"[0, {N_MEL_BANDS})")
-        battery = _value(raw, "battery_wh", float, context,
-                         AgentSpec.battery_wh)
-        offset = _value(raw, "slot_offset_ticks", int, context,
-                        AgentSpec.slot_offset_ticks)
-        params = _checked_fields(
-            _value(raw, "params", dict, context, {}),
-            AGENT_KINDS[kind].Params, f"{context}: params")
-        energy = _checked_fields(
-            _value(raw, "energy", dict, context, {}),
-            EnergyModel, f"{context}: energy")
-        specs += [AgentSpec(None, kind, position, battery, band, offset,
-                            dict(params), dict(energy)) for _ in range(count)]
+                f"{prefix}give position only for single agents")
+        spec.params = _checked_fields(
+            spec.params, AGENT_KINDS[spec.kind].Params, f"{prefix}params.")
+        spec.energy = _checked_fields(spec.energy, EnergyModel,
+                                      f"{prefix}energy.")
+        specs += [replace(spec, params=dict(spec.params),
+                          energy=dict(spec.energy)) for _ in range(count)]
 
     # ids count up per kind; agents without a position share one ring
     counters = dict.fromkeys(AGENT_KINDS, 0)

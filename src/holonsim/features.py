@@ -28,16 +28,11 @@ from .params import (
 MAX_RECORD_S = 30.0          # hard cap on a single recording
 STOP_DROP_DB = 18.0          # end-of-sound: this far below peak RMS...
 STOP_RUN_HOPS = 15           # ...for this many consecutive hops
+_STOP_DROP = 10.0 ** (-STOP_DROP_DB / 20.0)  # as an RMS ratio
 PREROLL_HOPS = 2
 
 DEFAULT_MAX_ITEMS = 32
 DEFAULT_CAPACITY_BYTES = 8 * 1024 * 1024
-
-
-def rms(samples: np.ndarray) -> float:
-    if len(samples) == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(np.square(samples))))
 
 
 def frame_rms(pcm: np.ndarray) -> np.ndarray:
@@ -60,13 +55,13 @@ def dynamic_range_db(pcm: np.ndarray) -> float:
     return float(20.0 * np.log10(peak / quietest))
 
 
-def zero_crossing_rate(pcm: np.ndarray, sample_rate: int = SAMPLE_RATE) -> float:
+def zero_crossing_rate(pcm: np.ndarray) -> float:
     """Sign changes per second; zero samples count as positive."""
     if len(pcm) < 2:
         return 0.0
     signs = np.where(np.asarray(pcm) >= 0.0, 1, -1)
     crossings = int(np.count_nonzero(signs[1:] != signs[:-1]))
-    return crossings * sample_rate / len(pcm)
+    return crossings * SAMPLE_RATE / len(pcm)
 
 
 def mfcc(pcm: np.ndarray) -> np.ndarray:
@@ -108,11 +103,11 @@ class AnalysisVector:
             ([self.dynamic_range_db, self.zero_crossing_rate], self.mfcc))
 
 
-def analyze(pcm: np.ndarray, sample_rate: int = SAMPLE_RATE) -> AnalysisVector:
+def analyze(pcm: np.ndarray) -> AnalysisVector:
     """Deterministic analysis vector; same pcm always gives the same bits."""
     return AnalysisVector(
         dynamic_range_db=dynamic_range_db(pcm),
-        zero_crossing_rate=zero_crossing_rate(pcm, sample_rate),
+        zero_crossing_rate=zero_crossing_rate(pcm),
         mfcc=mfcc(pcm))
 
 
@@ -227,13 +222,9 @@ class RecordingSession:
     """
 
     def __init__(self, onset_tick: int, preroll: np.ndarray | None = None,
-                 max_s: float = MAX_RECORD_S,
-                 stop_drop_db: float = STOP_DROP_DB,
-                 stop_run_hops: int = STOP_RUN_HOPS):
+                 max_s: float = MAX_RECORD_S):
         self.onset_tick = onset_tick
         self._cap = int(round(max_s * SAMPLE_RATE))
-        self._drop = 10.0 ** (-stop_drop_db / 20.0)
-        self._run_limit = stop_run_hops
         # one buffer in the stored sample's float32, half the memory of the
         # hops' float64 and the same values once the sample is made; the
         # sample never outgrows the cap, and pages are touched as written
@@ -257,11 +248,11 @@ class RecordingSession:
         the sound ends."""
         self._append(hop)
         self._peak = max(self._peak, level)
-        if self._peak > 0.0 and level < self._peak * self._drop:
+        if self._peak > 0.0 and level < self._peak * _STOP_DROP:
             self._quiet_run += 1
         else:
             self._quiet_run = 0
-        if self._count >= self._cap or self._quiet_run >= self._run_limit:
+        if self._count >= self._cap or self._quiet_run >= STOP_RUN_HOPS:
             return self.finish()
         return None
 

@@ -93,6 +93,12 @@ def oracle_dct2_ortho(values):
     return np.array(out)
 
 
+def oracle_rms(samples):
+    """Root mean square of a block, in the numpy order of operations that
+    the hearing uses, so a level can be compared bit for bit."""
+    return float(np.sqrt(np.mean(np.square(samples))))
+
+
 def oracle_zero_crossings(samples):
     """Sign changes counted one sample at a time, zero counted positive."""
     count = 0

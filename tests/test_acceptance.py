@@ -19,7 +19,7 @@ from holonsim.environment import (AgentSpec, Scenario, SourceSpec,
                                   load_run_events, load_scenario,
                                   replay_run, run_scenario)
 from holonsim.features import (RecordingSession, SampleCollection, Verdict,
-                               make_sample, mfcc, rms, zero_crossing_rate)
+                               make_sample, mfcc, zero_crossing_rate)
 from holonsim.params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE, TICK_SECONDS
 from holonsim.telemetry import analyze_run
 
@@ -313,7 +313,7 @@ def test_criterion_09_capacity_bounds(capsys):
     hop = white_noise(np.random.default_rng(1), FRAME_HOP / SAMPLE_RATE,
                       amp=0.4)
     for _ in range(int(35.0 / TICK_SECONDS)):  # 35 s of loud noise
-        sample = session.feed(hop, rms(hop))
+        sample = session.feed(hop, oracles.oracle_rms(hop))
         if sample is not None:
             break
     cap_ok = sample is not None and sample.duration_s <= 30.0

@@ -192,7 +192,7 @@ def test_hearing_hops_are_the_latest_hop():
     hearing.listen(frames, np.zeros_like(frames), mag, BANK.apply(mag),
                    SimClock())
     assert np.array_equal(hearing.hops[0], frames[0, FRAME_HOP:])
-    assert hearing.levels[0] == ft.rms(frames[0, FRAME_HOP:])
+    assert hearing.levels[0] == oracles.oracle_rms(frames[0, FRAME_HOP:])
 
 
 def test_emission_queue_deals_hops_and_pads_the_tail():

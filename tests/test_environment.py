@@ -607,7 +607,7 @@ def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     ({"kind": "whale", "position": [0, 0]}, "source kind"),
     ({"kind": "tone", "position": [0, 0]}, "freq_hz"),
     ({"kind": "tone", "position": [0, 0], "freq_hz": 99999.0},
-     "freq_hz out of range"),
+     "freq_hz must be inside .0, 16000."),
     ({"kind": "band_noise", "position": [0, 0], "band_hz": [600, 200]},
      "band_hz"),
     ({"kind": "wav", "position": [0, 0], "path": "nope.wav"}, "not found"),
@@ -624,6 +624,23 @@ def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     ({"kind": "tone", "position": [0, 0], "freq_hz": 440.0,
       "level_dbfs": 10000.0}, "level_dbfs must be at most 0"),
     ({"kind": ["tone"], "position": [0, 0]}, "kind"),
+    # a key of another source kind is refused, not dropped
+    ({"kind": "tone", "position": [0, 0], "freq_hz": 440.0,
+      "band_hz": [200, 600]}, "band_hz does not apply to a tone source"),
+    ({"kind": "wav", "position": [0, 0], "path": "nope.wav",
+      "freq_hz": 440.0}, "freq_hz does not apply to a wav source"),
+    ({"kind": "band_noise", "position": [0, 0], "band_hz": [200, 600],
+      "count": 2}, "count does not apply to a band_noise source"),
+    ({"kind": "tone", "position": [0, 0], "freq_hz": 440.0, "gain": 2.0},
+     "gain does not apply to a tone source"),
+    ({"kind": "band_noise", "position": [0, 0], "band_hz": [200, 600],
+      "gain": 2.0}, "gain does not apply to a band_noise source"),
+    ({"kind": "chirp_train", "position": [0, 0], "chirp_s": 0.5,
+      "period_s": 1.0, "count": 3, "gain": 2.0},
+     "gain does not apply to a chirp_train source"),
+    ({"kind": "chirp_train", "position": [0, 0], "chirp_s": 0.5,
+      "period_s": 1.0, "count": 3, "path": "w.wav"},
+     "path does not apply to a chirp_train source"),
 ])
 def test_source_errors_name_the_key(tmp_path, source, message):
     body = base_yaml(sources=[source])
@@ -691,6 +708,14 @@ def test_agent_errors_name_the_key(tmp_path, agent, message):
     with pytest.raises(ScenarioError, match=r"agents\[0\]: ") as info:
         load_scenario(write_yaml(tmp_path, body))
     assert message in str(info.value)
+
+
+def test_every_range_rule_names_a_field():
+    # a rule keyed by a misspelt name would never fire
+    models = [Scenario, SourceSpec, AgentSpec, agents.EnergyModel,
+              *(cls.Params for cls in agents.AGENT_KINDS.values())]
+    names = {f.name for model in models for f in fields(model)}
+    assert set(environment._FIELD_RANGES) - names == set()
 
 
 def test_float32_maximum_amplitude_loads(tmp_path):
@@ -772,9 +797,9 @@ FUZZ_SCENARIO = base_yaml(
               "period_s": 0.3, "count": 3},
              {"kind": "wav", "position": [0, -2], "path": "w.wav"}])
 FUZZ_KEYS = (
-    [(key,) for key in sorted(environment._TOP_KEYS)]
+    [(key,) for key in sorted(f.name for f in fields(Scenario))]
     + [("sources", i, key) for i in range(4)
-       for key in sorted(environment._SOURCE_KEYS)]
+       for key in sorted(f.name for f in fields(SourceSpec))]
     + [("agents", i, key) for i in range(3)
        for key in sorted(environment._AGENT_KEYS)]
     + [("agents", i, part, f.name)

@@ -261,7 +261,7 @@ def record(stream, onset_tick=0, preroll=None):
     """Feed hops to a RecordingSession until it or the stream ends."""
     session = ft.RecordingSession(onset_tick, preroll=preroll)
     for hop in stream:
-        sample = session.feed(hop, ft.rms(hop))
+        sample = session.feed(hop, oracles.oracle_rms(hop))
         if sample is not None:
             return sample
     return session.finish()
