@@ -99,33 +99,32 @@ def _ema_alpha(half_life_s: float) -> float:
     return 1.0 - 2.0 ** (-TICK_SECONDS / half_life_s)
 
 
-def _row_alphas(half_life_s, n: int) -> np.ndarray:
+def _row_alphas(half_lives: list) -> np.ndarray:
     """(n, 1) EMA weights, each worked out in Python floats by _ema_alpha."""
-    return np.array([[_ema_alpha(h)]
-                     for h in np.broadcast_to(half_life_s, (n,)).tolist()])
+    return np.array([[_ema_alpha(h)] for h in half_lives])
 
 
 class SpectralProfile:
     """Two-timescale memory of the Mel band energies heard, one row per
-    listener (n rows of n_bands).
+    listener (n rows of N_MEL_BANDS).
 
     ema_energy tracks the long-term mean energy per band (slow EMA),
     short_term the recent occupancy (fast EMA), and ema_range a per-band
     dynamic range in dB from fast-attack/slow-release peak and floor
-    followers. Half-lives are scalars or one per row.
+    followers. Each row has its own pair of half-lives.
     """
 
-    def __init__(self, n: int = 1, n_bands: int = N_MEL_BANDS,
-                 long_half_life_s=120.0, short_half_life_s=2.0):
-        self._alpha_long = _row_alphas(long_half_life_s, n)
-        self._alpha_short = _row_alphas(short_half_life_s, n)
-        self.ema_energy = np.zeros((n, n_bands))
-        self.short_term_energy = np.zeros((n, n_bands))
-        self._peak_db = np.zeros((n, n_bands))
-        self._floor_db = np.zeros((n, n_bands))
+    def __init__(self, long_half_life_s: list, short_half_life_s: list):
+        n = len(long_half_life_s)
+        self._alpha_long = _row_alphas(long_half_life_s)
+        self._alpha_short = _row_alphas(short_half_life_s)
+        self.ema_energy = np.zeros((n, N_MEL_BANDS))
+        self.short_term_energy = np.zeros((n, N_MEL_BANDS))
+        self._peak_db = np.zeros((n, N_MEL_BANDS))
+        self._floor_db = np.zeros((n, N_MEL_BANDS))
         self._seen = np.zeros((n, 1), dtype=bool)
 
-    def update(self, mel_energies: np.ndarray, rows=True):
+    def update(self, mel_energies: np.ndarray, rows):
         """Fold one frame per row into memory; rows (per row or shared)
         says which rows listen this tick, the rest keep their state."""
         e = np.asarray(mel_energies, dtype=float)
@@ -411,9 +410,13 @@ class _Listener(AgentBase):
 
     session = None
 
+    @property
+    def is_recording(self) -> bool:
+        return self.session is not None
+
     def armed(self, tick: int) -> bool:
         """Whether an onset heard this tick may open a recording."""
-        return (self.session is None and not self.is_emitting
+        return (not self.is_recording and not self.is_emitting
                 and not self.hears_self(tick))
 
     def _record(self, hearing: "Hearing", tick: int, max_s: float,
@@ -427,8 +430,8 @@ class _Listener(AgentBase):
                 self.session = None
             return sample
         if hearing.fired[r]:
-            self.session = ft.RecordingSession(
-                tick, preroll=hearing.prev_frames[r], max_s=max_s)
+            self.session = ft.RecordingSession(tick, hearing.prev_frames[r],
+                                               max_s)
             self.session.feed(hearing.hops[r], hearing.levels[r])
             events.append({"event": start_event})
         return None
@@ -461,10 +464,6 @@ class CollectorAgent(_Listener):
         self._tone_run = 0
         self._refractory_until = -1
         self._blue_until = -1
-
-    @property
-    def is_recording(self) -> bool:
-        return self.session is not None
 
     def step(self, hearing, clock):
         events = []
@@ -573,10 +572,6 @@ class DisruptorAgent(_Listener):
         super().__init__(spec, rng)
         self.disruptions = 0
 
-    @property
-    def is_capturing(self) -> bool:
-        return self.session is not None
-
     def step(self, hearing, clock):
         events = []
         sample = self._record(hearing, clock.tick, self.params.capture_max_s,
@@ -592,7 +587,7 @@ class DisruptorAgent(_Listener):
             self._set_led(LedMode.EMITTING, events)
             if not self.queue.active:
                 events.append({"event": "disrupt_end"})
-        elif self.is_capturing:
+        elif self.is_recording:
             self._set_led(LedMode.ACQUIRING_RED, events)
         else:
             self._set_led(LedMode.OFF, events)
@@ -611,7 +606,7 @@ class DisruptorAgent(_Listener):
             "event": "disrupt_start",
             "transform": spec.kind.value,
             "carrier_hz": spec.carrier_hz,
-            "fm_index": spec.fm_index,
+            "fm_index": dsp.FM_INDEX,
             "in_samples": len(sample.pcm),
             "out_samples": len(out),
             "_pcm": out,
@@ -647,10 +642,8 @@ class Hearing:
         self.onsets = ft.OnsetDetector(len(self._listeners))
         composers = [self.agents[j] for j in self._composers]
         self.profile = SpectralProfile(
-            len(composers),
-            long_half_life_s=[c.params.long_half_life_s for c in composers],
-            short_half_life_s=[c.params.short_half_life_s
-                               for c in composers])
+            [c.params.long_half_life_s for c in composers],
+            [c.params.short_half_life_s for c in composers])
         for row, composer in enumerate(composers):
             composer.profile, composer.profile_row = self.profile, row
         for row, agent in enumerate(self.agents):

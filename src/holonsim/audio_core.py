@@ -36,12 +36,12 @@ class SimClock:
     """Simulation time. One tick is one hop, FRAME_HOP / SAMPLE_RATE seconds.
 
     day_length_s is the full diurnal period; night_window is the half-open
-    day_fraction interval treated as night (default: second half of the day).
+    day_fraction interval treated as night.
     """
 
-    tick: int = 0
-    day_length_s: float = 240.0
-    night_window: tuple = (0.5, 1.0)
+    tick: int
+    day_length_s: float
+    night_window: tuple
 
     @property
     def time_s(self) -> float:
@@ -63,12 +63,12 @@ class SimClock:
         self.tick += 1
 
 
-def hann_window(n: int = FRAME_SIZE) -> np.ndarray:
-    """Periodic Hann window."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+def hann_window() -> np.ndarray:
+    """Periodic Hann window of FRAME_SIZE samples."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_SIZE) / FRAME_SIZE)
 
 
-_HANN = hann_window(FRAME_SIZE)
+_HANN = hann_window()
 _scratch = threading.local()
 
 
@@ -136,9 +136,7 @@ class MelFilterbank:
             rising = (bin_hz - left) / (center - left)
             falling = (right - bin_hz) / (right - center)
             weights[b] = np.clip(np.minimum(rising, falling), 0.0, None)
-        self.n_bands = N_MEL_BANDS
         self.weights = weights
-        self.band_edges_hz = edges_hz
         self.band_centers_hz = edges_hz[1:-1].copy()
 
     def apply(self, magnitude: np.ndarray, out: np.ndarray | None = None):
@@ -162,16 +160,14 @@ def default_filterbank() -> MelFilterbank:
     return _DEFAULT_BANK
 
 
-def butter_highpass_coeffs(cutoff_hz: float = HIGHPASS_HZ,
-                           sample_rate: int = SAMPLE_RATE):
-    """Biquad coefficients for a second-order Butterworth high-pass.
+def butter_highpass_coeffs():
+    """Biquad coefficients for a second-order Butterworth high-pass at
+    HIGHPASS_HZ.
 
     Bilinear transform of the analog prototype at Q = 1/sqrt(2); returns
     (b, a) with a[0] normalised to 1.
     """
-    if not 0.0 < cutoff_hz < sample_rate / 2.0:
-        raise ValueError(f"cutoff {cutoff_hz} Hz outside (0, Nyquist)")
-    w0 = 2.0 * np.pi * cutoff_hz / sample_rate
+    w0 = 2.0 * np.pi * HIGHPASS_HZ / SAMPLE_RATE
     cosw = np.cos(w0)
     alpha = np.sin(w0) / (2.0 * BUTTERWORTH_Q)
     b = np.array([(1 + cosw) / 2.0, -(1 + cosw), (1 + cosw) / 2.0])
@@ -182,24 +178,17 @@ def butter_highpass_coeffs(cutoff_hz: float = HIGHPASS_HZ,
 class HighpassFilter:
     """Streaming high-pass with per-channel filter state.
 
-    process() accepts a (channels, n) batch, or a 1-D block when
-    channels == 1, and preserves state across calls, so chunked filtering
-    equals filtering the concatenated signal.
+    process() takes a (channels, n) block and preserves state across
+    calls, so chunked filtering equals filtering the concatenated signal.
     """
 
-    def __init__(self, channels: int = 1):
+    def __init__(self, channels: int):
         self.b, self.a = butter_highpass_coeffs()
-        self.channels = channels
-        self.reset()
-
-    def reset(self):
-        self._zi = np.zeros((self.channels, 2))
+        self._zi = np.zeros((channels, 2))
 
     def process(self, block: np.ndarray) -> np.ndarray:
-        y, self._zi = lfilter(self.b, self.a,
-                              np.reshape(block, (self.channels, -1)),
-                              axis=-1, zi=self._zi)
-        return y.reshape(np.shape(block))
+        y, self._zi = lfilter(self.b, self.a, block, axis=-1, zi=self._zi)
+        return y
 
 
 def frames(pcm: np.ndarray) -> np.ndarray:
@@ -227,7 +216,8 @@ def resample_linear(samples: np.ndarray, source_rate: int,
 
 # --- WAV I/O -----------------------------------------------------------
 # Hand-rolled RIFF so parse failures can name the exact offending field;
-# only the two codecs we emit are accepted (16-bit PCM, 32-bit float).
+# two codecs are read (16-bit PCM, 32-bit float), and renders are written
+# as 32-bit float.
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
@@ -276,20 +266,29 @@ def read_wav(path, target_rate: int | None = SAMPLE_RATE):
     format_code, channels, source_rate, _byte_rate, _block_align, bits = fmt
     if channels < 1:
         raise WavFormatError(f"{path}: channel count {channels} < 1")
+    if source_rate < 1:
+        raise WavFormatError(f"{path}: sample rate {source_rate} < 1")
     if format_code == _FMT_PCM:
         if bits != 16:
             raise WavFormatError(
                 f"{path}: unsupported PCM bit depth {bits} (expected 16)")
-        samples = np.frombuffer(raw, dtype="<i2").astype(float) / 32767.0
+        dtype = "<i2"
     elif format_code == _FMT_FLOAT:
         if bits != 32:
             raise WavFormatError(
                 f"{path}: unsupported float bit depth {bits} (expected 32)")
-        samples = np.frombuffer(raw, dtype="<f4").astype(float)
+        dtype = "<f4"
     else:
         raise WavFormatError(
             f"{path}: unsupported format code {format_code} "
             f"(expected 1=PCM or 3=IEEE float)")
+    if len(raw) % (bits // 8):
+        raise WavFormatError(
+            f"{path}: data chunk size {len(raw)} is not a whole number "
+            f"of {bits // 8}-byte samples")
+    samples = np.frombuffer(raw, dtype=dtype).astype(float)
+    if format_code == _FMT_PCM:
+        samples /= 32767.0
 
     if channels > 1:
         usable = len(samples) - len(samples) % channels
@@ -299,32 +298,15 @@ def read_wav(path, target_rate: int | None = SAMPLE_RATE):
     return samples, source_rate
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
-              subtype: str = "pcm16"):
-    """Write mono samples in [-1, 1] as little-endian WAV.
-
-    subtype 'pcm16' quantises to 16-bit PCM; 'float32' keeps IEEE floats.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if subtype == "pcm16":
-        clipped = np.clip(samples, -1.0, 1.0)
-        payload = np.round(clipped * 32767.0).astype("<i2").tobytes()
-        format_code, bits = _FMT_PCM, 16
-    elif subtype == "float32":
-        payload = samples.astype("<f4").tobytes()
-        format_code, bits = _FMT_FLOAT, 32
-    else:
-        raise ValueError(f"unknown WAV subtype {subtype!r}")
-
-    block_align = bits // 8
+def write_wav(path, samples: np.ndarray):
+    """Write mono samples as a little-endian 32-bit float WAV at
+    SAMPLE_RATE."""
+    payload = np.asarray(samples, dtype="<f4").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, format_code, 1, sample_rate,
-        sample_rate * block_align, block_align, bits,
+        b"fmt ", 16, _FMT_FLOAT, 1, SAMPLE_RATE, SAMPLE_RATE * 4, 4, 32,
         b"data", len(payload))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-        if len(payload) & 1:
-            fh.write(b"\x00")

@@ -7,6 +7,7 @@ value, unreadable input; the message names the offending key or path),
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,8 +39,9 @@ def parse_duration(text: str) -> float:
     except ValueError:
         raise ScenarioError(f"cannot parse duration {text!r} "
                             "(expected seconds, e.g. 90, 90s or 2m)")
-    if value <= 0:
-        raise ScenarioError("duration must be positive")
+    if not 0 < value < math.inf:
+        raise ScenarioError("duration must be a positive, finite number "
+                            "of seconds")
     return value
 
 
@@ -84,6 +86,9 @@ def cmd_features(args) -> int:
         return EXIT_CONFIG
     except WavFormatError as exc:
         fail(str(exc))
+        return EXIT_CONFIG
+    if not len(samples):
+        fail(f"{args.wav}: WAV holds no samples")
         return EXIT_CONFIG
     vector = analyze(samples)
     print(json.dumps({

@@ -15,7 +15,7 @@ from .params import SAMPLE_RATE
 
 FREQ_MOD_CARRIER_HZ = (50.0, 500.0)
 RING_MOD_CARRIER_HZ = (100.0, 2000.0)
-DEFAULT_FM_INDEX = 5.0
+FM_INDEX = 5.0               # Hz of deviation per unit of input
 
 
 class TransformKind(Enum):
@@ -29,7 +29,6 @@ class TransformKind(Enum):
 class TransformSpec:
     kind: TransformKind
     carrier_hz: float = 0.0
-    fm_index: float = DEFAULT_FM_INDEX
 
 
 def random_spec(rng: np.random.Generator) -> TransformSpec:
@@ -65,15 +64,14 @@ def ring_mod(pcm: np.ndarray, carrier_hz: float) -> np.ndarray:
     return pcm * np.sin(2.0 * np.pi * carrier_hz * i / SAMPLE_RATE)
 
 
-def freq_mod(pcm: np.ndarray, carrier_hz: float,
-             fm_index: float = DEFAULT_FM_INDEX) -> np.ndarray:
+def freq_mod(pcm: np.ndarray, carrier_hz: float) -> np.ndarray:
     """Use the input as a frequency deviation around a carrier.
 
-    phase[i] = phase[i-1] + 2 pi (carrier_hz + fm_index * x[i]) / fs,
+    phase[i] = phase[i-1] + 2 pi (carrier_hz + FM_INDEX * x[i]) / fs,
     output sin(phase); a zero input therefore gives the bare carrier.
     """
     pcm = np.asarray(pcm, dtype=float)
-    increments = 2.0 * np.pi * (carrier_hz + fm_index * pcm) / SAMPLE_RATE
+    increments = 2.0 * np.pi * (carrier_hz + FM_INDEX * pcm) / SAMPLE_RATE
     return np.sin(np.cumsum(increments))
 
 
@@ -83,7 +81,7 @@ def apply_transform(pcm: np.ndarray, spec: TransformSpec) -> np.ndarray:
     if spec.kind is TransformKind.PITCH_DOWN:
         return pitch_shift_octave(pcm, -1)
     if spec.kind is TransformKind.FREQ_MOD:
-        return freq_mod(pcm, spec.carrier_hz, spec.fm_index)
+        return freq_mod(pcm, spec.carrier_hz)
     if spec.kind is TransformKind.RING_MOD:
         return ring_mod(pcm, spec.carrier_hz)
     raise ValueError(f"unknown transform {spec.kind!r}")

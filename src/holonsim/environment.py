@@ -29,8 +29,9 @@ from scipy.signal import butter, lfilter
 
 from .agents import (AGENT_KINDS, ComposerParams, EmissionQueue, EnergyModel,
                      Hearing, energy_step, synth_tone)
-from .audio_core import (HighpassFilter, SimClock, default_filterbank,
-                         fft_magnitude, read_wav, write_wav)
+from .audio_core import (HighpassFilter, SimClock, WavFormatError,
+                         default_filterbank, fft_magnitude, read_wav,
+                         write_wav)
 from .params import (FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE,
                      TICK_SECONDS)
 
@@ -321,6 +322,10 @@ def _source_from_raw(raw, index: int, base_dir: Path) -> SourceSpec:
         resolved = (base_dir / spec.path).resolve()
         if not resolved.is_file():
             raise ScenarioError(f"{prefix}wav file not found: {resolved}")
+        try:
+            read_wav(resolved, target_rate=None)
+        except WavFormatError as exc:
+            raise ScenarioError(f"{prefix}path: {exc}")
         spec.path = str(resolved)
     return spec
 
@@ -656,7 +661,7 @@ class Bus:
         out = {}
         for m, samples in enumerate(self._renders):
             name = f"monitor_{m:02d}.wav"
-            write_wav(out_dir / name, samples, subtype="float32")
+            write_wav(out_dir / name, samples)
             out[name] = _sha256(out_dir / name)
         return out
 
@@ -763,7 +768,7 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     occ_col = n_agents
 
     bank = default_filterbank()
-    hp = HighpassFilter(channels=n_agents) if n_agents else None
+    hp = HighpassFilter(n_agents) if n_agents else None
     hearing = Hearing(agents)
     # agents with equal energy models share one harvest per tick
     models = []
@@ -806,8 +811,7 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                                  np.empty((len(rows), FRAME_HOP))))
         geophony = CHANNELS.index("geophony")
 
-        clock = SimClock(0, day_length_s=scn.day_length_s,
-                         night_window=scn.night_window)
+        clock = SimClock(0, scn.day_length_s, scn.night_window)
         writer.write(0, None, "scheduler", {
             "event": "boot", "name": scn.name, "seed": scn.seed,
             "n_ticks": n_ticks, "n_agents": n_agents,

@@ -29,7 +29,11 @@ MAX_RECORD_S = 30.0          # hard cap on a single recording
 STOP_DROP_DB = 18.0          # end-of-sound: this far below peak RMS...
 STOP_RUN_HOPS = 15           # ...for this many consecutive hops
 _STOP_DROP = 10.0 ** (-STOP_DROP_DB / 20.0)  # as an RMS ratio
-PREROLL_HOPS = 2
+
+ONSET_K = 2.0                # fire above mean + ONSET_K * std of...
+ONSET_WINDOW = 43            # ...this many trailing flux values
+ONSET_REFRACTORY_S = 0.15
+FLUX_FLOOR = 1e-6
 
 DEFAULT_MAX_ITEMS = 32
 DEFAULT_CAPACITY_BYTES = 8 * 1024 * 1024
@@ -132,11 +136,6 @@ class SoundSample:
         return self.pcm.nbytes
 
 
-def make_sample(pcm: np.ndarray, captured_at: int) -> SoundSample:
-    return SoundSample(pcm=np.asarray(pcm, dtype=np.float32),
-                       captured_at=captured_at)
-
-
 # --- onset detection ----------------------------------------------------
 
 def spectral_flux(current: np.ndarray, previous: np.ndarray | None,
@@ -155,36 +154,31 @@ def spectral_flux(current: np.ndarray, previous: np.ndarray | None,
 class OnsetDetector:
     """Adaptive spectral-flux onset detectors for n streams at once.
 
-    A row fires when its flux exceeds mean + k * std of its trailing
-    window of flux values, then holds off for a refractory period.  Every
+    A row fires when its flux exceeds mean + ONSET_K * std of its trailing
+    ONSET_WINDOW flux values, then holds off for ONSET_REFRACTORY_S.  Every
     row updates on every call, armed or not, so the flux history keeps
     moving while a caller is disarmed (e.g. busy recording) and the
     threshold never goes stale; all rows therefore share one fill count.
-    The history is an (n, window) ring shifted left each update, so each
+    The history is an (n, ONSET_WINDOW) ring shifted left each update, so each
     row reads oldest first, exactly as a per-stream queue would. The
     previous spectra are copied into a buffer the detector owns, so a
     caller may pass the same array, rewritten in place, every tick.
-    flux_floor guards against firing on float rounding noise in an
+    FLUX_FLOOR guards against firing on float rounding noise in an
     otherwise static spectrum; it sits far below the flux of any audible
     change.
     """
 
-    def __init__(self, n: int = 1, k: float = 2.0, window: int = 43,
-                 refractory_s: float = 0.15, flux_floor: float = 1e-6):
-        if window < 8:
-            raise ValueError(f"threshold window {window} < 8 frames")
+    refractory_ticks = max(1, int(round(ONSET_REFRACTORY_S / TICK_SECONDS)))
+
+    def __init__(self, n: int):
         self.n = n
-        self.k = k
-        self.flux_floor = flux_floor
-        self.window = window
-        self.refractory_ticks = max(1, int(round(refractory_s / TICK_SECONDS)))
         self._prev = self._rise = None
-        self._history = np.zeros((n, window))
+        self._history = np.zeros((n, ONSET_WINDOW))
         self._filled = 0
         self._cooldown = np.zeros(n, dtype=int)
         self.fired = np.zeros(n, dtype=bool)
 
-    def update(self, magnitudes: np.ndarray, armed=True) -> bool:
+    def update(self, magnitudes: np.ndarray, armed) -> bool:
         """Step every row with its new spectrum; armed is per row or shared.
 
         Returns whether any row fired; `fired` holds the per-row result.
@@ -197,15 +191,15 @@ class OnsetDetector:
             flux = spectral_flux(mags, self._prev, out=self._rise)
             np.copyto(self._prev, mags)
         if self._filled:
-            hist = self._history[:, self.window - self._filled:]
-            threshold = np.mean(hist, axis=1) + self.k * np.std(hist, axis=1)
+            hist = self._history[:, ONSET_WINDOW - self._filled:]
+            threshold = np.mean(hist, axis=1) + ONSET_K * np.std(hist, axis=1)
         else:
             threshold = 0.0
         self.fired = (np.asarray(armed, dtype=bool) & (self._cooldown == 0)
-                      & (flux > np.maximum(threshold, self.flux_floor)))
+                      & (flux > np.maximum(threshold, FLUX_FLOOR)))
         self._history[:, :-1] = self._history[:, 1:]
         self._history[:, -1] = flux
-        self._filled = min(self._filled + 1, self.window)
+        self._filled = min(self._filled + 1, ONSET_WINDOW)
         np.maximum(self._cooldown - 1, 0, out=self._cooldown)
         self._cooldown[self.fired] = self.refractory_ticks
         return bool(self.fired.any())
@@ -217,12 +211,11 @@ class RecordingSession:
     """Accumulates hops after an onset until the sound dies away.
 
     Stops after STOP_RUN_HOPS consecutive hops more than STOP_DROP_DB
-    below the recording's peak hop RMS, or at the MAX_RECORD_S cap
+    below the recording's peak hop RMS, or at the max_s cap
     (pre-roll counts toward the cap, so total duration never exceeds it).
     """
 
-    def __init__(self, onset_tick: int, preroll: np.ndarray | None = None,
-                 max_s: float = MAX_RECORD_S):
+    def __init__(self, onset_tick: int, preroll: np.ndarray, max_s: float):
         self.onset_tick = onset_tick
         self._cap = int(round(max_s * SAMPLE_RATE))
         # one buffer in the stored sample's float32, half the memory of the
@@ -230,8 +223,7 @@ class RecordingSession:
         # sample never outgrows the cap, and pages are touched as written
         self._pcm = np.empty(self._cap, dtype=np.float32)
         self._count = 0
-        if preroll is not None:
-            self._append(preroll)
+        self._append(preroll)
         self._peak = 0.0
         self._quiet_run = 0
 
@@ -257,10 +249,9 @@ class RecordingSession:
         return None
 
     def finish(self) -> SoundSample:
-        n = min(self._count, self._cap)
         # copy: the kept sample should not hold the whole capped buffer
-        pcm = self._pcm[:n].copy() if self._count else np.zeros(1)
-        return make_sample(pcm, self.onset_tick)
+        return SoundSample(self._pcm[:min(self._count, self._cap)].copy(),
+                           self.onset_tick)
 
 
 # --- novelty decision -----------------------------------------------------
@@ -336,8 +327,7 @@ def novelty_accept(collection: "SampleCollection",
 class SampleCollection:
     """Bounded set of kept recordings (item count and total pcm bytes)."""
 
-    def __init__(self, max_items: int = DEFAULT_MAX_ITEMS,
-                 capacity_bytes: int = DEFAULT_CAPACITY_BYTES):
+    def __init__(self, max_items: int, capacity_bytes: int):
         self.max_items = max_items
         self.capacity_bytes = capacity_bytes
         self.items: list[SoundSample] = []

@@ -170,9 +170,10 @@ def save_spectrogram_csv(path, grid: np.ndarray):
                 np.column_stack([times[start:stop], grid[start:stop]])))
 
 
-def save_spectrogram_pgm(path, grid: np.ndarray, db_floor: float = DB_FLOOR):
-    """Log-scaled greyscale PGM (P5); image row r is frequency bin r."""
-    db = 20.0 * np.log10(grid + 10.0 ** (db_floor / 20.0))
+def save_spectrogram_pgm(path, grid: np.ndarray):
+    """Log-scaled greyscale PGM (P5), floored at DB_FLOOR; image row r is
+    frequency bin r."""
+    db = 20.0 * np.log10(grid + 10.0 ** (DB_FLOOR / 20.0))
     lo = db.min()
     hi = db.max()
     if hi - lo < 1e-9:
@@ -186,26 +187,24 @@ def save_spectrogram_pgm(path, grid: np.ndarray, db_floor: float = DB_FLOOR):
         fh.write(img.tobytes())
 
 
-def save_spectrogram(wav_path, csv_path=None, pgm_path=None) -> np.ndarray:
+def save_spectrogram(wav_path, csv_path, pgm_path) -> np.ndarray:
     samples, _ = read_wav(wav_path, target_rate=None)
     grid = spectrogram_grid(samples)
-    if csv_path is not None:
-        save_spectrogram_csv(csv_path, grid)
-    if pgm_path is not None:
-        save_spectrogram_pgm(pgm_path, grid)
+    save_spectrogram_csv(csv_path, grid)
+    save_spectrogram_pgm(pgm_path, grid)
     return grid
 
 
-def band_occupancy_threshold(mean_band_energy: np.ndarray,
-                             floor: float = ComposerParams.occupancy_floor,
-                             percentile: float =
-                             ComposerParams.occupancy_percentile) -> float:
-    """The composers' collision threshold, applied to bus-truth energies.
+def band_occupancy_threshold(mean_band_energy: np.ndarray) -> float:
+    """The composers' collision threshold at their default parameters,
+    applied to bus-truth energies.
 
     Using the same formula the agents act on keeps the metrics honest:
     a band the metric calls occupied is one a composer would avoid.
     """
-    return max(floor, float(np.percentile(mean_band_energy, percentile)))
+    return max(ComposerParams.occupancy_floor,
+               float(np.percentile(mean_band_energy,
+                                   ComposerParams.occupancy_percentile)))
 
 
 def occupation_metrics(events: list, occupation: np.ndarray, meta: dict,
@@ -322,9 +321,8 @@ def analyze_run(run_dir):
 
     def render(name):
         stem = name[:-len(".wav")]
-        save_spectrogram(run_dir / name,
-                         csv_path=run_dir / f"{stem}_spectrogram.csv",
-                         pgm_path=run_dir / f"{stem}_spectrogram.pgm")
+        save_spectrogram(run_dir / name, run_dir / f"{stem}_spectrogram.csv",
+                         run_dir / f"{stem}_spectrogram.pgm")
         return [f"{stem}_spectrogram.csv", f"{stem}_spectrogram.pgm"]
 
     if monitors:

@@ -1,5 +1,8 @@
 """Tiny signal builders shared by the test modules."""
 
+import struct
+import wave
+
 import numpy as np
 
 from holonsim.params import SAMPLE_RATE
@@ -16,3 +19,26 @@ def white_noise(rng, duration_s=1.0, amp=1.0, rate=SAMPLE_RATE):
 
 def silence(duration_s, rate=SAMPLE_RATE):
     return np.zeros(int(round(duration_s * rate)))
+
+
+def wav_bytes(format_code=1, channels=1, rate=SAMPLE_RATE, bits=16,
+              magic=b"RIFF", form=b"WAVE", with_fmt=True, with_data=True,
+              payload=b"\x00\x00" * 10):
+    """A RIFF file built field by field, so a test can make any one bad."""
+    chunks = b""
+    if with_fmt:
+        chunks += struct.pack("<4sIHHIIHH", b"fmt ", 16, format_code,
+                              channels, rate, rate * 2, 2, bits)
+    if with_data:
+        chunks += struct.pack("<4sI", b"data", len(payload)) + payload
+    return magic + struct.pack("<I", 4 + len(chunks)) + form + chunks
+
+
+def write_pcm16_wav(path, samples, rate=SAMPLE_RATE):
+    """Mono samples in [-1, 1] as a 16-bit PCM WAV, written by the stdlib."""
+    pcm = np.round(np.clip(samples, -1.0, 1.0) * 32767.0).astype("<i2")
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        fh.writeframes(pcm.tobytes())

@@ -18,8 +18,10 @@ from holonsim.dsp_transforms import (TransformKind, TransformSpec,
 from holonsim.environment import (AgentSpec, Scenario, SourceSpec,
                                   load_run_events, load_scenario,
                                   replay_run, run_scenario)
-from holonsim.features import (RecordingSession, SampleCollection, Verdict,
-                               make_sample, mfcc, zero_crossing_rate)
+from holonsim.features import (DEFAULT_CAPACITY_BYTES, DEFAULT_MAX_ITEMS,
+                               MAX_RECORD_S, RecordingSession,
+                               SampleCollection, SoundSample, Verdict, mfcc,
+                               zero_crossing_rate)
 from holonsim.params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE, TICK_SECONDS
 from holonsim.telemetry import analyze_run
 
@@ -110,7 +112,7 @@ def test_criterion_04_collector_decisions_match_oracle(capsys):
     mismatches = []
     while checked < 1000:
         rounds += 1
-        collection = SampleCollection(max_items=6, capacity_bytes=40_000)
+        collection = SampleCollection(6, 40_000)
         for _ in range(25):
             n = int(rng.integers(512, 3072))
             if len(collection.items) and rng.random() < 0.2:
@@ -127,7 +129,7 @@ def test_criterion_04_collector_decisions_match_oracle(capsys):
                        + sine(float(rng.uniform(100, 8000)),
                               duration_s=n / SAMPLE_RATE,
                               amp=float(rng.uniform(0.0, 0.8))))
-            sample = make_sample(pcm.astype(np.float32), checked)
+            sample = SoundSample(pcm.astype(np.float32), checked)
             members = [m.vector.as_array() for m in collection.items]
             sizes = [m.nbytes for m in collection.items]
             want = oracles.oracle_novelty_decision(
@@ -229,7 +231,7 @@ def test_criterion_06_transform_spectra(capsys):
 
     fm = apply_transform(np.zeros(SAMPLE_RATE, dtype=np.float32),
                          TransformSpec(TransformKind.FREQ_MOD,
-                                       carrier_hz=2000.0, fm_index=5.0))
+                                       carrier_hz=2000.0))
     fm_peak = spectral_peak_bin(fm)
     fm_ok = abs(fm_peak - int(round(2000.0 / bin_hz))) <= 1
 
@@ -298,17 +300,18 @@ def test_criterion_08_determinism_and_replay(tmp_path, capsys):
 
 def test_criterion_09_capacity_bounds(capsys):
     rng = np.random.default_rng(909)
-    collection = SampleCollection()  # exhibition defaults: 32 / 8 MiB
+    # exhibition defaults: 32 / 8 MiB
+    collection = SampleCollection(DEFAULT_MAX_ITEMS, DEFAULT_CAPACITY_BYTES)
     within = True
     for i in range(200):
         n = int(rng.integers(8_000, 130_000))
         pcm = (rng.standard_normal(n) * rng.uniform(0.05, 0.6)
                ).astype(np.float32)
-        collection.add(make_sample(pcm, i))
+        collection.add(SoundSample(pcm, i))
         within &= (len(collection) <= 32
                    and collection.total_bytes <= 8 * 1024 * 1024)
 
-    session = RecordingSession(onset_tick=0)
+    session = RecordingSession(0, np.zeros(0), MAX_RECORD_S)
     sample = None
     hop = white_noise(np.random.default_rng(1), FRAME_HOP / SAMPLE_RATE,
                       amp=0.4)

@@ -11,7 +11,8 @@ import holonsim.dsp_transforms as dsp
 import holonsim.features as ft
 from holonsim.audio_core import SimClock, default_filterbank, fft_magnitude
 from holonsim.environment import AgentSpec
-from holonsim.params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE, TICK_SECONDS
+from holonsim.params import (FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, SAMPLE_RATE,
+                             TICK_SECONDS)
 
 import oracles
 from synth import silence, sine, white_noise
@@ -27,7 +28,7 @@ def drive(agent, pcm, *, night_window=DAY_ALWAYS, day_length_s=240.0):
     The agent hears through a one-row Hearing, as it would in a run.
     Returns (events_per_tick, hop_or_None_per_tick).
     """
-    clock = SimClock(0, day_length_s=day_length_s, night_window=night_window)
+    clock = SimClock(0, day_length_s, night_window)
     hearing = ag.Hearing([agent])
     ring = np.zeros(FRAME_SIZE)
     all_events, out_hops = [], []
@@ -67,7 +68,7 @@ def composer(seed=0, battery=None, energy=None, **kwargs):
 
 def test_harvest_arc_zero_at_night_peaks_midday():
     model = ag.EnergyModel(harvest_peak_w=2.0)
-    clock = SimClock(0, day_length_s=240.0, night_window=(0.5, 1.0))
+    clock = SimClock(0, 240.0, (0.5, 1.0))
     assert model.harvest_w(clock) == pytest.approx(0.0, abs=1e-9)
     clock.tick = int(60.0 / TICK_SECONDS)  # midday
     assert model.harvest_w(clock) == pytest.approx(2.0, rel=1e-6)
@@ -80,7 +81,7 @@ def test_energy_ledger_balances_with_clamping():
         "battery_max_wh": 0.0005, "harvest_peak_w": 2.0,
         "cost_idle_w": 0.5, "cost_emit_w": 1.0})
     model = agent.energy
-    clock = SimClock(0, day_length_s=20.0)
+    clock = SimClock(0, 20.0, (0.5, 1.0))
     rng = np.random.default_rng(7)
     start = agent.battery_wh
     for _ in range(int(60.0 / TICK_SECONDS)):
@@ -109,10 +110,10 @@ def test_liveliness_scales_with_battery_and_daytime():
 # --- spectral memory ----------------------------------------------------------
 
 def test_profile_half_life_semantics():
-    prof = ag.SpectralProfile(long_half_life_s=2.0, short_half_life_s=0.5)
+    prof = ag.SpectralProfile([2.0], [0.5])
     e = np.full(128, 4.0)
     for _ in range(int(round(2.0 / TICK_SECONDS))):  # one long half-life
-        prof.update(e)
+        prof.update(e, True)
     assert prof.ema_energy[0, 0] == pytest.approx(2.0, rel=1e-9)
     # the short memory has had four of its half-lives by then
     assert prof.short_term_energy[0, 0] == pytest.approx(4.0 * (1 - 2.0 ** -4),
@@ -120,24 +121,24 @@ def test_profile_half_life_semantics():
 
 
 def test_profile_range_follows_level_swings():
-    prof = ag.SpectralProfile(long_half_life_s=1.0)
+    prof = ag.SpectralProfile([1.0], [2.0])
     assert np.all(prof.ema_range_db == 0.0)
     loud, quiet = np.full(128, 1.0), np.full(128, 1e-4)
-    prof.update(loud)
+    prof.update(loud, True)
     assert np.all(prof.ema_range_db == 0.0)  # first frame seeds both followers
     block = int(round(0.5 / TICK_SECONDS))
     for _ in range(10):
         for _ in range(block):
-            prof.update(loud)
+            prof.update(loud, True)
         for _ in range(block):
-            prof.update(quiet)
+            prof.update(quiet, True)
     # level swing is 40 dB; the slow-release followers keep most of it
     # (each half-second away from an extreme costs the pair ~12 dB)
     assert 20.0 <= prof.ema_range_db[0, 0] <= 40.0
 
-    flat = ag.SpectralProfile(long_half_life_s=1.0)
+    flat = ag.SpectralProfile([1.0], [2.0])
     for _ in range(500):
-        flat.update(np.full(128, 0.01))
+        flat.update(np.full(128, 0.01), True)
     assert np.all(flat.ema_range_db == 0.0)
 
 
@@ -150,12 +151,11 @@ def test_batched_profile_matches_per_row_updates(data):
     longs = data.draw(st.lists(half_life, min_size=n, max_size=n))
     shorts = data.draw(st.lists(half_life, min_size=n, max_size=n))
     energy = st.sampled_from([0.0, 1e-4, 1.0]) | st.floats(0.0, 1e3)
-    frames = data.draw(hnp.arrays(float, (ticks, n, 8), elements=energy),
-                       label="frames")
+    frames = data.draw(hnp.arrays(float, (ticks, n, N_MEL_BANDS),
+                                  elements=energy), label="frames")
     listening = data.draw(hnp.arrays(bool, (ticks, n)), label="listening")
-    prof = ag.SpectralProfile(n, n_bands=8, long_half_life_s=longs,
-                              short_half_life_s=shorts)
-    refs = [oracles.OracleSpectralProfile(8, lo, sh)
+    prof = ag.SpectralProfile(longs, shorts)
+    refs = [oracles.OracleSpectralProfile(N_MEL_BANDS, lo, sh)
             for lo, sh in zip(longs, shorts)]
     for t in range(ticks):
         prof.update(frames[t], listening[t])
@@ -190,7 +190,7 @@ def test_hearing_hops_are_the_latest_hop():
     frames = np.arange(float(FRAME_SIZE))[None] / FRAME_SIZE
     mag = fft_magnitude(frames)
     hearing.listen(frames, np.zeros_like(frames), mag, BANK.apply(mag),
-                   SimClock())
+                   SimClock(0, 240.0, (0.5, 1.0)))
     assert np.array_equal(hearing.hops[0], frames[0, FRAME_HOP:])
     assert hearing.levels[0] == oracles.oracle_rms(frames[0, FRAME_HOP:])
 
@@ -279,20 +279,20 @@ def test_select_band_detours_around_banded_intrusion_then_returns():
     ag.Hearing([agent])  # gives the composer its row of spectral memory
     quiet = np.full(128, 1e-4)
     for _ in range(400):
-        agent.profile.update(quiet)
+        agent.profile.update(quiet, True)
     assert agent.select_band(quiet) == 64
 
     hot = quiet.copy()
     hot[60:69] = 50.0
     for _ in range(60):
-        agent.profile.update(hot)
+        agent.profile.update(hot, True)
     choice = agent.select_band(hot)
     assert choice is not None
     assert not 60 <= choice <= 68
     assert agent.preferred_band == 64  # detours never overwrite home
 
     for _ in range(800):  # ~13 s of quiet lets the fast memory release
-        agent.profile.update(quiet)
+        agent.profile.update(quiet, True)
     assert agent.select_band(quiet) == 64
 
 
@@ -301,7 +301,7 @@ def test_select_band_refuses_broadband_instant_cover():
     ag.Hearing([agent])
     quiet = np.full(128, 1e-4)
     for _ in range(400):
-        agent.profile.update(quiet)
+        agent.profile.update(quiet, True)
     # memory still says quiet, but this very frame is loud everywhere
     assert agent.select_band(np.full(128, 50.0)) is None
 
@@ -313,7 +313,7 @@ def test_composer_profile_freezes_while_it_sings():
     loud = np.full((1, 128), 50.0)
     frames = np.zeros((1, FRAME_SIZE))
     mag = np.zeros((1, FRAME_SIZE // 2 + 1))
-    clock = SimClock(0, night_window=DAY_ALWAYS)
+    clock = SimClock(0, 240.0, DAY_ALWAYS)
     seen = []
     for _ in range(30):
         hearing.listen(frames, frames, mag, loud, clock)
@@ -440,8 +440,9 @@ def test_disruptor_captures_transforms_and_reemits():
 
     t_d, ev = named(events, "disrupt_start")[0]
     captured = pcm[62 * FRAME_HOP:(62 + 42) * FRAME_HOP].astype(np.float32)
+    assert ev["fm_index"] == dsp.FM_INDEX
     spec = dsp.TransformSpec(dsp.TransformKind(ev["transform"]),
-                             ev["carrier_hz"], ev["fm_index"])
+                             ev["carrier_hz"])
     expected = dsp.apply_transform(captured, spec).astype(np.float32)
     assert ev["out_samples"] == len(expected)
     assert np.array_equal(ev["_pcm"], expected)

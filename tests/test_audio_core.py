@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from holonsim import audio_core as ac
-from holonsim.params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE
+from holonsim.params import (FRAME_HOP, FRAME_SIZE, HIGHPASS_HZ, N_MEL_BANDS,
+                             SAMPLE_RATE)
 
 import oracles
 import synth
@@ -93,7 +94,6 @@ def test_mel_triangles_overlap_half_band():
     bank = ac.MelFilterbank()
     # triangle b spans (center[b-1], center[b+1]); adjacent rows share
     # support exactly between their centers
-    assert np.allclose(bank.band_edges_hz[1:-1], bank.band_centers_hz)
     bin_hz = np.arange(FRAME_SIZE // 2 + 1) * SAMPLE_RATE / FRAME_SIZE
     for b in (0, 40, 100, 126):
         shared = (bank.weights[b] > 0) & (bank.weights[b + 1] > 0)
@@ -118,7 +118,7 @@ def test_fft_and_mel_into_out_match_fresh_arrays():
     rng = np.random.default_rng(13)
     bank = ac.default_filterbank()
     mags = np.empty((5, FRAME_SIZE // 2 + 1))
-    mels = np.empty((5, bank.n_bands))
+    mels = np.empty((5, N_MEL_BANDS))
     for _ in range(3):  # the same out arrays and work arrays every call
         frames = rng.standard_normal((5, FRAME_SIZE))
         assert ac.fft_magnitude(frames, out=mags) is mags
@@ -147,21 +147,21 @@ def test_mel_energies_nonnegative():
 
 def test_highpass_coeffs_match_reference_design():
     from scipy.signal import butter
-    b, a = ac.butter_highpass_coeffs(80.0, 32000)
-    b_ref, a_ref = butter(2, 80.0, btype="highpass", fs=32000)
+    b, a = ac.butter_highpass_coeffs()
+    b_ref, a_ref = butter(2, HIGHPASS_HZ, btype="highpass", fs=SAMPLE_RATE)
     assert np.allclose(b, b_ref, atol=1e-12)
     assert np.allclose(a, a_ref, atol=1e-12)
 
 
 def test_highpass_kills_dc_within_a_second():
-    out = ac.HighpassFilter().process(np.ones(SAMPLE_RATE))
-    tail = out[-SAMPLE_RATE // 10:]
+    out = ac.HighpassFilter(1).process(np.ones((1, SAMPLE_RATE)))
+    tail = out[0, -SAMPLE_RATE // 10:]
     assert np.sqrt(np.mean(tail ** 2)) < 0.01
 
 
 def test_highpass_passes_1khz_within_half_db():
     x = synth.sine(1000.0, 1.0)
-    y = ac.HighpassFilter().process(x)
+    y = ac.HighpassFilter(1).process(x[None])[0]
     # skip the filter transient
     rms_in = np.sqrt(np.mean(x[8000:] ** 2))
     rms_out = np.sqrt(np.mean(y[8000:] ** 2))
@@ -172,12 +172,12 @@ def test_highpass_streaming_equals_one_shot():
     rng = np.random.default_rng(11)
     x = rng.uniform(-1, 1, 3 * SAMPLE_RATE)
     want = oracles.oracle_highpass(x)
-    filt = ac.HighpassFilter()
+    filt = ac.HighpassFilter(1)
     chunks = []
     pos = 0
     while pos < len(x):
         step = int(rng.integers(1, 2048))
-        chunks.append(filt.process(x[pos:pos + step]))
+        chunks.append(filt.process(x[None, pos:pos + step])[0])
         pos += step
     got = np.concatenate(chunks)
     assert np.max(np.abs(got - want)) < 1e-9
@@ -186,28 +186,13 @@ def test_highpass_streaming_equals_one_shot():
 def test_highpass_batched_channels_match_individual():
     rng = np.random.default_rng(12)
     x = rng.uniform(-1, 1, (3, 4096))
-    batched = ac.HighpassFilter(channels=3)
+    batched = ac.HighpassFilter(3)
     got = np.concatenate(
         [batched.process(x[:, i:i + 512]) for i in range(0, 4096, 512)],
         axis=1)
     for ch in range(3):
         want = oracles.oracle_highpass(x[ch])
         assert np.max(np.abs(got[ch] - want)) < 1e-9
-
-
-def test_highpass_single_channel_takes_a_one_row_block():
-    x = np.random.default_rng(14).uniform(-1, 1, 4096)
-    flat, rowed = ac.HighpassFilter(), ac.HighpassFilter()
-    for i in range(0, 4096, 512):
-        want = flat.process(x[i:i + 512])
-        got = rowed.process(x[None, i:i + 512])
-        assert want.shape == (512,) and got.shape == (1, 512)
-        assert np.array_equal(got[0], want)
-
-
-def test_highpass_rejects_bad_cutoff():
-    with pytest.raises(ValueError):
-        ac.butter_highpass_coeffs(20000.0, 32000)
 
 
 # --- resampling -----------------------------------------------------------
@@ -236,7 +221,7 @@ def test_resample_preserves_tone_frequency():
 def test_wav_pcm16_round_trip(tmp_path):
     x = synth.sine(440.0, 1.0, amp=0.8)
     path = tmp_path / "tone.wav"
-    ac.write_wav(path, x)
+    synth.write_pcm16_wav(path, x)
     got, rate = ac.read_wav(path, target_rate=None)
     assert rate == SAMPLE_RATE
     assert len(got) == len(x)
@@ -247,15 +232,19 @@ def test_wav_float32_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, 32000)
     path = tmp_path / "noise.wav"
-    ac.write_wav(path, x, subtype="float32")
-    got, _ = ac.read_wav(path, target_rate=None)
-    assert np.max(np.abs(got - x)) < 1e-7
+    ac.write_wav(path, x)
+    # IEEE float (format code 3), mono, 32-bit, at the simulator's rate
+    assert struct.unpack_from("<HHIIHH", path.read_bytes(), 20) == (
+        3, 1, SAMPLE_RATE, 4 * SAMPLE_RATE, 4, 32)
+    got, rate = ac.read_wav(path, target_rate=None)
+    assert rate == SAMPLE_RATE
+    assert np.array_equal(got, x.astype(np.float32))
 
 
 def test_wav_read_resamples_to_global_rate(tmp_path):
     x = synth.sine(440.0, 1.0, rate=44100)
     path = tmp_path / "hi.wav"
-    ac.write_wav(path, x, sample_rate=44100)
+    synth.write_pcm16_wav(path, x, rate=44100)
     got, rate = ac.read_wav(path)
     assert rate == 44100
     assert abs(len(got) - round(len(x) * 32000 / 44100)) <= 1
@@ -278,18 +267,6 @@ def test_wav_stereo_downmixes_to_mean(tmp_path):
     assert np.allclose(got, 0.2, atol=1e-3)
 
 
-def _wav_bytes(format_code=1, channels=1, rate=32000, bits=16,
-               magic=b"RIFF", form=b"WAVE", with_fmt=True, with_data=True):
-    payload = b"\x00\x00" * 10
-    chunks = b""
-    if with_fmt:
-        chunks += struct.pack("<4sIHHIIHH", b"fmt ", 16, format_code,
-                              channels, rate, rate * 2, 2, bits)
-    if with_data:
-        chunks += struct.pack("<4sI", b"data", len(payload)) + payload
-    return magic + struct.pack("<I", 4 + len(chunks)) + form + chunks
-
-
 @pytest.mark.parametrize("kwargs,needle", [
     (dict(magic=b"JUNK"), "RIFF magic"),
     (dict(form=b"AIFF"), "form type"),
@@ -298,10 +275,12 @@ def _wav_bytes(format_code=1, channels=1, rate=32000, bits=16,
     (dict(format_code=85), "format code 85"),
     (dict(bits=24), "bit depth 24"),
     (dict(format_code=3, bits=64), "bit depth 64"),
+    (dict(rate=0), "sample rate 0"),
+    (dict(payload=b"\x00" * 3), "data chunk size 3"),
 ])
 def test_wav_malformed_names_offending_field(tmp_path, kwargs, needle):
     path = tmp_path / "bad.wav"
-    path.write_bytes(_wav_bytes(**kwargs))
+    path.write_bytes(synth.wav_bytes(**kwargs))
     with pytest.raises(ac.WavFormatError) as err:
         ac.read_wav(path)
     assert needle in str(err.value)
@@ -317,12 +296,12 @@ def test_wav_truncated_file_rejected(tmp_path):
 # --- clock ----------------------------------------------------------------
 
 def test_clock_tick_to_seconds():
-    clock = ac.SimClock(tick=125)
+    clock = ac.SimClock(125, 240.0, (0.5, 1.0))
     assert clock.time_s == pytest.approx(125 * FRAME_HOP / SAMPLE_RATE)
 
 
 def test_clock_day_fraction_and_night():
-    clock = ac.SimClock(day_length_s=100.0)
+    clock = ac.SimClock(0, 100.0, (0.5, 1.0))
     clock.tick = int(25.0 / (FRAME_HOP / SAMPLE_RATE))
     assert clock.day_fraction == pytest.approx(0.25, abs=1e-3)
     assert not clock.is_night
@@ -331,7 +310,7 @@ def test_clock_day_fraction_and_night():
 
 
 def test_clock_night_window_wraps():
-    clock = ac.SimClock(day_length_s=100.0, night_window=(0.75, 0.25))
+    clock = ac.SimClock(0, 100.0, (0.75, 0.25))
     step = FRAME_HOP / SAMPLE_RATE
     clock.tick = int(80.0 / step)
     assert clock.is_night

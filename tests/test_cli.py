@@ -41,10 +41,19 @@ def test_parse_duration_forms():
     assert parse_duration(" 1.5M ") == 90.0
 
 
-@pytest.mark.parametrize("bad", ["abc", "-4", "0", "4h"])
+@pytest.mark.parametrize("bad", ["abc", "-4", "0", "4h", "inf", "nan",
+                                 "1e400"])
 def test_parse_duration_rejects(bad):
     with pytest.raises(ScenarioError):
         parse_duration(bad)
+
+
+def test_run_refuses_a_duration_that_is_not_finite(tmp_path, capsys):
+    scn = composer_scenario(tmp_path)
+    assert main(["run", "--scenario", scn, "--duration", "inf",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "duration must be a positive, finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # refused at load
 
 
 # --- run -----------------------------------------------------------------------
@@ -167,6 +176,14 @@ def test_features_output_is_stable(tmp_path, capsys):
 def test_features_unreadable_file_exits_two(tmp_path, capsys):
     assert main(["features", str(tmp_path / "ghost.wav")]) == 2
     assert "ghost.wav" in capsys.readouterr().err
+
+
+def test_features_of_a_wav_with_no_samples_exits_two(tmp_path, capsys):
+    wav = tmp_path / "empty.wav"
+    write_wav(wav, np.zeros(0))
+    assert main(["features", str(wav)]) == 2
+    err = capsys.readouterr().err
+    assert "empty.wav" in err and "no samples" in err
 
 
 def test_features_garbage_file_exits_two(tmp_path):

@@ -64,8 +64,8 @@ def test_freq_mod_zero_input_is_bare_carrier():
 
 
 def test_freq_mod_dc_input_offsets_carrier_by_index():
-    y = dt.freq_mod(np.ones(SAMPLE_RATE), 100.0, fm_index=40.0)
-    assert dominant_hz(y) == pytest.approx(140.0, abs=1.0)
+    y = dt.freq_mod(np.full(SAMPLE_RATE, 8.0), 100.0)
+    assert dominant_hz(y) == pytest.approx(100.0 + 8.0 * dt.FM_INDEX, abs=1.0)
 
 
 def test_freq_mod_output_rms_is_sine_rms():

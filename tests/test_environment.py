@@ -24,7 +24,7 @@ from holonsim.params import FRAME_HOP, SAMPLE_RATE
 
 import oracles
 import test_golden as golden
-from synth import sine
+from synth import sine, wav_bytes, write_pcm16_wav
 
 
 def write_yaml(tmp_path, body: dict, name="scn.yaml"):
@@ -111,7 +111,7 @@ def test_emission_becomes_audible_next_tick(tmp_path):
 def test_wav_source_plays_file_verbatim(tmp_path):
     pcm = sine(500.0, duration_s=0.5, amp=0.4, rate=16000)
     wav_path = tmp_path / "call.wav"
-    write_wav(wav_path, pcm, sample_rate=16000)
+    write_pcm16_wav(wav_path, pcm, rate=16000)
     body = base_yaml(
         duration_s=1.0,
         noise_floor_dbfs=None,
@@ -646,6 +646,21 @@ def test_source_errors_name_the_key(tmp_path, source, message):
     body = base_yaml(sources=[source])
     with pytest.raises(ScenarioError, match=message):
         load_scenario(write_yaml(tmp_path, body))
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"RIFF", "too short"),
+    (wav_bytes(rate=0), "sample rate 0"),
+    (wav_bytes(payload=bytes(3)), "data chunk size 3"),
+])
+def test_malformed_wav_source_fails_at_load(tmp_path, content, message):
+    (tmp_path / "w.wav").write_bytes(content)
+    body = base_yaml(sources=[{"kind": "wav", "position": [0, 0],
+                               "path": "w.wav"}])
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write_yaml(tmp_path, body))
+    assert str(err.value).startswith("sources[0]: path: ")
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("agent,message", [

@@ -8,8 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from holonsim import audio_core as ac
 from holonsim import features as ft
-from holonsim.params import (FRAME_HOP, FRAME_SIZE, N_MFCC, SAMPLE_RATE,
-                             TICK_SECONDS)
+from holonsim.params import FRAME_HOP, FRAME_SIZE, N_MFCC, SAMPLE_RATE
 
 import oracles
 import synth
@@ -134,8 +133,8 @@ def test_analysis_vector_shape_and_determinism():
 
 def test_sample_vector_recomputable_from_stored_pcm():
     rng = np.random.default_rng(34)
-    sample = ft.make_sample(rng.uniform(-1, 1, 5000), captured_at=7)
-    assert sample.pcm.dtype == np.float32
+    sample = ft.SoundSample(rng.uniform(-1, 1, 5000).astype(np.float32),
+                            captured_at=7)
     again = ft.analyze(sample.pcm)
     assert np.array_equal(sample.vector.as_array(), again.as_array())
 
@@ -145,8 +144,8 @@ def test_sample_vector_is_analyzed_once_on_first_read(monkeypatch):
     analyze = ft.analyze
     monkeypatch.setattr(ft, "analyze", lambda pcm: calls.append(pcm)
                         or analyze(pcm))
-    sample = ft.make_sample(np.random.default_rng(35).uniform(-1, 1, 5000),
-                            captured_at=3)
+    pcm = np.random.default_rng(35).uniform(-1, 1, 5000).astype(np.float32)
+    sample = ft.SoundSample(pcm, captured_at=3)
     assert calls == []
     first = sample.vector
     assert sample.vector is first
@@ -155,11 +154,11 @@ def test_sample_vector_is_analyzed_once_on_first_read(monkeypatch):
 
 # --- onset detection -------------------------------------------------------
 
-def run_detector(pcm, **kwargs):
-    det = ft.OnsetDetector(**kwargs)
+def run_detector(pcm):
+    det = ft.OnsetDetector(1)
     fired = []
     for i, frame in enumerate(ac.frames(pcm)):
-        if det.update(ac.fft_magnitude(frame)):
+        if det.update(ac.fft_magnitude(frame), True):
             fired.append(i)
     return fired
 
@@ -207,13 +206,13 @@ def test_onset_detector_disarmed_keeps_history():
     # that the threshold learned while disarmed suppresses the same flux
     lo = np.zeros(513)
     hi = np.full(513, 2.0)
-    det = ft.OnsetDetector()
+    det = ft.OnsetDetector(1)
     for i in range(40):
-        det.update(hi if i % 2 else lo, armed=False)
-    assert det.update(hi, armed=True) is False
-    fresh = ft.OnsetDetector()
-    fresh.update(lo)
-    assert fresh.update(hi) is True  # same step fires with no history
+        det.update(hi if i % 2 else lo, False)
+    assert det.update(hi, True) is False
+    fresh = ft.OnsetDetector(1)
+    fresh.update(lo, True)
+    assert fresh.update(hi, True) is True  # same step fires with no history
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -221,23 +220,18 @@ def test_onset_detector_disarmed_keeps_history():
 def test_batched_onsets_fire_like_independent_streams(data):
     # from the first tick on, through the fill of the window and past it
     n = data.draw(st.integers(1, 5), label="rows")
-    window = data.draw(st.integers(8, 12), label="window")
-    refractory = data.draw(st.integers(1, 4), label="refractory ticks")
-    ticks = data.draw(st.integers(1, window + 30), label="ticks")
+    ticks = data.draw(st.integers(1, ft.ONSET_WINDOW + 30), label="ticks")
     # a few repeated levels make equal fluxes, zero spreads and ties
     level = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0)
     spectra = data.draw(hnp.arrays(float, (ticks, n, 6), elements=level),
                         label="spectra")
     armed = data.draw(hnp.arrays(bool, (ticks, n)), label="armed")
-    det = ft.OnsetDetector(n, window=window,
-                           refractory_s=refractory * TICK_SECONDS)
-    refs = [oracles.OracleOnsetDetector(window=window,
-                                        refractory_ticks=refractory)
-            for _ in range(n)]
+    det = ft.OnsetDetector(n)
+    # the oracle's defaults are the detector's constants, written out
+    refs = [oracles.OracleOnsetDetector() for _ in range(n)]
     # a second detector hears through one buffer rewritten in place each
     # tick, as the Hearing feeds it
-    reused = ft.OnsetDetector(n, window=window,
-                              refractory_s=refractory * TICK_SECONDS)
+    reused = ft.OnsetDetector(n)
     buffer = np.empty((n, 6))
     for t in range(ticks):
         any_fired = det.update(spectra[t], armed[t])
@@ -250,16 +244,11 @@ def test_batched_onsets_fire_like_independent_streams(data):
         assert any_fired is any(want)
 
 
-def test_onset_window_must_be_at_least_eight():
-    with pytest.raises(ValueError):
-        ft.OnsetDetector(window=7)
-
-
 # --- segmentation -----------------------------------------------------------
 
-def record(stream, onset_tick=0, preroll=None):
+def record(stream, onset_tick=0, preroll=np.zeros(0)):
     """Feed hops to a RecordingSession until it or the stream ends."""
-    session = ft.RecordingSession(onset_tick, preroll=preroll)
+    session = ft.RecordingSession(onset_tick, preroll, ft.MAX_RECORD_S)
     for hop in stream:
         sample = session.feed(hop, oracles.oracle_rms(hop))
         if sample is not None:
@@ -272,7 +261,8 @@ def test_segment_burst_then_silence_duration():
     pcm = np.concatenate([synth.white_noise(rng, 1.0, amp=0.5),
                           synth.silence(5.0)])
     sample = record(hops(pcm))
-    slack = (ft.STOP_RUN_HOPS + ft.PREROLL_HOPS) * FRAME_HOP / SAMPLE_RATE
+    # the quiet run, after the hop the burst ends in
+    slack = (ft.STOP_RUN_HOPS + 1) * FRAME_HOP / SAMPLE_RATE
     assert 1.0 <= sample.duration_s <= 1.0 + slack + 1e-9
 
 
@@ -296,8 +286,7 @@ def test_segment_keeps_the_float32_stream_up_to_the_cap(cap):
     rng = np.random.default_rng(cap)
     preroll = rng.standard_normal(2 * FRAME_HOP)
     stream = [rng.standard_normal(FRAME_HOP) for _ in range(6)]
-    session = ft.RecordingSession(3, preroll=preroll,
-                                  max_s=cap / SAMPLE_RATE)
+    session = ft.RecordingSession(3, preroll, cap / SAMPLE_RATE)
     sample = None
     for hop in stream:
         sample = session.feed(hop, 1.0)
@@ -350,14 +339,16 @@ def oracle_add(state_vectors, state_bytes, candidate, cand_bytes,
 
 
 def test_first_sample_always_collected():
-    coll = ft.SampleCollection()
+    coll = ft.SampleCollection(ft.DEFAULT_MAX_ITEMS,
+                               ft.DEFAULT_CAPACITY_BYTES)
     decision = coll.add(fake_sample(np.zeros(15)))
     assert decision.verdict is ft.Verdict.APPEND
     assert len(coll) == 1
 
 
 def test_identical_candidate_rejected():
-    coll = ft.SampleCollection()
+    coll = ft.SampleCollection(ft.DEFAULT_MAX_ITEMS,
+                               ft.DEFAULT_CAPACITY_BYTES)
     vec = np.arange(15.0)
     coll.add(fake_sample(vec))
     decision = coll.add(fake_sample(vec))
@@ -366,7 +357,8 @@ def test_identical_candidate_rejected():
 
 
 def test_distinct_candidate_appended():
-    coll = ft.SampleCollection()
+    coll = ft.SampleCollection(ft.DEFAULT_MAX_ITEMS,
+                               ft.DEFAULT_CAPACITY_BYTES)
     coll.add(fake_sample(np.zeros(15)))
     decision = coll.add(fake_sample(np.ones(15)))
     assert decision.verdict is ft.Verdict.APPEND
@@ -375,7 +367,7 @@ def test_distinct_candidate_appended():
 
 def test_full_collection_replaces_nearest():
     rng = np.random.default_rng(77)
-    coll = ft.SampleCollection(max_items=3)
+    coll = ft.SampleCollection(3, ft.DEFAULT_CAPACITY_BYTES)
     vectors = [rng.normal(size=15) for _ in range(3)]
     for v in vectors:
         coll.add(fake_sample(v))
@@ -395,7 +387,7 @@ def test_full_collection_replaces_nearest():
 
 
 def test_novelty_zero_spread_dimension_is_safe():
-    coll = ft.SampleCollection(max_items=4)
+    coll = ft.SampleCollection(4, ft.DEFAULT_CAPACITY_BYTES)
     rng = np.random.default_rng(78)
     state, nbytes = [], []
     for _ in range(5):
@@ -411,7 +403,7 @@ def test_novelty_matches_bruteforce_oracle_randomized():
     rng = np.random.default_rng(123)
     for trial in range(40):
         max_items = int(rng.integers(2, 6))
-        coll = ft.SampleCollection(max_items=max_items)
+        coll = ft.SampleCollection(max_items, ft.DEFAULT_CAPACITY_BYTES)
         state, nbytes = [], []
         for _ in range(int(rng.integers(3, 12))):
             v = rng.normal(size=15) * rng.uniform(0.5, 3.0)
@@ -427,7 +419,7 @@ def test_novelty_matches_bruteforce_oracle_randomized():
 def test_byte_budget_treated_as_full_and_never_exceeded():
     rng = np.random.default_rng(124)
     capacity = 4000
-    coll = ft.SampleCollection(max_items=32, capacity_bytes=capacity)
+    coll = ft.SampleCollection(32, capacity)
     state, nbytes = [], []
     for _ in range(40):
         n = int(rng.integers(50, 700))  # float32: 200..2800 bytes

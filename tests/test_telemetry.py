@@ -78,9 +78,8 @@ def test_csv_grid_round_trips(tmp_path):
 
 def test_save_spectrogram_from_wav(tmp_path):
     wav = tmp_path / "in.wav"
-    write_wav(wav, sine(2000.0, duration_s=0.5, amp=0.4), subtype="float32")
-    grid = save_spectrogram(wav, csv_path=tmp_path / "out.csv",
-                            pgm_path=tmp_path / "out.pgm")
+    write_wav(wav, sine(2000.0, duration_s=0.5, amp=0.4))
+    grid = save_spectrogram(wav, tmp_path / "out.csv", tmp_path / "out.pgm")
     assert (tmp_path / "out.csv").exists()
     assert (tmp_path / "out.pgm").exists()
     assert int(np.argmax(grid.sum(axis=0))) == 64  # 2000 Hz bin
