@@ -1,5 +1,6 @@
 """Golden digests: short cuts of every preset scenario, plus one mixed
-scenario with all three kinds of agent and audio logged, must write
+scenario with all three kinds of agent and audio logged, one of scripted
+sources only and one whose channel rows interleave, must write
 byte-identical artifacts and replay renders to those pinned in
 golden_digests.json.
 
@@ -73,6 +74,27 @@ SOURCES = {
     ],
 }
 
+# Channel rows that interleave: the anthrophony sub-mix at the occupation
+# point reads bus rows 0 and 2 around the biophony chirps on row 1, so
+# its rows are gathered, not read as one contiguous block.
+INTERLEAVED = {
+    "name": "golden_channels",
+    "seed": 23,
+    "duration_s": 3.0,
+    "monitors": [[1.0, -1.0]],
+    "agents": [{"kind": "composer"}, {"kind": "collector"}],
+    "sources": [
+        {"id": "hum", "kind": "tone", "channel": "anthrophony",
+         "position": [1.5, 0.5], "level_dbfs": -30.0, "freq_hz": 310.0},
+        {"id": "gull", "kind": "chirp_train", "channel": "biophony",
+         "position": [-1.0, 2.0], "level_dbfs": -24.0, "start_s": 0.5,
+         "chirp_s": 0.25, "period_s": 0.8, "count": 3},
+        {"id": "engine", "kind": "band_noise", "channel": "anthrophony",
+         "position": [0.0, -2.5], "level_dbfs": -33.0,
+         "band_hz": [150.0, 600.0], "start_s": 0.3, "stop_s": 2.4},
+    ],
+}
+
 REQUIRED_EVENTS = {"emission_start", "record_start", "capture_start",
                    "disrupt_start", "sample_decision", "playback_start"}
 
@@ -84,7 +106,7 @@ def cases(work: Path) -> dict:
         scn = load_scenario(path)
         scn.duration_s = min(scn.duration_s, CUT_S)
         out[path.stem] = scn
-    for raw in (MIXED, SOURCES):
+    for raw in (MIXED, SOURCES, INTERLEAVED):
         path = work / f"{raw['name']}.yaml"
         path.write_text(yaml.safe_dump(raw))
         out[raw["name"]] = load_scenario(path)
