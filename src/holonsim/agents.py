@@ -69,16 +69,17 @@ class EnergyModel:
         return rate if is_night else rate * self.day_liveliness_scale
 
 
-def energy_step(agent: "AgentBase", harvest: float):
+def energy_step(agent: "AgentBase", harvest: float, emitted: bool):
     """Integrate one tick of harvest and consumption, clamped to the pack.
 
     harvest is agent.energy.harvest_w(clock) for the tick. It depends only
     on the model's values and the clock, so the scheduler works it out
-    once per distinct model.
+    once per distinct model. emitted is whether the agent's step returned
+    a hop this tick.
     """
     model = agent.energy
     cost = model.cost_idle_w + model.cost_listen_w
-    if agent.emitted_this_tick:
+    if emitted:
         cost += model.cost_emit_w
     dt_h = TICK_SECONDS / 3600.0
     raw = agent.battery_wh + (harvest - cost) * dt_h
@@ -221,7 +222,6 @@ class AgentBase:
                            if spec.battery_wh is None else spec.battery_wh)
         self.led = LedMode.OFF
         self.queue = EmissionQueue()
-        self.emitted_this_tick = False
         self._self_audible_until = -1
         self.row = None          # this agent's row in the Hearing
         self.harvested_wh = 0.0
@@ -359,7 +359,6 @@ class ComposerAgent(AgentBase):
                     self._start_note(band, clock, events)
 
         hop = self._drain_queue(clock.tick)
-        self.emitted_this_tick = hop is not None
         if hop is not None:
             self._set_led(LedMode.EMITTING, events)
             if not self.queue.active:
@@ -492,7 +491,6 @@ class CollectorAgent(_Listener):
             self._start_playback(clock, events)
 
         hop = self._drain_queue(clock.tick)
-        self.emitted_this_tick = hop is not None
         if hop is not None and not self.queue.active:
             events.append({"event": "playback_end"})
 
@@ -582,7 +580,6 @@ class DisruptorAgent(_Listener):
             self._disrupt(sample, clock, events)
 
         hop = self._drain_queue(clock.tick)
-        self.emitted_this_tick = hop is not None
         if hop is not None:
             self._set_led(LedMode.EMITTING, events)
             if not self.queue.active:
@@ -648,9 +645,6 @@ class Hearing:
             composer.profile, composer.profile_row = self.profile, row
         for row, agent in enumerate(self.agents):
             agent.row = row
-        # the listener rows are gathered into buffers kept for the run
-        self._spectra = np.empty((len(self._listeners), FRAME_SIZE // 2 + 1))
-        self._hop_rows = np.empty((len(self._listeners), FRAME_HOP))
         n = len(self.agents)
         self.fired = np.zeros(n, dtype=bool)
         self.levels = np.zeros(n)              # RMS of each row's new hop
@@ -667,14 +661,10 @@ class Hearing:
         rows = self._listeners
         if rows:
             armed = [self.agents[j].armed(tick) for j in rows]
-            # mode "clip": the rows are in range, and "raise" would copy out
-            self.onsets.update(np.take(spectra, rows, axis=0,
-                                       out=self._spectra, mode="clip"), armed)
+            self.onsets.update(spectra[rows], armed)
             self.fired[rows] = self.onsets.fired
-            hops = np.take(self.hops, rows, axis=0, out=self._hop_rows,
-                           mode="clip")
             self.levels[rows] = np.sqrt(
-                np.mean(np.square(hops, out=hops), axis=1))
+                np.mean(np.square(self.hops[rows]), axis=1))
         rows = self._composers
         if rows:
             self.profile.update(

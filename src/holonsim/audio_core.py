@@ -7,7 +7,6 @@ the same way.
 """
 
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,43 +68,18 @@ def hann_window() -> np.ndarray:
 
 
 _HANN = hann_window()
-_scratch = threading.local()
 
 
-def _work(name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """This thread's work array for one step of an out= call.
-
-    Kept per shape, so a caller that analyses the same shapes every tick
-    reuses the same memory instead of allocating it each time. The
-    scheduler uses two shapes (occupation channels and agent rings); older
-    shapes are dropped beyond that.
-    """
-    arrays = _scratch.__dict__.setdefault(name, {})
-    if shape not in arrays:
-        if len(arrays) == 2:
-            del arrays[next(iter(arrays))]
-        arrays[shape] = np.empty(shape, dtype=dtype)
-    return arrays[shape]
-
-
-def fft_magnitude(samples: np.ndarray, out: np.ndarray | None = None):
+def fft_magnitude(samples: np.ndarray) -> np.ndarray:
     """Hann-windowed rFFT magnitude of one frame (or a batch of frames).
 
-    Input shape (..., FRAME_SIZE); output shape (..., FRAME_SIZE // 2 + 1),
-    written into out when it is given, with the windowed frames and the
-    complex spectrum in this thread's work arrays.
+    Input shape (..., FRAME_SIZE); output shape (..., FRAME_SIZE // 2 + 1).
     """
     if samples.shape[-1] != FRAME_SIZE:
         raise ValueError(
             f"frame length {samples.shape[-1]} != FRAME_SIZE {FRAME_SIZE}")
-    windowed = spectrum = None
-    if out is not None:
-        windowed = _work("windowed", samples.shape)
-        spectrum = _work("spectrum", out.shape, complex)
-    # nested, so a fresh windowed copy is freed before the magnitudes
-    spectrum = np.fft.rfft(np.multiply(samples, _HANN, out=windowed),
-                           axis=-1, out=spectrum)
-    return np.abs(spectrum, out=out)
+    # nested, so the windowed copy is freed before the magnitudes
+    return np.abs(np.fft.rfft(samples * _HANN, axis=-1))
 
 
 def hz_to_mel(f):
@@ -139,15 +113,14 @@ class MelFilterbank:
         self.weights = weights
         self.band_centers_hz = edges_hz[1:-1].copy()
 
-    def apply(self, magnitude: np.ndarray, out: np.ndarray | None = None):
+    def apply(self, magnitude: np.ndarray) -> np.ndarray:
         """Band energies for one magnitude spectrum or a batch.
 
-        Input (..., n_bins) -> output (..., n_bands), written into out
-        when it is given, with the power in this thread's work array.
+        Input (..., n_bins) -> output (..., n_bands).
         """
-        power = None if out is None else _work("power", magnitude.shape)
-        power = np.square(magnitude, out=power)
-        return np.matmul(power, self.weights.T, out=out)
+        # the strided weights.T view: a contiguous copy takes another
+        # BLAS path and moves the last bit
+        return np.square(magnitude) @ self.weights.T
 
 
 _DEFAULT_BANK = None
@@ -253,6 +226,10 @@ def read_wav(path, target_rate: int | None = SAMPLE_RATE):
             if chunk_size < 16:
                 raise WavFormatError(
                     f"{path}: fmt chunk size {chunk_size} < 16")
+            if len(body) < 16:
+                raise WavFormatError(
+                    f"{path}: fmt chunk holds {len(body)} bytes, "
+                    f"declares {chunk_size}")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             raw = body

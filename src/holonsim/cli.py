@@ -63,6 +63,11 @@ def cmd_run(args) -> int:
         fail(f"{out} already holds a completed run; pass --force to "
              "overwrite")
         return EXIT_CONFIG
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        fail(f"cannot create output directory {out}: {exc.strerror}")
+        return EXIT_CONFIG
 
     try:
         summary = run_scenario(scenario, out)

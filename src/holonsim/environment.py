@@ -575,9 +575,8 @@ class Bus:
     listener's hop into `mixed`; a hop the caller then writes with emit()
     is heard from the next tick on. `active` marks the agent rows that
     hold sound, and the gain product reads only those and the source rows.
-    The bus's per-tick arrays are allocated here, once. Leaving the with
-    block stops the noise worker, which is started last so a failing build
-    leaves no thread.
+    Leaving the with block stops the noise worker, which is started last
+    so a failing build leaves no thread.
     """
 
     def __init__(self, scn: Scenario, bus_rng, source_rngs):
@@ -595,8 +594,6 @@ class Bus:
         self.active = [False] * n_agents
         # the rows the product reads (None: stale) and their gain columns
         self._rows = self._gains_act = None
-        self._gain_cols = np.empty(self._gains_t.size)
-        self._hop_rows = np.empty_like(self.hops)
         self.mixed = np.empty((len(listener_pos), FRAME_HOP))
         self._monitors = slice(n_agents + 1, None)
         self._renders = np.zeros((len(scn.monitors), n_ticks * FRAME_HOP),
@@ -645,16 +642,12 @@ class Bus:
                 [*range(n_sources),
                  *(n_sources + j for j, on in enumerate(self.active) if on)],
                 dtype=np.intp)
-            shape = (len(self._gains_t), len(self._rows))
-            # mode "clip": the rows are in range; "raise" copies out
-            self._gains_act = np.take(
-                self._gains_t, self._rows, axis=1, mode="clip",
-                out=self._gain_cols[:shape[0] * shape[1]].reshape(shape))
-        k = len(self._rows)
-        if k == len(self.hops):
+            # np.take keeps the columns row-major, the layout the product
+            # has always read; self._gains_t[:, rows] would be column-major
+            self._gains_act = np.take(self._gains_t, self._rows, axis=1)
+        if len(self._rows) == len(self.hops):
             return self._gains_t, self.hops
-        return self._gains_act, np.take(self.hops, self._rows, axis=0,
-                                        out=self._hop_rows[:k], mode="clip")
+        return self._gains_act, self.hops[self._rows]
 
     def write_renders(self, out_dir: Path) -> dict:
         """Write monitor_XX.wav per monitor; returns name -> sha256."""
@@ -776,15 +769,9 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
         if agent.energy not in models:
             models.append(agent.energy)
     model_of = [models.index(agent.energy) for agent in agents]
-    n_bins = FRAME_SIZE // 2 + 1
-    # every per-tick array of fixed shape is written in place, each tick
     rings = np.zeros((n_agents, FRAME_SIZE))
     prev_rings = np.zeros_like(rings)
-    mags = np.empty((n_agents, n_bins))
-    mels = np.empty((n_agents, N_MEL_BANDS))
     chan_rings = np.zeros((len(CHANNELS), FRAME_SIZE))
-    chan_mags = np.empty((len(CHANNELS), n_bins))
-    chan_mels = np.empty((len(CHANNELS), N_MEL_BANDS))
     n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS) if n_ticks else 0
     occupation = np.zeros((len(CHANNELS), n_windows, N_MEL_BANDS))
 
@@ -792,23 +779,13 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     config_hash = hashlib.sha256(scenario_json.encode()).hexdigest()
     with (Bus(scn, bus_rng, source_rngs) as bus,
           EventWriter(out_dir / EVENTS_FILE, scn.log_audio) as writer):
-        # per-channel bus rows and their gains at the occupation point; a
-        # channel whose rows are contiguous (the agents' for cyberphony) is
-        # read in place, the others are gathered into a buffer
+        # per-channel bus rows and their gains at the occupation point
         chan_rows = {c: [] for c in CHANNELS}
         for i, spec in enumerate(scn.sources):
             chan_rows[spec.channel].append(i)
         chan_rows["cyberphony"] = list(range(n_sources, n_sources + n_agents))
-        chan_mix = []
-        for c in CHANNELS:
-            rows = chan_rows[c]
-            first = rows[0] if rows else 0
-            if rows == list(range(first, first + len(rows))):
-                chan_mix.append((None, bus.gains[rows, occ_col],
-                                 bus.hops[first:first + len(rows)]))
-            else:
-                chan_mix.append((np.array(rows), bus.gains[rows, occ_col],
-                                 np.empty((len(rows), FRAME_HOP))))
+        chan_mix = [(np.array(chan_rows[c], dtype=np.intp),
+                     bus.gains[chan_rows[c], occ_col]) for c in CHANNELS]
         geophony = CHANNELS.index("geophony")
 
         clock = SimClock(0, scn.day_length_s, scn.night_window)
@@ -831,16 +808,11 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
             # occupation attribution happens pre-clip, per channel sub-mix
             window = tick // OCCUPATION_WINDOW_TICKS
             chan_rings[:, :FRAME_HOP] = chan_rings[:, FRAME_HOP:]
-            for c, (rows, chan_gains, chan_hops) in enumerate(chan_mix):
-                if rows is not None:
-                    # mode "clip": the rows are in range; "raise" copies out
-                    np.take(bus.hops, rows, axis=0, out=chan_hops,
-                            mode="clip")
-                chan_rings[c, FRAME_HOP:] = chan_gains @ chan_hops
+            for c, (rows, chan_gains) in enumerate(chan_mix):
+                chan_rings[c, FRAME_HOP:] = chan_gains @ bus.hops[rows]
             if noise is not None:
                 chan_rings[geophony, FRAME_HOP:] += noise[occ_col]
-            occupation[:, window, :] += bank.apply(
-                fft_magnitude(chan_rings, out=chan_mags), out=chan_mels)
+            occupation[:, window, :] += bank.apply(fft_magnitude(chan_rings))
 
             if n_agents:
                 feeds = hp.process(bus.mixed[:n_agents])
@@ -849,13 +821,14 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                 prev_rings, rings = rings, prev_rings
                 rings[:, :FRAME_HOP] = prev_rings[:, FRAME_HOP:]
                 rings[:, FRAME_HOP:] = feeds
-                fft_magnitude(rings, out=mags)
-                bank.apply(mags, out=mels)
-                hearing.listen(rings, prev_rings, mags, mels, clock)
+                mags = fft_magnitude(rings)
+                hearing.listen(rings, prev_rings, mags, bank.apply(mags),
+                               clock)
                 harvest = [model.harvest_w(clock) for model in models]
                 for j, agent in enumerate(agents):
                     hop_out, events = agent.step(hearing, clock)
-                    energy_step(agent, harvest[model_of[j]])
+                    energy_step(agent, harvest[model_of[j]],
+                                hop_out is not None)
                     bus.emit(j, hop_out)
                     for event in events:
                         writer.write(tick, agent.agent_id, agent.kind,

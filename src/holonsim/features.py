@@ -138,17 +138,14 @@ class SoundSample:
 
 # --- onset detection ----------------------------------------------------
 
-def spectral_flux(current: np.ndarray, previous: np.ndarray | None,
-                  out: np.ndarray | None = None):
+def spectral_flux(current: np.ndarray, previous: np.ndarray | None):
     """Sum of per-bin magnitude increases since the previous frame.
 
     Sums along the last axis, so a stack of frames gives one flux per row.
-    out, shaped like current, takes the per-bin increases when given.
     """
     if previous is None:
         return 0.0
-    rise = np.subtract(current, previous, out=out)
-    return np.sum(np.maximum(rise, 0.0, out=rise), axis=-1)
+    return np.sum(np.maximum(current - previous, 0.0), axis=-1)
 
 
 class OnsetDetector:
@@ -161,8 +158,8 @@ class OnsetDetector:
     threshold never goes stale; all rows therefore share one fill count.
     The history is an (n, ONSET_WINDOW) ring shifted left each update, so each
     row reads oldest first, exactly as a per-stream queue would. The
-    previous spectra are copied into a buffer the detector owns, so a
-    caller may pass the same array, rewritten in place, every tick.
+    previous spectra are a copy the detector owns, so a caller may pass
+    the same array, rewritten in place, every tick.
     FLUX_FLOOR guards against firing on float rounding noise in an
     otherwise static spectrum; it sits far below the flux of any audible
     change.
@@ -172,7 +169,7 @@ class OnsetDetector:
 
     def __init__(self, n: int):
         self.n = n
-        self._prev = self._rise = None
+        self._prev = None
         self._history = np.zeros((n, ONSET_WINDOW))
         self._filled = 0
         self._cooldown = np.zeros(n, dtype=int)
@@ -184,12 +181,8 @@ class OnsetDetector:
         Returns whether any row fired; `fired` holds the per-row result.
         """
         mags = np.asarray(magnitudes, dtype=float).reshape(self.n, -1)
-        if self._prev is None:
-            flux = spectral_flux(mags, None)
-            self._prev, self._rise = mags.copy(), np.empty_like(mags)
-        else:
-            flux = spectral_flux(mags, self._prev, out=self._rise)
-            np.copyto(self._prev, mags)
+        flux = spectral_flux(mags, self._prev)
+        self._prev = mags.copy()
         if self._filled:
             hist = self._history[:, ONSET_WINDOW - self._filled:]
             threshold = np.mean(hist, axis=1) + ONSET_K * np.std(hist, axis=1)

@@ -23,12 +23,15 @@ def silence(duration_s, rate=SAMPLE_RATE):
 
 def wav_bytes(format_code=1, channels=1, rate=SAMPLE_RATE, bits=16,
               magic=b"RIFF", form=b"WAVE", with_fmt=True, with_data=True,
-              payload=b"\x00\x00" * 10):
-    """A RIFF file built field by field, so a test can make any one bad."""
+              payload=b"\x00\x00" * 10, fmt_held=16):
+    """A RIFF file built field by field, so a test can make any one bad.
+
+    fmt_held is how many of the fmt chunk's 16 declared bytes it holds.
+    """
     chunks = b""
     if with_fmt:
         chunks += struct.pack("<4sIHHIIHH", b"fmt ", 16, format_code,
-                              channels, rate, rate * 2, 2, bits)
+                              channels, rate, rate * 2, 2, bits)[:8 + fmt_held]
     if with_data:
         chunks += struct.pack("<4sI", b"data", len(payload)) + payload
     return magic + struct.pack("<I", 4 + len(chunks)) + form + chunks

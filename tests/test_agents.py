@@ -39,7 +39,7 @@ def drive(agent, pcm, *, night_window=DAY_ALWAYS, day_length_s=240.0):
         mel = BANK.apply(mag)
         hearing.listen(ring[None], prev[None], mag[None], mel[None], clock)
         out, events = agent.step(hearing, clock)
-        ag.energy_step(agent, agent.energy.harvest_w(clock))
+        ag.energy_step(agent, agent.energy.harvest_w(clock), out is not None)
         all_events.append(events)
         out_hops.append(out)
         clock.advance()
@@ -85,8 +85,8 @@ def test_energy_ledger_balances_with_clamping():
     rng = np.random.default_rng(7)
     start = agent.battery_wh
     for _ in range(int(60.0 / TICK_SECONDS)):
-        agent.emitted_this_tick = bool(rng.random() < 0.3)
-        ag.energy_step(agent, model.harvest_w(clock))
+        emitted = bool(rng.random() < 0.3)
+        ag.energy_step(agent, model.harvest_w(clock), emitted)
         clock.advance()
         assert 0.0 <= agent.battery_wh <= model.battery_max_wh
     # both clamp paths must have triggered with this tiny pack

@@ -86,6 +86,15 @@ def test_run_refuses_overwrite_without_force(tmp_path, capsys):
     assert main(["run", "--scenario", scn, "--out", out, "--force"]) == 0
 
 
+@pytest.mark.parametrize("rel", ["file", "file/sub"])
+def test_run_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, rel):
+    scn = composer_scenario(tmp_path, duration_s=1.0)
+    (tmp_path / "file").write_text("not a directory")
+    out = tmp_path / rel
+    assert main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    assert f"cannot create output directory {out}" in capsys.readouterr().err
+
+
 def test_run_missing_wav_names_the_path(tmp_path, capsys):
     scn = write_scenario(tmp_path, {
         "seed": 1, "duration_s": 2.0,

@@ -652,6 +652,7 @@ def test_source_errors_name_the_key(tmp_path, source, message):
     (b"RIFF", "too short"),
     (wav_bytes(rate=0), "sample rate 0"),
     (wav_bytes(payload=bytes(3)), "data chunk size 3"),
+    (wav_bytes(with_data=False, fmt_held=4), "fmt chunk holds 4 bytes"),
 ])
 def test_malformed_wav_source_fails_at_load(tmp_path, content, message):
     (tmp_path / "w.wav").write_bytes(content)
