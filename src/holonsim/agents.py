@@ -9,8 +9,10 @@ All hearing arithmetic runs once per tick for every agent at once, on
 arrays with one row per agent held by a Hearing: onset detection, spectral
 memory, tone features and hop levels. Each agent reads its own row and
 keeps only its decisions. All sound leaves through an emission queue that
-the scheduler drains one hop per tick (audible to everyone the next tick).
-Agents never inspect each other: sound on the bus is the only channel.
+the bus deals one hop per tick once every agent has stepped (audible to
+everyone the next tick); the Hearing's battery ledger and echo veto read
+who sent a hop from that deal alone. Agents never inspect each other:
+sound on the bus is the only channel.
 """
 
 from dataclasses import dataclass
@@ -51,47 +53,46 @@ class EnergyModel:
     day_liveliness_scale: float = 1.0
     emission_floor_wh: float = 0.01
 
-    def harvest_w(self, clock: SimClock) -> float:
-        """Sinusoidal insolation arc over the day; zero during night."""
-        if clock.is_night:
-            return 0.0
-        night_lo, night_hi = clock.night_window
-        day_start = night_hi % 1.0
-        day_len = (night_lo - night_hi) % 1.0
-        if day_len == 0.0:
-            day_len = 1.0  # empty night window: the arc spans the whole cycle
-        progress = ((clock.day_fraction - day_start) % 1.0) / day_len
-        return self.harvest_peak_w * float(np.sin(np.pi * progress))
-
     def liveliness(self, battery_wh: float, is_night: bool) -> float:
         frac = min(max(battery_wh / self.battery_max_wh, 0.0), 1.0)
         rate = self.liveliness_per_s * frac
         return rate if is_night else rate * self.day_liveliness_scale
 
 
-def energy_step(agent: "AgentBase", harvest: float, emitted: bool):
-    """Integrate one tick of harvest and consumption, clamped to the pack.
+def daylight(clock: SimClock) -> float:
+    """The tick's insolation as a share of the peak: a sine arc over the
+    day, zero during night."""
+    if clock.is_night:
+        return 0.0
+    night_lo, night_hi = clock.night_window
+    day_start = night_hi % 1.0
+    day_len = (night_lo - night_hi) % 1.0
+    if day_len == 0.0:
+        day_len = 1.0  # empty night window: the arc spans the whole cycle
+    progress = ((clock.day_fraction - day_start) % 1.0) / day_len
+    return float(np.sin(np.pi * progress))
 
-    harvest is agent.energy.harvest_w(clock) for the tick. It depends only
-    on the model's values and the clock, so the scheduler works it out
-    once per distinct model. emitted is whether the agent's step returned
-    a hop this tick.
+
+def energy_step(hearing: "Hearing", sun: float, sent: np.ndarray):
+    """Integrate one tick of harvest and consumption into every agent's
+    row of the ledger, each battery clamped to its pack.
+
+    Each agent harvests its peak times sun, the tick's daylight(), and an
+    agent that sent a hop this tick (sent, the bus deal's mask) pays its
+    emission cost too. Charge past a full pack is overflow; a cost an
+    empty pack cannot pay is unpaid.
     """
-    model = agent.energy
-    cost = model.cost_idle_w + model.cost_listen_w
-    if emitted:
-        cost += model.cost_emit_w
+    h = hearing
     dt_h = TICK_SECONDS / 3600.0
-    raw = agent.battery_wh + (harvest - cost) * dt_h
-    agent.harvested_wh += harvest * dt_h
-    agent.consumed_wh += cost * dt_h
-    if raw > model.battery_max_wh:
-        agent.overflow_wh += raw - model.battery_max_wh
-        raw = model.battery_max_wh
-    elif raw < 0.0:
-        agent.unpaid_wh += -raw
-        raw = 0.0
-    agent.battery_wh = raw
+    harvest = h.harvest_peak_w * sun
+    cost = np.where(sent, h.cost_base_w + h.cost_emit_w, h.cost_base_w)
+    raw = h.battery_wh + (harvest - cost) * dt_h
+    h.harvested_wh += harvest * dt_h
+    h.consumed_wh += cost * dt_h
+    over, under = raw > h.battery_max_wh, raw < 0.0
+    h.overflow_wh += np.where(over, raw - h.battery_max_wh, 0.0)
+    h.unpaid_wh += np.where(under, -raw, 0.0)
+    h.battery_wh = np.where(over, h.battery_max_wh, np.where(under, 0.0, raw))
 
 
 # --- spectral memory --------------------------------------------------------
@@ -169,6 +170,11 @@ class EmissionQueue:
     def active(self) -> bool:
         return self._pcm is not None
 
+    @property
+    def ending(self) -> bool:
+        """Whether the next hop dealt is the clip's last."""
+        return self.active and self._pos + FRAME_HOP >= len(self._pcm)
+
     def start(self, pcm: np.ndarray):
         self._pcm = np.asarray(pcm, dtype=np.float32)
         self._pos = 0
@@ -218,32 +224,16 @@ class AgentBase:
         self.rng = rng
         self.energy = EnergyModel(**spec.energy)
         self.params = self.Params(**spec.params)
-        self.battery_wh = (self.energy.battery_max_wh
-                           if spec.battery_wh is None else spec.battery_wh)
+        # the charge the Hearing's ledger starts this agent's row with
+        self.start_wh = (self.energy.battery_max_wh
+                         if spec.battery_wh is None else spec.battery_wh)
         self.led = LedMode.OFF
         self.queue = EmissionQueue()
-        self._self_audible_until = -1
         self.row = None          # this agent's row in the Hearing
-        self.harvested_wh = 0.0
-        self.consumed_wh = 0.0
-        self.overflow_wh = 0.0
-        self.unpaid_wh = 0.0
 
     @property
     def is_emitting(self) -> bool:
         return self.queue.active
-
-    def _drain_queue(self, tick: int):
-        """Pop the tick's outgoing hop and extend the self-audibility veto."""
-        hop = self.queue.next_hop()
-        if hop is not None:
-            # the hop reaches everyone (us included) next tick and lingers
-            # in the overlapping frame for one more
-            self._self_audible_until = tick + 2
-        return hop
-
-    def hears_self(self, tick: int) -> bool:
-        return tick <= self._self_audible_until
 
     def _set_led(self, mode: LedMode, events: list):
         if mode is not self.led:
@@ -252,15 +242,9 @@ class AgentBase:
 
     def step(self, hearing: "Hearing", clock):
         """Decide this tick from this agent's row of the Hearing, which
-        has listened to the tick already; returns (hop or None, events)."""
+        has listened to the tick already; returns the tick's events. A
+        queue active after the step sends its next hop this tick."""
         raise NotImplementedError
-
-    def summary(self) -> dict:
-        return {
-            "battery_wh": self.battery_wh,
-            "harvested_wh": self.harvested_wh,
-            "consumed_wh": self.consumed_wh,
-        }
 
 
 @dataclass
@@ -345,33 +329,33 @@ class ComposerAgent(AgentBase):
     def step(self, hearing, clock):
         events = []
         p = self.params
+        battery = hearing.battery_wh[self.row]
         if (clock.tick + self.slot_offset_ticks) % self.slot_ticks == 0:
             # one draw per boundary no matter what, so the stream stays
             # tick-aligned between runs whose batteries diverge
             u = float(self.rng.random())
-            rate = self.energy.liveliness(self.battery_wh, clock.is_night)
+            rate = self.energy.liveliness(battery, clock.is_night)
             p_slot = 1.0 - float(np.exp(-rate * p.slot_s))
             if (not self.is_emitting
-                    and self.battery_wh >= self.energy.emission_floor_wh
+                    and battery >= self.energy.emission_floor_wh
                     and u < p_slot):
                 band = self.select_band(hearing.mels[self.row])
                 if band is not None:
-                    self._start_note(band, clock, events)
+                    self._start_note(band, battery, clock, events)
 
-        hop = self._drain_queue(clock.tick)
-        if hop is not None:
+        if self.queue.active:
             self._set_led(LedMode.EMITTING, events)
-            if not self.queue.active:
+            if self.queue.ending:
                 events.append({"event": "emission_end",
                                "band": self.current_band})
                 self.current_band = None
         else:
             self._set_led(LedMode.OFF, events)
-        return hop, events
+        return events
 
-    def _start_note(self, band: int, clock, events: list):
+    def _start_note(self, band: int, battery: float, clock, events: list):
         p = self.params
-        frac = min(max(self.battery_wh / self.energy.battery_max_wh, 0.0), 1.0)
+        frac = min(max(battery / self.energy.battery_max_wh, 0.0), 1.0)
         duration_s = p.note_min_s + (p.note_max_s - p.note_min_s) * frac
         n = int(round(duration_s * SAMPLE_RATE))
         ad = min(self._attack_decay_s(band), duration_s / 2.0)
@@ -395,13 +379,9 @@ class ComposerAgent(AgentBase):
         })
 
     def summary(self) -> dict:
-        out = super().summary()
-        out.update({
-            "total_emissions": self.total_emissions,
-            "night_emissions": self.night_emissions,
-            "preferred_band": self.preferred_band,
-        })
-        return out
+        return {"total_emissions": self.total_emissions,
+                "night_emissions": self.night_emissions,
+                "preferred_band": self.preferred_band}
 
 
 class _Listener(AgentBase):
@@ -412,11 +392,6 @@ class _Listener(AgentBase):
     @property
     def is_recording(self) -> bool:
         return self.session is not None
-
-    def armed(self, tick: int) -> bool:
-        """Whether an onset heard this tick may open a recording."""
-        return (not self.is_recording and not self.is_emitting
-                and not self.hears_self(tick))
 
     def _record(self, hearing: "Hearing", tick: int, max_s: float,
                 start_event: str, events: list) -> "ft.SoundSample | None":
@@ -486,27 +461,26 @@ class CollectorAgent(_Listener):
                 self._blue_until = clock.tick + int(
                     round(self.params.accepted_blue_s / TICK_SECONDS))
 
-        self._update_tone_tracker(hearing, clock)
-        if self._tone_trigger_ready(clock):
+        self._update_tone_tracker(hearing)
+        if self._tone_trigger_ready(hearing, clock):
             self._start_playback(clock, events)
 
-        hop = self._drain_queue(clock.tick)
-        if hop is not None and not self.queue.active:
+        if self.queue.ending:
             events.append({"event": "playback_end"})
 
         if self.is_recording:
             self._set_led(LedMode.ACQUIRING_RED, events)
         elif clock.tick < self._blue_until:
             self._set_led(LedMode.ACCEPTED_BLUE, events)
-        elif hop is not None:
+        elif self.queue.active:
             self._set_led(LedMode.EMITTING, events)
         else:
             self._set_led(LedMode.OFF, events)
-        return hop, events
+        return events
 
-    def _update_tone_tracker(self, hearing, clock):
+    def _update_tone_tracker(self, hearing):
         """Count consecutive frames dominated by one narrowband peak."""
-        if self.is_emitting or self.hears_self(clock.tick):
+        if hearing.echo[self.row]:  # our own sound, emitting or its echo
             self._tone_run = 0
             return
         band = int(hearing.tone_bands[self.row])
@@ -519,7 +493,7 @@ class CollectorAgent(_Listener):
         else:
             self._tone_run = 0
 
-    def _tone_trigger_ready(self, clock) -> bool:
+    def _tone_trigger_ready(self, hearing, clock) -> bool:
         # the agent's own state first: a recording collector never asks
         # the clock whether it is night
         return (not self.is_recording
@@ -527,7 +501,8 @@ class CollectorAgent(_Listener):
                 and len(self.collection) > 0
                 and self._tone_run >= self.params.tone_frames
                 and clock.tick >= self._refractory_until
-                and self.battery_wh >= self.energy.emission_floor_wh
+                and hearing.battery_wh[self.row]
+                >= self.energy.emission_floor_wh
                 and clock.is_night)
 
     def _start_playback(self, clock, events: list):
@@ -547,12 +522,8 @@ class CollectorAgent(_Listener):
         })
 
     def summary(self) -> dict:
-        out = super().summary()
-        out.update({
-            "collection_size": len(self.collection),
-            "collection_bytes": self.collection.total_bytes,
-        })
-        return out
+        return {"collection_size": len(self.collection),
+                "collection_bytes": self.collection.total_bytes}
 
 
 @dataclass
@@ -577,22 +548,21 @@ class DisruptorAgent(_Listener):
         if sample is not None:
             events.append({"event": "capture_end",
                            "duration_s": sample.duration_s})
-            self._disrupt(sample, clock, events)
+            self._disrupt(sample, hearing.battery_wh[self.row], events)
 
-        hop = self._drain_queue(clock.tick)
-        if hop is not None:
+        if self.queue.active:
             self._set_led(LedMode.EMITTING, events)
-            if not self.queue.active:
+            if self.queue.ending:
                 events.append({"event": "disrupt_end"})
         elif self.is_recording:
             self._set_led(LedMode.ACQUIRING_RED, events)
         else:
             self._set_led(LedMode.OFF, events)
-        return hop, events
+        return events
 
-    def _disrupt(self, sample: ft.SoundSample, clock, events: list):
+    def _disrupt(self, sample: ft.SoundSample, battery: float, events: list):
         spec = dsp.random_spec(self.rng)
-        if self.battery_wh < self.energy.emission_floor_wh:
+        if battery < self.energy.emission_floor_wh:
             events.append({"event": "disrupt_skipped",
                            "reason": "battery_floor"})
             return
@@ -610,9 +580,7 @@ class DisruptorAgent(_Listener):
         })
 
     def summary(self) -> dict:
-        out = super().summary()
-        out["disruptions"] = self.disruptions
-        return out
+        return {"disruptions": self.disruptions}
 
 
 class Hearing:
@@ -626,6 +594,10 @@ class Hearing:
     composers not hearing themselves, in a profile whose rows become the
     composers' own; and the collectors' tone features. Each agent's step()
     then reads its row.
+
+    The Hearing also holds each agent's battery ledger, which energy_step()
+    advances, and its echo veto, which veto_echo() sets: both read who sent
+    a hop from the bus deal's mask.
     """
 
     def __init__(self, agents):
@@ -646,30 +618,50 @@ class Hearing:
         for row, agent in enumerate(self.agents):
             agent.row = row
         n = len(self.agents)
+        (self.battery_max_wh, self.harvest_peak_w, self.cost_base_w,
+         self.cost_emit_w) = np.array(
+            [[e.battery_max_wh, e.harvest_peak_w, e.cost_idle_w
+              + e.cost_listen_w, e.cost_emit_w]
+             for e in (a.energy for a in self.agents)]).reshape(n, 4).T
+        self.battery_wh = np.array([a.start_wh for a in self.agents], float)
+        (self.harvested_wh, self.consumed_wh, self.overflow_wh,
+         self.unpaid_wh) = np.zeros((4, n))
+        self.echo_until = np.full(n, -1)
         self.fired = np.zeros(n, dtype=bool)
         self.levels = np.zeros(n)              # RMS of each row's new hop
         self.tone_bands = np.zeros(n, dtype=int)
         self.flatness = np.zeros(n)
-        self.hops = self.prev_frames = self.mels = None
+        self.hops = self.prev_frames = self.mels = self.echo = None
+
+    def veto_echo(self, sent: np.ndarray, tick: int):
+        """The agents that sent a hop at tick hear themselves (`echo`)
+        through tick + 2: the hop reaches everyone next tick and lingers
+        in the overlapping frame for one more."""
+        self.echo_until[sent] = tick + 2
+
+    def energy_summary(self, row: int) -> dict:
+        return {"battery_wh": float(self.battery_wh[row]),
+                "harvested_wh": float(self.harvested_wh[row]),
+                "consumed_wh": float(self.consumed_wh[row])}
 
     def listen(self, frames: np.ndarray, prev_frames: np.ndarray,
                spectra: np.ndarray, mel_energies: np.ndarray, clock):
-        tick = clock.tick
         self.hops = frames[:, FRAME_SIZE - FRAME_HOP:]
         self.prev_frames = prev_frames
         self.mels = mel_energies
+        # an agent emitting this tick sent a hop last tick, so the echo
+        # veto covers it too
+        self.echo = clock.tick <= self.echo_until
         rows = self._listeners
         if rows:
-            armed = [self.agents[j].armed(tick) for j in rows]
-            self.onsets.update(spectra[rows], armed)
+            idle = [self.agents[j].session is None for j in rows]
+            self.onsets.update(spectra[rows], idle & ~self.echo[rows])
             self.fired[rows] = self.onsets.fired
             self.levels[rows] = np.sqrt(
                 np.mean(np.square(self.hops[rows]), axis=1))
         rows = self._composers
         if rows:
-            self.profile.update(
-                mel_energies[rows],
-                [not self.agents[j].hears_self(tick) for j in rows])
+            self.profile.update(mel_energies[rows], ~self.echo[rows])
         rows = self._collectors
         if rows:
             self.tone_bands[rows] = np.argmax(mel_energies[rows], axis=1)

@@ -86,8 +86,8 @@ def cmd_run(args) -> int:
 def cmd_features(args) -> int:
     try:
         samples, _ = read_wav(args.wav)
-    except (FileNotFoundError, IsADirectoryError):
-        fail(f"cannot read WAV file: {args.wav}")
+    except OSError as exc:
+        fail(f"cannot read WAV file {args.wav}: {exc.strerror}")
         return EXIT_CONFIG
     except WavFormatError as exc:
         fail(str(exc))

@@ -28,7 +28,7 @@ import yaml
 from scipy.signal import butter, lfilter
 
 from .agents import (AGENT_KINDS, ComposerParams, EmissionQueue, EnergyModel,
-                     Hearing, energy_step, synth_tone)
+                     Hearing, daylight, energy_step, synth_tone)
 from .audio_core import (HighpassFilter, SimClock, WavFormatError,
                          default_filterbank, fft_magnitude, read_wav,
                          write_wav)
@@ -572,9 +572,10 @@ class Bus:
     Rows of `hops` are the scripted sources, then the agents' emission
     ports (`agent_rows`); listeners are the agents, the occupation point,
     then the monitors. mix(tick) writes the source rows and mixes every
-    listener's hop into `mixed`; a hop the caller then writes with emit()
-    is heard from the next tick on. `active` marks the agent rows that
-    hold sound, and the gain product reads only those and the source rows.
+    listener's hop into `mixed`; deal() then writes each agent's next hop
+    from its EmissionQueue, heard from the next tick on. `active` marks the
+    agent rows that hold sound, and the gain product reads only those and
+    the source rows.
     Leaving the with block stops the noise worker, which is started last
     so a failing build leaves no thread.
     """
@@ -616,16 +617,22 @@ class Bus:
             self.mixed[self._monitors]
         return noise
 
-    def emit(self, j: int, hop: np.ndarray | None):
-        """Write agent j's next hop. None or an all-zero hop (a clip can
-        open on recorded silence) silences its row, which is zeroed once."""
-        if hop is not None and hop.any():
-            self.agent_rows[j] = hop
-            if not self.active[j]:
-                self.active[j], self._rows = True, None
-        elif self.active[j]:
-            self.agent_rows[j] = 0.0
-            self.active[j], self._rows = False, None
+    def deal(self, queues) -> np.ndarray:
+        """Deal one hop from each agent's queue into its row; returns the
+        mask of the agents whose queue sent one. An idle queue, or an
+        all-zero hop (a clip can open on recorded silence, and an empty
+        one is all padding), silences its row, which is zeroed once; the
+        silent hop still counts as sent."""
+        hops = [queue.next_hop() for queue in queues]
+        for j, hop in enumerate(hops):
+            if hop is not None and hop.any():
+                self.agent_rows[j] = hop
+                if not self.active[j]:
+                    self.active[j], self._rows = True, None
+            elif self.active[j]:
+                self.agent_rows[j] = 0.0
+                self.active[j], self._rows = False, None
+        return np.array([hop is not None for hop in hops], dtype=bool)
 
     def _sounding(self) -> tuple:
         """The gain product's factors over the source and active rows.
@@ -763,12 +770,7 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     bank = default_filterbank()
     hp = HighpassFilter(n_agents) if n_agents else None
     hearing = Hearing(agents)
-    # agents with equal energy models share one harvest per tick
-    models = []
-    for agent in agents:
-        if agent.energy not in models:
-            models.append(agent.energy)
-    model_of = [models.index(agent.energy) for agent in agents]
+    queues = [agent.queue for agent in agents]
     rings = np.zeros((n_agents, FRAME_SIZE))
     prev_rings = np.zeros_like(rings)
     chan_rings = np.zeros((len(CHANNELS), FRAME_SIZE))
@@ -824,20 +826,19 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                 mags = fft_magnitude(rings)
                 hearing.listen(rings, prev_rings, mags, bank.apply(mags),
                                clock)
-                harvest = [model.harvest_w(clock) for model in models]
-                for j, agent in enumerate(agents):
-                    hop_out, events = agent.step(hearing, clock)
-                    energy_step(agent, harvest[model_of[j]],
-                                hop_out is not None)
-                    bus.emit(j, hop_out)
-                    for event in events:
+                for agent in agents:
+                    for event in agent.step(hearing, clock):
                         writer.write(tick, agent.agent_id, agent.kind,
                                      event)
+                sent = bus.deal(queues)
+                energy_step(hearing, daylight(clock), sent)
+                hearing.veto_echo(sent, tick)
             clock.advance()
 
-        for agent in agents:
+        for j, agent in enumerate(agents):
             writer.write(n_ticks, agent.agent_id, agent.kind,
-                         {"event": "summary", **agent.summary()})
+                         {"event": "summary", **hearing.energy_summary(j),
+                          **agent.summary()})
         writer.write(n_ticks, None, "scheduler",
                      {"event": "end", "n_ticks": n_ticks})
 
@@ -906,10 +907,10 @@ def replay_run(run_dir) -> dict:
     """Re-render monitor WAVs from the log alone; returns name -> sha256.
 
     Replay mixes on the same Bus as the run, with the same source streams
-    and bus noise (same seeds). Each agent row is fed by an EmissionQueue
-    that starts the clip logged at (tick, agent), exactly as the live
-    agent's own queue did. Output files land in <run_dir>/replay/ and
-    must be byte-identical to the originals.
+    and bus noise (same seeds). Each agent row is dealt from an
+    EmissionQueue that starts the clip logged at (tick, agent), exactly as
+    the live agent's own queue did. Output files land in <run_dir>/replay/
+    and must be byte-identical to the originals.
     """
     run_dir = Path(run_dir)
     scn = Scenario.from_dict(
@@ -922,11 +923,11 @@ def replay_run(run_dir) -> dict:
     with Bus(scn, bus_rng, source_rngs) as bus:
         for tick in range(scn.n_ticks):
             bus.mix(tick)
-            for j, (agent_id, queue) in enumerate(zip(agent_ids, queues)):
+            for agent_id, queue in zip(agent_ids, queues):
                 pcm = emissions.get((tick, agent_id))
                 if pcm is not None:
                     queue.start(pcm)
-                bus.emit(j, queue.next_hop())
+            bus.deal(queues)
 
     replay_dir = run_dir / "replay"
     replay_dir.mkdir(exist_ok=True)

@@ -248,3 +248,31 @@ def oracle_highpass(samples, cutoff_hz=80.0, rate=RATE):
     """One-shot 2nd-order Butterworth high-pass from zero state."""
     b, a = butter(2, cutoff_hz, btype="highpass", fs=rate)
     return lfilter(b, a, samples)
+
+
+class OracleLedger:
+    """One agent's battery ledger, stepped one tick at a time: harvest and
+    costs in watts over a 16 ms tick, the battery clamped to its pack."""
+
+    def __init__(self, model, battery_wh, dt_s=0.016):
+        self.model = model
+        self.dt_h = dt_s / 3600.0
+        self.battery_wh = battery_wh
+        self.harvested_wh = self.consumed_wh = 0.0
+        self.overflow_wh = self.unpaid_wh = 0.0
+
+    def step(self, harvest_w, emitted):
+        model = self.model
+        cost = model.cost_idle_w + model.cost_listen_w
+        if emitted:
+            cost += model.cost_emit_w
+        raw = self.battery_wh + (harvest_w - cost) * self.dt_h
+        self.harvested_wh += harvest_w * self.dt_h
+        self.consumed_wh += cost * self.dt_h
+        if raw > model.battery_max_wh:
+            self.overflow_wh += raw - model.battery_max_wh
+            raw = model.battery_max_wh
+        elif raw < 0.0:
+            self.unpaid_wh += -raw
+            raw = 0.0
+        self.battery_wh = raw

@@ -22,6 +22,16 @@ NIGHT_ALWAYS = (0.0, 1.0)
 DAY_ALWAYS = (1.0, 1.0)
 
 
+def deal(agent, hearing, clock):
+    """A tick's bookkeeping after the step, as a run does it: deal the
+    agent's next hop, charge the ledger and set the echo veto from it."""
+    hop = agent.queue.next_hop()
+    sent = np.array([hop is not None])
+    ag.energy_step(hearing, ag.daylight(clock), sent)
+    hearing.veto_echo(sent, clock.tick)
+    return hop
+
+
 def drive(agent, pcm, *, night_window=DAY_ALWAYS, day_length_s=240.0):
     """Feed a pcm stream to one agent tick by tick, no feedback loop.
 
@@ -38,10 +48,8 @@ def drive(agent, pcm, *, night_window=DAY_ALWAYS, day_length_s=240.0):
         mag = fft_magnitude(ring)
         mel = BANK.apply(mag)
         hearing.listen(ring[None], prev[None], mag[None], mel[None], clock)
-        out, events = agent.step(hearing, clock)
-        ag.energy_step(agent, agent.energy.harvest_w(clock), out is not None)
-        all_events.append(events)
-        out_hops.append(out)
+        all_events.append(agent.step(hearing, clock))
+        out_hops.append(deal(agent, hearing, clock))
         clock.advance()
     return all_events, out_hops
 
@@ -67,34 +75,63 @@ def composer(seed=0, battery=None, energy=None, **kwargs):
 # --- energy -----------------------------------------------------------------
 
 def test_harvest_arc_zero_at_night_peaks_midday():
-    model = ag.EnergyModel(harvest_peak_w=2.0)
     clock = SimClock(0, 240.0, (0.5, 1.0))
-    assert model.harvest_w(clock) == pytest.approx(0.0, abs=1e-9)
+    assert ag.daylight(clock) == pytest.approx(0.0, abs=1e-9)
     clock.tick = int(60.0 / TICK_SECONDS)  # midday
-    assert model.harvest_w(clock) == pytest.approx(2.0, rel=1e-6)
+    assert ag.daylight(clock) == pytest.approx(1.0, rel=1e-6)
     clock.tick = int(180.0 / TICK_SECONDS)  # deep night
-    assert model.harvest_w(clock) == 0.0
+    assert ag.daylight(clock) == 0.0
 
 
 def test_energy_ledger_balances_with_clamping():
-    agent = composer(battery=0.0005, energy={
+    agents = [composer(battery=0.0005, energy={
         "battery_max_wh": 0.0005, "harvest_peak_w": 2.0,
-        "cost_idle_w": 0.5, "cost_emit_w": 1.0})
-    model = agent.energy
+        "cost_idle_w": 0.5, "cost_emit_w": 1.0}), composer(battery=3.0)]
+    hearing = ag.Hearing(agents)
     clock = SimClock(0, 20.0, (0.5, 1.0))
     rng = np.random.default_rng(7)
-    start = agent.battery_wh
+    start = hearing.battery_wh.copy()
     for _ in range(int(60.0 / TICK_SECONDS)):
-        emitted = bool(rng.random() < 0.3)
-        ag.energy_step(agent, model.harvest_w(clock), emitted)
+        sent = rng.random(2) < 0.3
+        ag.energy_step(hearing, ag.daylight(clock), sent)
         clock.advance()
-        assert 0.0 <= agent.battery_wh <= model.battery_max_wh
-    # both clamp paths must have triggered with this tiny pack
-    assert agent.overflow_wh > 0.0
-    assert agent.unpaid_wh > 0.0
-    balance = (start + agent.harvested_wh - agent.consumed_wh
-               - agent.overflow_wh + agent.unpaid_wh)
-    assert agent.battery_wh == pytest.approx(balance, abs=1e-12)
+        assert np.all((0.0 <= hearing.battery_wh)
+                      & (hearing.battery_wh <= hearing.battery_max_wh))
+    # both clamp paths must have triggered with the tiny pack
+    assert hearing.overflow_wh[0] > 0.0
+    assert hearing.unpaid_wh[0] > 0.0
+    balance = (start + hearing.harvested_wh - hearing.consumed_wh
+               - hearing.overflow_wh + hearing.unpaid_wh)
+    assert hearing.battery_wh == pytest.approx(balance, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_energy_step_matches_the_per_agent_ledger(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    watts = st.floats(0.0, 50.0)
+    energies = [{"battery_max_wh": data.draw(st.floats(1e-4, 0.01)),
+                 "harvest_peak_w": data.draw(watts),
+                 "cost_idle_w": data.draw(watts),
+                 "cost_listen_w": data.draw(watts),
+                 "cost_emit_w": data.draw(watts)} for _ in range(n)]
+    agents = [composer(battery=data.draw(st.floats(0.0, 0.012)), energy=e)
+              for e in energies]
+    hearing = ag.Hearing(agents)
+    refs = [oracles.OracleLedger(a.energy, a.start_wh) for a in agents]
+    # a short day, so the ticks cross day and night
+    clock = SimClock(0, 20 * TICK_SECONDS, (0.5, 1.0))
+    for sent in data.draw(st.lists(hnp.arrays(bool, n), min_size=1,
+                                   max_size=40), label="sent"):
+        sun = ag.daylight(clock)
+        ag.energy_step(hearing, sun, sent)
+        for ref, emitted in zip(refs, sent):
+            ref.step(ref.model.harvest_peak_w * sun, bool(emitted))
+        clock.advance()
+        for name in ("battery_wh", "harvested_wh", "consumed_wh",
+                     "overflow_wh", "unpaid_wh"):
+            want = np.array([getattr(ref, name) for ref in refs])
+            assert getattr(hearing, name).tobytes() == want.tobytes(), name
 
 
 def test_liveliness_scales_with_battery_and_daytime():
@@ -318,6 +355,7 @@ def test_composer_profile_freezes_while_it_sings():
     for _ in range(30):
         hearing.listen(frames, frames, mag, loud, clock)
         agent.step(hearing, clock)
+        deal(agent, hearing, clock)
         seen.append(float(agent.profile.short_term_energy[0, 0]))
         clock.advance()
     assert seen[0] > 0.0  # the pre-emission frame still counts

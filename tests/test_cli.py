@@ -185,6 +185,11 @@ def test_features_output_is_stable(tmp_path, capsys):
 def test_features_unreadable_file_exits_two(tmp_path, capsys):
     assert main(["features", str(tmp_path / "ghost.wav")]) == 2
     assert "ghost.wav" in capsys.readouterr().err
+    # a regular file where the path needs a directory
+    (tmp_path / "afile").write_text("")
+    assert main(["features", str(tmp_path / "afile" / "x.wav")]) == 2
+    err = capsys.readouterr().err
+    assert "afile/x.wav" in err and "Not a directory" in err
 
 
 def test_features_of_a_wav_with_no_samples_exits_two(tmp_path, capsys):

@@ -358,14 +358,15 @@ def test_active_rows_mix_as_the_full_product(n_listeners, n_sources, share,
                  for i, pos in enumerate(place(n_sources))])
     size = {"none": 0, "one": 1, "all": n_agents}.get(
         share, int(rng.integers(0, n_agents + 1)))
+    queues = [agents.EmissionQueue() for _ in range(n_agents)]
     with environment.Bus(scn, None, [rng] * n_sources) as bus:
         gains_t = np.ascontiguousarray(bus.gains.T)
         for tick in range(scn.n_ticks):
-            # a fresh active set each tick; hops small enough not to clip
-            active = set(rng.choice(n_agents, size, replace=False))
-            for j in range(n_agents):
-                bus.emit(j, 1e-3 * rng.standard_normal(FRAME_HOP)
-                         if j in active else None)
+            # a fresh active set each tick, of one-hop clips small enough
+            # not to clip
+            for j in sorted(rng.choice(n_agents, size, replace=False)):
+                queues[j].start(1e-3 * rng.standard_normal(FRAME_HOP))
+            assert sum(bus.deal(queues)) == size
             assert sum(bus.active) == size
             bus.mix(tick)
             assert np.array_equal(bus.mixed, gains_t @ bus.hops), tick
@@ -395,6 +396,67 @@ def test_active_rows_are_the_rows_that_sound(tmp_path, monkeypatch):
     # once per tick and at the end, in run and replay; rows did sound
     assert len(checked) == 2 * (scn.n_ticks + 1)
     assert max(checked) > 0
+
+
+def test_a_silent_hop_is_sent_but_leaves_its_row_inactive():
+    scn = Scenario(name="silent", seed=1, duration_s=1.0,
+                   noise_floor_dbfs=None,
+                   agents=[AgentSpec(f"composer_{j:03d}", "composer",
+                                     (float(j), 0.0)) for j in range(3)])
+    queues = [agents.EmissionQueue() for _ in range(3)]
+    # a clip that opens on zeros, and an empty one dealt as one padded hop
+    queues[0].start(np.concatenate([np.zeros(FRAME_HOP), np.ones(FRAME_HOP)]))
+    queues[1].start(np.zeros(0))
+    assert queues[1].ending
+    with environment.Bus(scn, None, []) as bus:
+        assert bus.deal(queues).tolist() == [True, True, False]
+        assert bus.active == [False, False, False]
+        assert not bus.agent_rows.any()
+        assert not queues[1].active
+        assert bus.deal(queues).tolist() == [True, False, False]
+        assert bus.active == [True, False, False]
+        assert bus.deal(queues).tolist() == [False, False, False]
+        assert bus.active == [False, False, False]
+        assert not bus.agent_rows.any()
+
+
+def test_an_empty_note_is_charged_vetoed_and_ends_on_its_tick(
+        tmp_path, monkeypatch):
+    dealt, echo = [], []
+
+    class SpyBus(environment.Bus):
+        def deal(self, queues):
+            sent = super().deal(queues)
+            dealt.append(bool(sent[0]))
+            assert self.active == [False]  # the empty hop never sounds
+            return sent
+
+    class SpyHearing(agents.Hearing):
+        def listen(self, *args):
+            super().listen(*args)
+            echo.append(bool(self.echo[0]))
+
+    monkeypatch.setattr(environment, "Bus", SpyBus)
+    monkeypatch.setattr(environment, "Hearing", SpyHearing)
+    body = base_yaml(night_window=[0.0, 1.0], noise_floor_dbfs=None, agents=[
+        {"kind": "composer",
+         "params": {"note_min_s": 0, "note_max_s": 0, "slot_s": 0.5},
+         "energy": {"harvest_peak_w": 0.0, "cost_idle_w": 0.0,
+                    "cost_emit_w": 1.0, "liveliness_per_s": 50.0}}])
+    run_scenario(load_scenario(write_yaml(tmp_path, body)), tmp_path / "run")
+    events = load_run_events(tmp_path / "run")
+    starts = [e["tick"] for e in named(events, "emission_start")]
+    assert len(starts) > 1
+    assert all(e["payload"]["n_samples"] == 0
+               for e in named(events, "emission_start"))
+    assert [e["tick"] for e in named(events, "emission_end")] == starts
+    assert [t for t, sent in enumerate(dealt) if sent] == starts
+    for t in starts:
+        assert echo[t + 1:t + 3] == [True] * len(echo[t + 1:t + 3])
+    dt_h = environment.TICK_SECONDS / 3600.0
+    summary = named(events, "summary")[0]["payload"]
+    assert summary["consumed_wh"] == pytest.approx(len(starts) * dt_h,
+                                                   rel=1e-12)
 
 
 # --- bus noise ----------------------------------------------------------------
