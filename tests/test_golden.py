@@ -1,8 +1,8 @@
 """Golden digests: short cuts of every preset scenario, plus one mixed
-scenario with all three kinds of agent and audio logged, one of scripted
-sources only and one whose channel rows interleave, must write
-byte-identical artifacts and replay renders to those pinned in
-golden_digests.json.
+scenario with all three kinds of agent and audio logged, the same one
+without a noise floor, one of scripted sources only and one whose channel
+rows interleave, must write byte-identical artifacts and replay renders to
+those pinned in golden_digests.json.
 
 A change that moves these bytes on purpose re-pins the file with
 
@@ -56,6 +56,10 @@ MIXED = {
     ],
 }
 
+# The mixed scenario without a noise floor: its bytes depend on nothing the
+# noise model does, so a change to that model leaves them as they are.
+QUIET = dict(MIXED, name="golden_quiet", noise_floor_dbfs=None)
+
 # Scripted sources only: no agents and no monitors leave the occupation
 # point as the bus's one listener, whose mixed row no artifact reads.
 SOURCES = {
@@ -106,7 +110,7 @@ def cases(work: Path) -> dict:
         scn = load_scenario(path)
         scn.duration_s = min(scn.duration_s, CUT_S)
         out[path.stem] = scn
-    for raw in (MIXED, SOURCES, INTERLEAVED):
+    for raw in (MIXED, QUIET, SOURCES, INTERLEAVED):
         path = work / f"{raw['name']}.yaml"
         path.write_text(yaml.safe_dump(raw))
         out[raw["name"]] = load_scenario(path)
