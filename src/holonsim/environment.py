@@ -17,8 +17,6 @@ import base64
 import hashlib
 import json
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args
@@ -38,7 +36,7 @@ from .params import (FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE,
 CHANNELS = ("biophony", "geophony", "anthrophony", "cyberphony")
 D_REF_M = 2.0
 OCCUPATION_WINDOW_TICKS = 62  # one second of hops, rounded down
-BLOCK_TICKS = 8  # ticks of bus noise drawn per fill on the noise thread
+NOISE_ROWS = 8  # shared bus rows that every listener's noise floor mixes
 
 EVENTS_FILE = "events.jsonl"
 SCENARIO_FILE = "scenario_resolved.json"
@@ -507,77 +505,23 @@ def build_gains(source_positions, listener_positions) -> np.ndarray:
     return 1.0 / (1.0 + d / D_REF_M)
 
 
-class BusNoise:
-    """The bus noise floor, drawn ahead of the ticks on one worker thread.
-
-    next_tick() returns the tick's noise, shape (n_listeners, FRAME_HOP):
-    rms times the unit normals one rng.standard_normal((n_listeners,
-    FRAME_HOP)) call per tick would give. The worker draws and scales
-    blocks of BLOCK_TICKS ticks into two buffers in turn, so it fills one
-    block while the ticks read the other. It alone touches rng, so the
-    values do not depend on how the threads interleave. With rms None (no
-    noise floor) every tick gets None, and with no ticks either no thread
-    starts. Leaving the with block stops the worker, however it is left.
-    """
-
-    def __init__(self, rng, rms: float | None, n_listeners: int,
-                 n_ticks: int):
-        self._pool = None
-        self._fills = deque()        # (future, block, ticks) in draw order
-        self._block, self._ticks, self._next = None, 0, 0
-        if rms is None or n_ticks == 0:
-            return
-        self._rng, self._rms = rng, rms
-        self._unfilled = n_ticks
-        self._pool = ThreadPoolExecutor(max_workers=1,
-                                        thread_name_prefix="bus-noise")
-        for _ in range(2):
-            self._fill(np.empty((BLOCK_TICKS, n_listeners, FRAME_HOP)))
-
-    def _fill(self, block: np.ndarray):
-        n = min(BLOCK_TICKS, self._unfilled)
-        if n:
-            self._unfilled -= n
-            future = self._pool.submit(self._draw, block[:n])
-            self._fills.append((future, block, n))
-
-    def _draw(self, out: np.ndarray):
-        self._rng.standard_normal(out=out)
-        np.multiply(self._rms, out, out=out)
-
-    def next_tick(self) -> np.ndarray | None:
-        if self._pool is None:
-            return None
-        if self._next == self._ticks:
-            if self._block is not None:
-                self._fill(self._block)  # the ticks are done with it
-            future, self._block, self._ticks = self._fills.popleft()
-            future.result()
-            self._next = 0
-        self._next += 1
-        return self._block[self._next - 1]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
-
-
 class Bus:
     """The one acoustic bus of a run, and of its replay.
 
-    Rows of `hops` are the scripted sources, then the agents' emission
-    ports (`agent_rows`); listeners are the agents, the occupation point,
-    then the monitors. mix(tick) writes the source rows and mixes every
-    listener's hop into `mixed`; deal() then writes each agent's next hop
-    from its EmissionQueue, heard from the next tick on. `active` marks the
-    agent rows that hold sound, and the gain product reads only those and
-    the source rows.
-    Leaving the with block stops the noise worker, which is started last
-    so a failing build leaves no thread.
+    Rows of `hops` are the scripted sources, the noise rows (`noise_rows`),
+    then the agents' emission ports (`agent_rows`); listeners are the
+    agents, the occupation point, then the monitors. mix(tick) writes the
+    source and noise rows and mixes every listener's hop into `mixed`;
+    deal() then writes each agent's next hop from its EmissionQueue, heard
+    from the next tick on. `active` marks the agent rows that hold sound,
+    and the gain product reads only those, the source rows and the noise
+    rows.
+
+    The noise floor is NOISE_ROWS rows of fresh unit normals per tick, none
+    without a floor. Each listener hears them through its own fixed weight
+    row, drawn once from the bus generator and scaled to norm rms, so each
+    hears white Gaussian noise at the floor's RMS, partly correlated with
+    every other listener's.
     """
 
     def __init__(self, scn: Scenario, bus_rng, source_rngs):
@@ -587,11 +531,21 @@ class Bus:
         agent_pos = [a.position for a in scn.agents]
         listener_pos = agent_pos + [scn.occupation_position] + \
             list(scn.monitors)
-        self.gains = build_gains([s.position for s in scn.sources]
-                                 + agent_pos, listener_pos)
+        n_sources = len(self._sources)
+        gains = build_gains([s.position for s in scn.sources] + agent_pos,
+                            listener_pos)
+        weights = np.zeros((len(listener_pos), 0))
+        if scn.noise_floor_dbfs is not None:
+            weights = bus_rng.standard_normal((len(listener_pos), NOISE_ROWS))
+            weights *= (10.0 ** (scn.noise_floor_dbfs / 20.0)
+                        / np.linalg.norm(weights, axis=1, keepdims=True))
+        self.gains = np.concatenate(
+            [gains[:n_sources], weights.T, gains[n_sources:]])
         self._gains_t = self.gains.T.copy()
-        self.hops = np.zeros((len(self._sources) + n_agents, FRAME_HOP))
-        self.agent_rows = self.hops[len(self._sources):]
+        self._rng = bus_rng
+        self.noise_rows = range(n_sources, n_sources + weights.shape[1])
+        self.hops = np.zeros((len(self.gains), FRAME_HOP))
+        self.agent_rows = self.hops[self.noise_rows.stop:]
         self.active = [False] * n_agents
         # the rows the product reads (None: stale) and their gain columns
         self._rows = self._gains_act = None
@@ -599,23 +553,18 @@ class Bus:
         self._monitors = slice(n_agents + 1, None)
         self._renders = np.zeros((len(scn.monitors), n_ticks * FRAME_HOP),
                                  dtype=np.float32)
-        self._noise = BusNoise(
-            bus_rng, (None if scn.noise_floor_dbfs is None
-                      else 10.0 ** (scn.noise_floor_dbfs / 20.0)),
-            len(listener_pos), n_ticks)
 
-    def mix(self, tick: int) -> np.ndarray | None:
-        """Mix one tick; returns the noise it added, or None."""
+    def mix(self, tick: int):
+        """Mix one tick into `mixed`."""
         for i, s in enumerate(self._sources):
             self.hops[i] = s.hop(tick)
+        if self.noise_rows:
+            self.hops[self.noise_rows] = self._rng.standard_normal(
+                (len(self.noise_rows), FRAME_HOP))
         np.matmul(*self._sounding(), out=self.mixed)
-        noise = self._noise.next_tick()
-        if noise is not None:
-            self.mixed += noise
         np.clip(self.mixed, -1.0, 1.0, out=self.mixed)
         self._renders[:, tick * FRAME_HOP:(tick + 1) * FRAME_HOP] = \
             self.mixed[self._monitors]
-        return noise
 
     def deal(self, queues) -> np.ndarray:
         """Deal one hop from each agent's queue into its row; returns the
@@ -635,7 +584,8 @@ class Bus:
         return np.array([hop is not None for hop in hops], dtype=bool)
 
     def _sounding(self) -> tuple:
-        """The gain product's factors over the source and active rows.
+        """The gain product's factors over the source, noise and active
+        rows.
 
         Silent agent rows are zero, and leaving them out changes no byte
         of the product with two or more listeners. With one listener numpy
@@ -644,10 +594,10 @@ class Bus:
         and no monitors, so nothing reads its mixed row.
         """
         if self._rows is None:
-            n_sources = len(self._sources)
+            first = self.noise_rows.stop   # the first agent row
             self._rows = np.array(
-                [*range(n_sources),
-                 *(n_sources + j for j, on in enumerate(self.active) if on)],
+                [*range(first),
+                 *(first + j for j, on in enumerate(self.active) if on)],
                 dtype=np.intp)
             # np.take keeps the columns row-major, the layout the product
             # has always read; self._gains_t[:, rows] would be column-major
@@ -664,12 +614,6 @@ class Bus:
             write_wav(out_dir / name, samples)
             out[name] = _sha256(out_dir / name)
         return out
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._noise.__exit__(*exc)
 
 
 def _np_default(obj):
@@ -779,16 +723,18 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
 
     scenario_json = json.dumps(scn.to_dict(), sort_keys=True, indent=2)
     config_hash = hashlib.sha256(scenario_json.encode()).hexdigest()
-    with (Bus(scn, bus_rng, source_rngs) as bus,
-          EventWriter(out_dir / EVENTS_FILE, scn.log_audio) as writer):
-        # per-channel bus rows and their gains at the occupation point
+    bus = Bus(scn, bus_rng, source_rngs)
+    with EventWriter(out_dir / EVENTS_FILE, scn.log_audio) as writer:
+        # per-channel bus rows and their gains at the occupation point; the
+        # noise floor is geophony
         chan_rows = {c: [] for c in CHANNELS}
         for i, spec in enumerate(scn.sources):
             chan_rows[spec.channel].append(i)
-        chan_rows["cyberphony"] = list(range(n_sources, n_sources + n_agents))
+        chan_rows["geophony"] += bus.noise_rows
+        chan_rows["cyberphony"] = list(range(bus.noise_rows.stop,
+                                             len(bus.hops)))
         chan_mix = [(np.array(chan_rows[c], dtype=np.intp),
                      bus.gains[chan_rows[c], occ_col]) for c in CHANNELS]
-        geophony = CHANNELS.index("geophony")
 
         clock = SimClock(0, scn.day_length_s, scn.night_window)
         writer.write(0, None, "scheduler", {
@@ -805,15 +751,13 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                               "time_s": clock.time_s})
                 last_phase = night
 
-            noise = bus.mix(tick)
+            bus.mix(tick)
 
             # occupation attribution happens pre-clip, per channel sub-mix
             window = tick // OCCUPATION_WINDOW_TICKS
             chan_rings[:, :FRAME_HOP] = chan_rings[:, FRAME_HOP:]
             for c, (rows, chan_gains) in enumerate(chan_mix):
                 chan_rings[c, FRAME_HOP:] = chan_gains @ bus.hops[rows]
-            if noise is not None:
-                chan_rings[geophony, FRAME_HOP:] += noise[occ_col]
             occupation[:, window, :] += bank.apply(fft_magnitude(chan_rings))
 
             if n_agents:
@@ -920,14 +864,14 @@ def replay_run(run_dir) -> dict:
     agent_ids = [a.id for a in scn.agents]
     queues = [EmissionQueue() for _ in agent_ids]
 
-    with Bus(scn, bus_rng, source_rngs) as bus:
-        for tick in range(scn.n_ticks):
-            bus.mix(tick)
-            for agent_id, queue in zip(agent_ids, queues):
-                pcm = emissions.get((tick, agent_id))
-                if pcm is not None:
-                    queue.start(pcm)
-            bus.deal(queues)
+    bus = Bus(scn, bus_rng, source_rngs)
+    for tick in range(scn.n_ticks):
+        bus.mix(tick)
+        for agent_id, queue in zip(agent_ids, queues):
+            pcm = emissions.get((tick, agent_id))
+            if pcm is not None:
+                queue.start(pcm)
+        bus.deal(queues)
 
     replay_dir = run_dir / "replay"
     replay_dir.mkdir(exist_ok=True)

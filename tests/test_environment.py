@@ -305,10 +305,10 @@ def audible_ticks(start):
 # Cuts of the golden mixed night scenario. Its first composer note is logged
 # on tick 0 and the collectors' first playbacks on tick 92; clips started at
 # ticks 0, 31 and 92 are still playing at tick 149; the first note's last
-# hop is mixed on tick 188; a disruptor's clip is logged on tick 400.
+# hop is mixed on tick 188; a disruptor's clip is logged on tick 398.
 @pytest.mark.parametrize("n_ticks,edge", [
     (1, "logged"), (93, "logged"), (150, "playing"), (189, "last_hop"),
-    (401, "logged")])
+    (399, "logged")])
 def test_replay_equals_run_at_the_edges_of_the_schedule(tmp_path, n_ticks,
                                                         edge):
     mixed = write_yaml(tmp_path, golden.MIXED)
@@ -338,9 +338,9 @@ def test_replay_equals_run_at_the_edges_of_the_schedule(tmp_path, n_ticks,
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n_listeners=st.integers(2, 132), n_sources=st.integers(0, 2),
        share=st.sampled_from(["none", "one", "some", "all"]),
-       seed=st.integers(0, 2**32 - 1))
+       noise=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_active_rows_mix_as_the_full_product(n_listeners, n_sources, share,
-                                             seed):
+                                             noise, seed):
     rng = np.random.default_rng(seed)
     n_agents = int(rng.integers(1, min(n_listeners - 1, 130) + 1))
     n_monitors = n_listeners - 1 - n_agents
@@ -350,7 +350,7 @@ def test_active_rows_mix_as_the_full_product(n_listeners, n_sources, share,
 
     scn = Scenario(
         name="active", seed=seed, duration_s=4 * FRAME_HOP / SAMPLE_RATE,
-        noise_floor_dbfs=None, monitors=place(n_monitors),
+        noise_floor_dbfs=-60.0 if noise else None, monitors=place(n_monitors),
         agents=[AgentSpec(f"composer_{j:03d}", "composer", pos)
                 for j, pos in enumerate(place(n_agents))],
         sources=[SourceSpec(f"s{i}", "tone", pos, "anthrophony",
@@ -359,17 +359,18 @@ def test_active_rows_mix_as_the_full_product(n_listeners, n_sources, share,
     size = {"none": 0, "one": 1, "all": n_agents}.get(
         share, int(rng.integers(0, n_agents + 1)))
     queues = [agents.EmissionQueue() for _ in range(n_agents)]
-    with environment.Bus(scn, None, [rng] * n_sources) as bus:
-        gains_t = np.ascontiguousarray(bus.gains.T)
-        for tick in range(scn.n_ticks):
-            # a fresh active set each tick, of one-hop clips small enough
-            # not to clip
-            for j in sorted(rng.choice(n_agents, size, replace=False)):
-                queues[j].start(1e-3 * rng.standard_normal(FRAME_HOP))
-            assert sum(bus.deal(queues)) == size
-            assert sum(bus.active) == size
-            bus.mix(tick)
-            assert np.array_equal(bus.mixed, gains_t @ bus.hops), tick
+    bus = environment.Bus(scn, rng, [rng] * n_sources)
+    assert len(bus.noise_rows) == (environment.NOISE_ROWS if noise else 0)
+    gains_t = np.ascontiguousarray(bus.gains.T)
+    for tick in range(scn.n_ticks):
+        # a fresh active set each tick, of one-hop clips small enough not
+        # to clip
+        for j in sorted(rng.choice(n_agents, size, replace=False)):
+            queues[j].start(1e-3 * rng.standard_normal(FRAME_HOP))
+        assert sum(bus.deal(queues)) == size
+        assert sum(bus.active) == size
+        bus.mix(tick)
+        assert np.array_equal(bus.mixed, gains_t @ bus.hops), tick
 
 
 def test_active_rows_are_the_rows_that_sound(tmp_path, monkeypatch):
@@ -383,11 +384,11 @@ def test_active_rows_are_the_rows_that_sound(tmp_path, monkeypatch):
 
         def mix(self, tick):
             self.check()   # the rows the ticks before wrote
-            return super().mix(tick)
+            super().mix(tick)
 
-        def __exit__(self, *exc):
+        def write_renders(self, out_dir):
             self.check()
-            super().__exit__(*exc)
+            return super().write_renders(out_dir)
 
     monkeypatch.setattr(environment, "Bus", CheckedBus)
     scn = load_scenario(write_yaml(tmp_path, golden.MIXED))
@@ -408,16 +409,16 @@ def test_a_silent_hop_is_sent_but_leaves_its_row_inactive():
     queues[0].start(np.concatenate([np.zeros(FRAME_HOP), np.ones(FRAME_HOP)]))
     queues[1].start(np.zeros(0))
     assert queues[1].ending
-    with environment.Bus(scn, None, []) as bus:
-        assert bus.deal(queues).tolist() == [True, True, False]
-        assert bus.active == [False, False, False]
-        assert not bus.agent_rows.any()
-        assert not queues[1].active
-        assert bus.deal(queues).tolist() == [True, False, False]
-        assert bus.active == [True, False, False]
-        assert bus.deal(queues).tolist() == [False, False, False]
-        assert bus.active == [False, False, False]
-        assert not bus.agent_rows.any()
+    bus = environment.Bus(scn, None, [])
+    assert bus.deal(queues).tolist() == [True, True, False]
+    assert bus.active == [False, False, False]
+    assert not bus.agent_rows.any()
+    assert not queues[1].active
+    assert bus.deal(queues).tolist() == [True, False, False]
+    assert bus.active == [True, False, False]
+    assert bus.deal(queues).tolist() == [False, False, False]
+    assert bus.active == [False, False, False]
+    assert not bus.agent_rows.any()
 
 
 def test_an_empty_note_is_charged_vetoed_and_ends_on_its_tick(
@@ -461,30 +462,56 @@ def test_an_empty_note_is_charged_vetoed_and_ends_on_its_tick(
 
 # --- bus noise ----------------------------------------------------------------
 
-BLOCK = environment.BLOCK_TICKS
+@pytest.mark.parametrize("floor_dbfs", [-60.0, -12.5, 0.0])
+def test_every_listener_weight_row_has_norm_rms(floor_dbfs):
+    scn = Scenario(name="w", seed=4, duration_s=1.0,
+                   noise_floor_dbfs=floor_dbfs,
+                   monitors=[(1.0, 0.0), (0.0, 3.0)],
+                   agents=[AgentSpec(f"composer_{j:03d}", "composer",
+                                     (float(j), 1.0)) for j in range(5)],
+                   sources=[SourceSpec("t", "tone", (2.0, 2.0),
+                                       "anthrophony", freq_hz=440.0)])
+    bus = environment.Bus(scn, np.random.default_rng(1),
+                          [np.random.default_rng(2)])
+    assert bus.noise_rows == range(1, 1 + environment.NOISE_ROWS)
+    weights = bus.gains[bus.noise_rows]           # (rows, listeners)
+    assert weights.shape == (environment.NOISE_ROWS, 5 + 1 + 2)
+    norms = np.sqrt(np.sum(np.square(weights), axis=0))
+    rms = 10.0 ** (floor_dbfs / 20.0)
+    assert np.allclose(norms, rms, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("noise", [True, False], ids=["noise", "no_noise"])
-@pytest.mark.parametrize("n_ticks", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                     3 * BLOCK + 5])
-def test_bus_noise_matches_per_tick_draws(noise, n_ticks):
-    child = np.random.SeedSequence(99).spawn(3)[0]
-    reference = np.random.default_rng(child)
-    rms = 10.0 ** (-60.0 / 20.0)
-    before = threading.active_count()
-    with environment.BusNoise(np.random.default_rng(child),
-                              rms if noise else None, 5,
-                              n_ticks) as bus_noise:
-        # one worker, and only when there is noise to draw
-        assert threading.active_count() - before == int(noise and n_ticks > 0)
-        for tick in range(n_ticks):
-            got = bus_noise.next_tick()
-            if noise:
-                want = rms * reference.standard_normal((5, FRAME_HOP))
-                assert np.array_equal(got, want), f"tick {tick}"
-            else:
-                assert got is None
-    assert threading.active_count() == before
+def test_geophony_holds_the_white_noise_floor_energy(tmp_path):
+    # sigma^2 * sum(w^2) per rFFT bin of a Hann-windowed frame of white
+    # noise, summed through every Mel triangle; the first frame holds one
+    # hop of noise after a hop of zeros
+    floor_dbfs = -48.0
+    scn = Scenario(name="geo", seed=19, duration_s=20.0,
+                   noise_floor_dbfs=floor_dbfs, monitors=[(2.0, 0.0)],
+                   agents=[AgentSpec("collector_000", "collector",
+                                     (1.0, 1.0))])
+    summary = run_scenario(scn, tmp_path / "run")
+    occupation = np.load(tmp_path / "run" / "occupation.npy")
+    w2 = [w * w for w in oracles.oracle_hann()]
+    frames = (summary.n_ticks - 1) * sum(w2) + sum(w2[FRAME_HOP:])
+    mel_total = sum(map(sum, oracles.oracle_mel_weights()))
+    predicted = 10.0 ** (floor_dbfs / 10.0) * frames * mel_total
+    geophony = float(occupation[environment.CHANNELS.index("geophony")].sum())
+    assert geophony / predicted == pytest.approx(1.0, abs=0.03)
+
+
+def test_run_and_replay_start_no_thread(tmp_path, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    run_scenario(full_scenario(), tmp_path / "run")
+    replay_run(tmp_path / "run")
+    assert started == []
 
 
 class StepFault(Exception):
@@ -502,17 +529,6 @@ def fail_composers_at_tick_5(monkeypatch):
     monkeypatch.setattr(agents.ComposerAgent, "step", failing_step)
 
 
-def test_run_stops_its_noise_thread_on_every_way_out(tmp_path, monkeypatch):
-    before = threading.active_count()
-    run_scenario(full_scenario(), tmp_path / "whole")
-    assert threading.active_count() == before
-
-    fail_composers_at_tick_5(monkeypatch)
-    with pytest.raises(StepFault, match="tick 5"):
-        run_scenario(full_scenario(), tmp_path / "failed")
-    assert threading.active_count() == before
-
-
 def test_failed_run_closes_its_event_log(tmp_path, monkeypatch):
     fail_composers_at_tick_5(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
@@ -524,29 +540,6 @@ def test_failed_run_closes_its_event_log(tmp_path, monkeypatch):
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert (tmp_path / "failed" / "events.jsonl").read_text().count("\n")
-
-
-class ClockStop(BaseException):
-    pass
-
-
-def test_base_exception_stops_the_noise_thread(tmp_path, monkeypatch):
-    # a probe that times a run's set-up stops it with a BaseException from
-    # the clock's constructor, after the noise thread has started
-    run_scenario(full_scenario(), tmp_path / "run")
-    before = threading.active_count()
-
-    def stop(*args, **kwargs):
-        raise ClockStop
-
-    monkeypatch.setattr(environment, "SimClock", stop)
-    with pytest.raises(ClockStop):
-        run_scenario(full_scenario(), tmp_path / "stopped")
-    assert threading.active_count() == before
-    monkeypatch.setattr(environment.ToneSource, "hop", stop)
-    with pytest.raises(ClockStop):
-        replay_run(tmp_path / "run")
-    assert threading.active_count() == before
 
 
 def test_manifest_checksums_match_files(tmp_path):
