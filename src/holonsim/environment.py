@@ -144,8 +144,9 @@ _KIND_NAMES = {float: "a finite number", int: "an integer",
 # The values of a field that would abort a run or mean nothing, as (rule,
 # test), keyed by field name across the scenario, source, agent, energy and
 # parameter dataclasses; any other value of the field's type runs. A time
-# the agent counts in samples or ticks must give a finite count, and a
-# recording cap must hold at least one sample.
+# the agent counts in samples or ticks must give a finite count, a
+# recording cap must hold at least one sample, a collection at least one
+# item, and a charge or power is never negative.
 _POSITIVE = ("must be positive", lambda v: v > 0)
 _NOT_NEGATIVE = ("must not be negative", lambda v: v >= 0)
 _AT_MOST_0 = ("must be at most 0", lambda v: v <= 0)
@@ -173,6 +174,9 @@ _FIELD_RANGES = {
                        lambda v: 0 <= v < N_MEL_BANDS),
     "amplitude": (f"must be at most {_FLOAT32_MAX!r} in magnitude, the "
                   "float32 maximum", lambda v: abs(v) <= _FLOAT32_MAX),
+    "battery_wh": _NOT_NEGATIVE, "harvest_peak_w": _NOT_NEGATIVE,
+    "cost_idle_w": _NOT_NEGATIVE, "cost_listen_w": _NOT_NEGATIVE,
+    "cost_emit_w": _NOT_NEGATIVE, "max_items": _POSITIVE,
     "battery_max_wh": _POSITIVE, "long_half_life_s": _POSITIVE,
     "short_half_life_s": _POSITIVE, "range_full_db": _POSITIVE,
     "occupancy_percentile": ("must be in [0, 100]", lambda v: 0 <= v <= 100),

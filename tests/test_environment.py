@@ -773,6 +773,18 @@ def test_malformed_wav_source_fails_at_load(tmp_path, content, message):
      "params.amplitude must be at most"),
     ({"kind": "collector", "params": {"record_max_s": "1e-5"}},
      "not '1e-5'; write it with a point, e.g. 1.0e-5"),
+    ({"kind": "composer", "battery_wh": -5.0},
+     "battery_wh must not be negative"),
+    ({"kind": "composer", "energy": {"harvest_peak_w": -2.0}},
+     "energy.harvest_peak_w must not be negative"),
+    ({"kind": "composer", "energy": {"cost_idle_w": -0.1}},
+     "energy.cost_idle_w must not be negative"),
+    ({"kind": "composer", "energy": {"cost_listen_w": -0.1}},
+     "energy.cost_listen_w must not be negative"),
+    ({"kind": "composer", "energy": {"cost_emit_w": -1.0}},
+     "energy.cost_emit_w must not be negative"),
+    ({"kind": "collector", "params": {"max_items": 0}},
+     "params.max_items must be positive"),
 ])
 def test_agent_errors_name_the_key(tmp_path, agent, message):
     body = base_yaml(agents=[agent])
