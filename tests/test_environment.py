@@ -481,6 +481,48 @@ def test_every_listener_weight_row_has_norm_rms(floor_dbfs):
     assert np.allclose(norms, rms, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("noise", [True, False], ids=["noise", "no_noise"])
+@pytest.mark.parametrize("n_ticks", [0, 1, 7, 8, 9, 29])
+def test_bus_noise_matches_per_tick_draws(noise, n_ticks):
+    # the weights, then one (NOISE_ROWS, FRAME_HOP) draw per tick, and no
+    # other draw from the bus generator; without a floor, no draw at all
+    child = np.random.SeedSequence(99).spawn(3)[0]
+    reference = np.random.default_rng(child)
+    floor_dbfs = -60.0
+    rms = 10.0 ** (floor_dbfs / 20.0)
+    scn = Scenario(name="n", seed=5, duration_s=n_ticks * FRAME_HOP
+                   / SAMPLE_RATE,
+                   noise_floor_dbfs=floor_dbfs if noise else None,
+                   monitors=[(1.0, 0.0), (0.0, 2.0), (3.0, 3.0), (4.0, 1.0)])
+    assert scn.n_ticks == n_ticks
+    before = threading.active_count()
+    bus = environment.Bus(scn, np.random.default_rng(child), [])
+    assert threading.active_count() == before
+    n_listeners = 1 + len(scn.monitors)
+    if noise:
+        weights = reference.standard_normal((n_listeners,
+                                             environment.NOISE_ROWS))
+        weights *= rms / np.linalg.norm(weights, axis=1, keepdims=True)
+        assert np.array_equal(bus.gains[bus.noise_rows], weights.T)
+    else:
+        assert len(bus.noise_rows) == 0
+    for tick in range(n_ticks):
+        bus.mix(tick)
+        got = bus.hops[bus.noise_rows]
+        if noise:
+            want = reference.standard_normal((environment.NOISE_ROWS,
+                                              FRAME_HOP))
+            assert np.array_equal(got, want), f"tick {tick}"
+            assert np.allclose(bus.mixed, np.clip(weights @ want, -1, 1),
+                               rtol=1e-12, atol=1e-15), f"tick {tick}"
+        else:
+            assert got.size == 0
+            assert not bus.mixed.any(), f"tick {tick}"
+    assert np.array_equal(bus._rng.standard_normal(4),
+                          reference.standard_normal(4))
+    assert threading.active_count() == before
+
+
 def test_geophony_holds_the_white_noise_floor_energy(tmp_path):
     # sigma^2 * sum(w^2) per rFFT bin of a Hann-windowed frame of white
     # noise, summed through every Mel triangle; the first frame holds one
