@@ -1,8 +1,8 @@
-"""Golden digests: short cuts of every preset scenario, plus one mixed
-scenario with all three kinds of agent and audio logged, the same one
-without a noise floor, one of scripted sources only and one whose channel
-rows interleave, must write byte-identical artifacts and replay renders to
-those pinned in golden_digests.json.
+"""Golden digests: short cuts of every preset scenario, one long cut of
+niche_filling, plus one mixed scenario with all three kinds of agent and
+audio logged, the same one without a noise floor, one of scripted sources
+only and one whose channel rows interleave, must write byte-identical
+artifacts and replay renders to those pinned in golden_digests.json.
 
 A change that moves these bytes on purpose re-pins the file with
 
@@ -31,6 +31,10 @@ HERE = Path(__file__).resolve().parent
 SCENARIOS = HERE.parent / "scenarios"
 GOLDEN = HERE / "golden_digests.json"
 CUT_S = 3.0
+# Composers' spectral memory needs minutes to move an emission: a change to
+# the precision of what agents hear first shows in niche_filling's
+# attack and decay times after tens of seconds, not within CUT_S.
+LONG = ("golden_long", "niche_filling", 60.0)
 
 # All three kinds at night with audio logged: short recording and capture
 # caps let a collector keep a clip and answer a composer tone within the
@@ -104,12 +108,16 @@ REQUIRED_EVENTS = {"emission_start", "record_start", "capture_start",
 
 
 def cases(work: Path) -> dict:
-    """Scenario name -> resolved Scenario, presets cut to CUT_S."""
+    """Scenario name -> resolved Scenario, presets cut to CUT_S and the
+    long case to its own cut."""
     out = {}
     for path in sorted(SCENARIOS.glob("*.yaml")):
         scn = load_scenario(path)
         scn.duration_s = min(scn.duration_s, CUT_S)
         out[path.stem] = scn
+    name, stem, cut_s = LONG
+    out[name] = load_scenario(SCENARIOS / f"{stem}.yaml")
+    out[name].duration_s = cut_s
     for raw in (MIXED, QUIET, SOURCES, INTERLEAVED):
         path = work / f"{raw['name']}.yaml"
         path.write_text(yaml.safe_dump(raw))
