@@ -10,6 +10,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.signal import lfilter
 
 from .params import (
@@ -68,18 +69,23 @@ def hann_window() -> np.ndarray:
 
 
 _HANN = hann_window()
+_HANN32 = _HANN.astype(np.float32)
 
 
 def fft_magnitude(samples: np.ndarray) -> np.ndarray:
     """Hann-windowed rFFT magnitude of one frame (or a batch of frames).
 
-    Input shape (..., FRAME_SIZE); output shape (..., FRAME_SIZE // 2 + 1).
+    Input shape (..., FRAME_SIZE); output shape (..., FRAME_SIZE // 2 + 1),
+    float32 for float32 input and float64 otherwise.
     """
     if samples.shape[-1] != FRAME_SIZE:
         raise ValueError(
             f"frame length {samples.shape[-1]} != FRAME_SIZE {FRAME_SIZE}")
-    # nested, so the windowed copy is freed before the magnitudes
-    return np.abs(np.fft.rfft(samples * _HANN, axis=-1))
+    hann = _HANN32 if samples.dtype == np.float32 else _HANN
+    # scipy.fft keeps float32 in single precision, where np.fft would
+    # promote it, and gives np.fft's bytes in float64; nested, so the
+    # windowed copy is freed before the magnitudes
+    return np.abs(scipy.fft.rfft(samples * hann, axis=-1))
 
 
 def hz_to_mel(f):
@@ -111,13 +117,17 @@ class MelFilterbank:
             falling = (right - bin_hz) / (right - center)
             weights[b] = np.clip(np.minimum(rising, falling), 0.0, None)
         self.weights = weights
+        self._weights32 = np.ascontiguousarray(weights.T, dtype=np.float32)
         self.band_centers_hz = edges_hz[1:-1].copy()
 
     def apply(self, magnitude: np.ndarray) -> np.ndarray:
         """Band energies for one magnitude spectrum or a batch.
 
-        Input (..., n_bins) -> output (..., n_bands).
+        Input (..., n_bins) -> output (..., n_bands), in float32 for
+        float32 magnitudes.
         """
+        if magnitude.dtype == np.float32:
+            return np.square(magnitude) @ self._weights32
         # the strided weights.T view: a contiguous copy takes another
         # BLAS path and moves the last bit
         return np.square(magnitude) @ self.weights.T

@@ -719,7 +719,9 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     hp = HighpassFilter(n_agents) if n_agents else None
     hearing = Hearing(agents)
     queues = [agent.queue for agent in agents]
-    rings = np.zeros((n_agents, FRAME_SIZE))
+    # agents hear in float32; the high-pass runs in float64 and its output
+    # is rounded into the ring
+    rings = np.zeros((n_agents, FRAME_SIZE), dtype=np.float32)
     prev_rings = np.zeros_like(rings)
     chan_rings = np.zeros((len(CHANNELS), FRAME_SIZE))
     n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS) if n_ticks else 0

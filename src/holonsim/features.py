@@ -211,9 +211,9 @@ class RecordingSession:
     def __init__(self, onset_tick: int, preroll: np.ndarray, max_s: float):
         self.onset_tick = onset_tick
         self._cap = int(round(max_s * SAMPLE_RATE))
-        # one buffer in the stored sample's float32, half the memory of the
-        # hops' float64 and the same values once the sample is made; the
-        # sample never outgrows the cap, and pages are touched as written
+        # one buffer in the float32 of the agents' rings and the stored
+        # sample; the sample never outgrows the cap, and pages are
+        # touched as written
         self._pcm = np.empty(self._cap, dtype=np.float32)
         self._count = 0
         self._append(preroll)

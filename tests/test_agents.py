@@ -35,16 +35,17 @@ def deal(agent, hearing, clock):
 def drive(agent, pcm, *, night_window=DAY_ALWAYS, day_length_s=240.0):
     """Feed a pcm stream to one agent tick by tick, no feedback loop.
 
-    The agent hears through a one-row Hearing, as it would in a run.
-    Returns (events_per_tick, hop_or_None_per_tick).
+    The agent hears through a one-row Hearing and a float32 ring, as it
+    would in a run. Returns (events_per_tick, hop_or_None_per_tick).
     """
     clock = SimClock(0, day_length_s, night_window)
     hearing = ag.Hearing([agent])
-    ring = np.zeros(FRAME_SIZE)
+    ring = np.zeros(FRAME_SIZE, dtype=np.float32)
     all_events, out_hops = [], []
     for i in range(len(pcm) // FRAME_HOP):
         hop = pcm[i * FRAME_HOP:(i + 1) * FRAME_HOP]
-        prev, ring = ring, np.concatenate([ring[FRAME_HOP:], hop])
+        prev, ring = ring, np.concatenate([ring[FRAME_HOP:], hop],
+                                          dtype=np.float32)
         mag = fft_magnitude(ring)
         mel = BANK.apply(mag)
         hearing.listen(ring[None], prev[None], mag[None], mel[None], clock)

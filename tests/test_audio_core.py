@@ -78,6 +78,31 @@ def test_fft_magnitude_batched_matches_single():
         assert np.allclose(got[i], ac.fft_magnitude(batch[i]))
 
 
+def test_fft_magnitude_float64_bytes_equal_numpy_rfft():
+    # the occupation, the MFCCs and the spectrograms take float64 frames:
+    # their bytes stay those of np.fft
+    rng = np.random.default_rng(17)
+    hann = ac.hann_window()
+    for shape in [(FRAME_SIZE,), (1, FRAME_SIZE), (4, FRAME_SIZE),
+                  (80, FRAME_SIZE), (130, FRAME_SIZE), (937, FRAME_SIZE)]:
+        frames = rng.uniform(-1, 1, shape)
+        got = ac.fft_magnitude(frames)
+        want = np.abs(np.fft.rfft(frames * hann, axis=-1))
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), shape
+
+
+def test_fft_magnitude_float32_matches_naive_dft():
+    # agents hear float32 rings, and their spectra stay float32
+    rng = np.random.default_rng(102)
+    frames = rng.uniform(-1, 1, (8, FRAME_SIZE)).astype(np.float32)
+    got = ac.fft_magnitude(frames)
+    assert got.dtype == np.float32
+    for frame, mag in zip(frames, got):
+        want = oracles.naive_dft_magnitude(frame.astype(float))
+        assert np.max(np.abs(mag - want)) <= 1e-5 * np.max(want)
+
+
 # --- Mel filterbank -----------------------------------------------------
 
 def test_mel_band_centers_increasing_and_in_range():
@@ -121,6 +146,17 @@ def test_mel_energies_match_dense_oracle():
         got = bank.apply(mag)
         want = oracles.oracle_mel_energies(mag)
         assert np.allclose(got, want, rtol=1e-6, atol=1e-12)
+
+
+def test_mel_energies_float32_match_dense_oracle():
+    rng = np.random.default_rng(43)
+    bank = ac.default_filterbank()
+    mags = rng.uniform(0, 2, (6, FRAME_SIZE // 2 + 1)).astype(np.float32)
+    got = bank.apply(mags)
+    assert got.dtype == np.float32
+    for mag, energies in zip(mags, got):
+        want = oracles.oracle_mel_energies(mag)
+        assert np.max(np.abs(energies - want)) <= 1e-5 * np.max(want)
 
 
 def test_mel_energies_nonnegative():
