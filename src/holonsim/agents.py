@@ -231,10 +231,6 @@ class AgentBase:
         self.queue = EmissionQueue()
         self.row = None          # this agent's row in the Hearing
 
-    @property
-    def is_emitting(self) -> bool:
-        return self.queue.active
-
     def _set_led(self, mode: LedMode, events: list):
         if mode is not self.led:
             events.append({"event": "led", "mode": mode.value})
@@ -336,7 +332,7 @@ class ComposerAgent(AgentBase):
             u = float(self.rng.random())
             rate = self.energy.liveliness(battery, clock.is_night)
             p_slot = 1.0 - float(np.exp(-rate * p.slot_s))
-            if (not self.is_emitting
+            if (not self.queue.active
                     and battery >= self.energy.emission_floor_wh
                     and u < p_slot):
                 band = self.select_band(hearing.mels[self.row])
@@ -497,7 +493,7 @@ class CollectorAgent(_Listener):
         # the agent's own state first: a recording collector never asks
         # the clock whether it is night
         return (not self.is_recording
-                and not self.is_emitting
+                and not self.queue.active
                 and len(self.collection) > 0
                 and self._tone_run >= self.params.tone_frames
                 and clock.tick >= self._refractory_until
@@ -664,8 +660,9 @@ class Hearing:
             self.profile.update(mel_energies[rows], ~self.echo[rows])
         rows = self._collectors
         if rows:
-            self.tone_bands[rows] = np.argmax(mel_energies[rows], axis=1)
-            self.flatness[rows] = ft.spectral_flatness(mel_energies[rows])
+            mels = mel_energies[rows]
+            self.tone_bands[rows] = np.argmax(mels, axis=1)
+            self.flatness[rows] = ft.spectral_flatness(mels)
 
 
 AGENT_KINDS = {
