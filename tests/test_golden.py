@@ -31,10 +31,9 @@ HERE = Path(__file__).resolve().parent
 SCENARIOS = HERE.parent / "scenarios"
 GOLDEN = HERE / "golden_digests.json"
 CUT_S = 3.0
-# Composers' spectral memory needs minutes to move an emission: a change to
-# the precision of what agents hear first shows in niche_filling's
-# attack and decay times after tens of seconds, not within CUT_S.
-LONG = ("golden_long", "niche_filling", 60.0)
+# The composers' spectral memory carries a small change in what agents hear
+# for tens of seconds before it moves an emission, far past CUT_S.
+LONG_S = 60.0
 
 # All three kinds at night with audio logged: short recording and capture
 # caps let a collector keep a clip and answer a composer tone within the
@@ -108,16 +107,16 @@ REQUIRED_EVENTS = {"emission_start", "record_start", "capture_start",
 
 
 def cases(work: Path) -> dict:
-    """Scenario name -> resolved Scenario, presets cut to CUT_S and the
-    long case to its own cut."""
+    """Scenario name -> resolved Scenario, presets cut to CUT_S and
+    golden_long to LONG_S."""
     out = {}
     for path in sorted(SCENARIOS.glob("*.yaml")):
         scn = load_scenario(path)
         scn.duration_s = min(scn.duration_s, CUT_S)
         out[path.stem] = scn
-    name, stem, cut_s = LONG
-    out[name] = load_scenario(SCENARIOS / f"{stem}.yaml")
-    out[name].duration_s = cut_s
+    scn = load_scenario(SCENARIOS / "niche_filling.yaml")
+    scn.duration_s = LONG_S
+    out["golden_long"] = scn
     for raw in (MIXED, QUIET, SOURCES, INTERLEAVED):
         path = work / f"{raw['name']}.yaml"
         path.write_text(yaml.safe_dump(raw))
