@@ -79,8 +79,8 @@ def energy_step(hearing: "Hearing", sun: float, sent: np.ndarray):
 
     Each agent harvests its peak times sun, the tick's daylight(), and an
     agent that sent a hop this tick (sent, the bus deal's mask) pays its
-    emission cost too. Charge past a full pack is overflow; a cost an
-    empty pack cannot pay is unpaid.
+    emission cost too. Charge past a full pack and a cost an empty pack
+    cannot pay are lost.
     """
     h = hearing
     dt_h = TICK_SECONDS / 3600.0
@@ -90,8 +90,6 @@ def energy_step(hearing: "Hearing", sun: float, sent: np.ndarray):
     h.harvested_wh += harvest * dt_h
     h.consumed_wh += cost * dt_h
     over, under = raw > h.battery_max_wh, raw < 0.0
-    h.overflow_wh += np.where(over, raw - h.battery_max_wh, 0.0)
-    h.unpaid_wh += np.where(under, -raw, 0.0)
     h.battery_wh = np.where(over, h.battery_max_wh, np.where(under, 0.0, raw))
 
 
@@ -620,8 +618,7 @@ class Hearing:
               + e.cost_listen_w, e.cost_emit_w]
              for e in (a.energy for a in self.agents)]).reshape(n, 4).T
         self.battery_wh = np.array([a.start_wh for a in self.agents], float)
-        (self.harvested_wh, self.consumed_wh, self.overflow_wh,
-         self.unpaid_wh) = np.zeros((4, n))
+        self.harvested_wh, self.consumed_wh = np.zeros((2, n))
         self.echo_until = np.full(n, -1)
         self.fired = np.zeros(n, dtype=bool)
         self.levels = np.zeros(n)              # RMS of each row's new hop

@@ -1,8 +1,10 @@
 """Command line entry point: run, replay, analyze, and features.
 
 Exit codes: 0 success, 2 configuration error (bad scenario, bad flag
-value, unreadable input; the message names the offending key or path),
-3 runtime failure (aborted run, corrupt manifest, replay mismatch).
+value, unreadable input, an output directory that is neither empty nor a
+run; the message names the offending key or path), 3 runtime failure
+(aborted run, a corrupt manifest or an artifact whose checksum does not
+match it, replay mismatch; the message names the file).
 """
 
 import argparse
@@ -12,9 +14,10 @@ import sys
 from pathlib import Path
 
 from .audio_core import WavFormatError, read_wav
-from .environment import (MANIFEST_FILE, ReplayError, ScenarioError,
-                          load_scenario, replay_run, run_scenario)
+from .environment import (ReplayError, ScenarioError, load_scenario,
+                          replay_run, run_scenario)
 from .features import analyze
+from .rundir import REPLAY_DIR, RunDir, RunDirError, holds_run
 from .telemetry import analyze_run
 
 EXIT_OK = 0
@@ -59,14 +62,18 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     out = Path(args.out) if args.out else Path("runs") / scenario.name
-    if (out / MANIFEST_FILE).exists() and not args.force:
-        fail(f"{out} already holds a completed run; pass --force to "
-             "overwrite")
-        return EXIT_CONFIG
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        completed = holds_run(out)
     except OSError as exc:
         fail(f"cannot create output directory {out}: {exc.strerror}")
+        return EXIT_CONFIG
+    except RunDirError as exc:
+        fail(str(exc))
+        return EXIT_CONFIG
+    if completed and not args.force:
+        fail(f"{out} already holds a completed run; pass --force to "
+             "replace it")
         return EXIT_CONFIG
 
     try:
@@ -104,22 +111,11 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _load_manifest(run_dir: Path):
-    try:
-        manifest = json.loads((run_dir / MANIFEST_FILE).read_text())
-        if manifest.get("format") != 1 or "artifacts" not in manifest:
-            raise ValueError("unrecognised manifest layout")
-        return manifest
-    except (OSError, ValueError) as exc:
-        raise ReplayError(f"corrupt or missing manifest in {run_dir}: {exc}")
-
-
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run_dir)
     try:
-        _load_manifest(run_dir)
         metrics = analyze_run(run_dir)
-    except ReplayError as exc:
+    except RunDirError as exc:
         fail(str(exc))
         return EXIT_RUNTIME
     except Exception as exc:
@@ -139,9 +135,9 @@ def cmd_analyze(args) -> int:
 def cmd_replay(args) -> int:
     run_dir = Path(args.run_dir)
     try:
-        manifest = _load_manifest(run_dir)
+        original = RunDir(run_dir).manifest["artifacts"]
         replayed = replay_run(run_dir)
-    except ReplayError as exc:
+    except (RunDirError, ReplayError) as exc:
         fail(str(exc))
         return EXIT_RUNTIME
     except Exception as exc:
@@ -149,13 +145,13 @@ def cmd_replay(args) -> int:
         return EXIT_RUNTIME
 
     mismatched = [name for name, sha in replayed.items()
-                  if manifest["artifacts"].get(name) != sha]
+                  if original.get(name) != sha]
     if mismatched:
         fail("replay diverged from the original render: "
              + ", ".join(sorted(mismatched)))
         return EXIT_RUNTIME
     print(f"replay matches original renders ({len(replayed)} file(s)) "
-          f"-> {run_dir / 'replay'}")
+          f"-> {run_dir / REPLAY_DIR}")
     return EXIT_OK
 
 
@@ -174,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output directory "
                        "(default runs/<scenario name>)")
     run_p.add_argument("--force", action="store_true",
-                       help="overwrite an existing completed run")
+                       help="replace an existing completed run")
     run_p.add_argument("-v", "--verbose", action="store_true",
                        help="print artifact checksums")
     run_p.set_defaults(func=cmd_run)

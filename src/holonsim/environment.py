@@ -14,7 +14,6 @@ byte-identical files.
 """
 
 import base64
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -32,17 +31,14 @@ from .audio_core import (HighpassFilter, SimClock, WavFormatError,
                          write_wav)
 from .params import (FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE,
                      TICK_SECONDS)
+from .rundir import (EVENTS_FILE, OCCUPATION_META, OCCUPATION_NPY, REPLAY_DIR,
+                     SCENARIO_FILE, RunDir, RunWriter, file_sha256,
+                     load_run_events, monitor_name)
 
 CHANNELS = ("biophony", "geophony", "anthrophony", "cyberphony")
 D_REF_M = 2.0
 OCCUPATION_WINDOW_TICKS = 62  # one second of hops, rounded down
 NOISE_ROWS = 8  # shared bus rows that every listener's noise floor mixes
-
-EVENTS_FILE = "events.jsonl"
-SCENARIO_FILE = "scenario_resolved.json"
-MANIFEST_FILE = "manifest.json"
-OCCUPATION_NPY = "occupation.npy"
-OCCUPATION_META = "occupation.json"
 
 
 class ScenarioError(ValueError):
@@ -55,7 +51,7 @@ class ReplayError(ValueError):
 
 # --- scenario ---------------------------------------------------------------
 # The dataclasses are the schema of a scenario: each field is named as its
-# key in the YAML file and in scenario_resolved.json, and its annotation and
+# key in the YAML file and in the resolved scenario, and its annotation and
 # default are written here once; the loader checks each key's value against
 # the annotation and leaves an omitted key's default to the dataclass.
 
@@ -123,7 +119,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        """The inverse of to_dict, as replay reads scenario_resolved.json."""
+        """The inverse of to_dict, as replay reads the resolved scenario."""
         return cls(**dict(raw,
                           agents=[AgentSpec(**a) for a in raw["agents"]],
                           sources=[SourceSpec(**s) for s in raw["sources"]]))
@@ -610,14 +606,12 @@ class Bus:
             return self._gains_t, self.hops
         return self._gains_act, self.hops[self._rows]
 
-    def write_renders(self, out_dir: Path) -> dict:
-        """Write monitor_XX.wav per monitor; returns name -> sha256."""
-        out = {}
-        for m, samples in enumerate(self._renders):
-            name = f"monitor_{m:02d}.wav"
+    def write_renders(self, out_dir: Path) -> list:
+        """Write one WAV per monitor into out_dir; returns their names."""
+        names = [monitor_name(m) for m in range(len(self._renders))]
+        for name, samples in zip(names, self._renders):
             write_wav(out_dir / name, samples)
-            out[name] = _sha256(out_dir / name)
-        return out
+        return names
 
 
 def _np_default(obj):
@@ -670,14 +664,6 @@ class EventWriter:
         self.close()
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 @dataclass
 class RunSummary:
     out_dir: Path
@@ -699,14 +685,14 @@ def _spawn_rngs(scn: Scenario):
 
 
 def run_scenario(scn: Scenario, out_dir) -> RunSummary:
-    """Run a resolved scenario and write the full artifact set.
+    """Run a resolved scenario and write the full artifact set to out_dir.
 
-    Artifacts: events.jsonl, scenario_resolved.json, occupation.npy +
-    occupation.json, monitor_XX.wav per monitor, manifest.json with
-    sha256 checksums of everything else.
+    Artifacts: the resolved scenario, the event log, the occupation array
+    and its metadata, one WAV per monitor, and a manifest of their sha256
+    (see rundir). out_dir must be absent, empty or a completed run; the
+    run is staged beside it and replaces it whole once complete.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run = RunWriter(out_dir, scn.name, scn.seed, scn.n_ticks)
 
     bus_rng, source_rngs, agent_rngs = _spawn_rngs(scn)
     agents = [AGENT_KINDS[s.kind](s, rng)
@@ -727,10 +713,11 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS) if n_ticks else 0
     occupation = np.zeros((len(CHANNELS), n_windows, N_MEL_BANDS))
 
-    scenario_json = json.dumps(scn.to_dict(), sort_keys=True, indent=2)
-    config_hash = hashlib.sha256(scenario_json.encode()).hexdigest()
     bus = Bus(scn, bus_rng, source_rngs)
-    with EventWriter(out_dir / EVENTS_FILE, scn.log_audio) as writer:
+    with run, EventWriter(run.path(EVENTS_FILE), scn.log_audio) as writer:
+        resolved = run.path(SCENARIO_FILE)
+        resolved.write_text(json.dumps(scn.to_dict(), sort_keys=True,
+                                       indent=2))
         # per-channel bus rows and their gains at the occupation point; the
         # noise floor is geophony
         chan_rows = {c: [] for c in CHANNELS}
@@ -746,7 +733,7 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
         writer.write(0, None, "scheduler", {
             "event": "boot", "name": scn.name, "seed": scn.seed,
             "n_ticks": n_ticks, "n_agents": n_agents,
-            "n_sources": n_sources, "config_sha256": config_hash})
+            "n_sources": n_sources, "config_sha256": file_sha256(resolved)})
         last_phase = None
 
         for tick in range(n_ticks):
@@ -792,25 +779,16 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
         writer.write(n_ticks, None, "scheduler",
                      {"event": "end", "n_ticks": n_ticks})
 
-    (out_dir / SCENARIO_FILE).write_text(scenario_json)
-    np.save(out_dir / OCCUPATION_NPY, occupation)
-    (out_dir / OCCUPATION_META).write_text(json.dumps({
-        "channels": list(CHANNELS),
-        "window_ticks": OCCUPATION_WINDOW_TICKS,
-        "window_s": OCCUPATION_WINDOW_TICKS * FRAME_HOP / SAMPLE_RATE,
-        "n_windows": n_windows,
-        "n_bands": N_MEL_BANDS,
-    }, sort_keys=True, indent=2))
-    artifacts = {name: _sha256(out_dir / name)
-                 for name in [EVENTS_FILE, SCENARIO_FILE, OCCUPATION_NPY,
-                              OCCUPATION_META]}
-    artifacts.update(bus.write_renders(out_dir))
-    manifest = {"format": 1, "name": scn.name, "seed": scn.seed,
-                "config_sha256": config_hash, "n_ticks": n_ticks,
-                "artifacts": artifacts}
-    (out_dir / MANIFEST_FILE).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2))
-    return RunSummary(out_dir, n_ticks, writer.count, artifacts)
+        np.save(run.path(OCCUPATION_NPY), occupation)
+        run.path(OCCUPATION_META).write_text(json.dumps({
+            "channels": list(CHANNELS),
+            "window_ticks": OCCUPATION_WINDOW_TICKS,
+            "window_s": OCCUPATION_WINDOW_TICKS * FRAME_HOP / SAMPLE_RATE,
+            "n_windows": n_windows,
+            "n_bands": N_MEL_BANDS,
+        }, sort_keys=True, indent=2))
+        bus.write_renders(run.stage)
+    return RunSummary(run.out_dir, n_ticks, writer.count, run.artifacts)
 
 
 # --- replay ----------------------------------------------------------------------
@@ -848,23 +826,19 @@ def _emissions_from_log(events) -> dict:
     return emissions
 
 
-def load_run_events(run_dir) -> list:
-    with open(Path(run_dir) / EVENTS_FILE) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def replay_run(run_dir) -> dict:
     """Re-render monitor WAVs from the log alone; returns name -> sha256.
 
     Replay mixes on the same Bus as the run, with the same source streams
     and bus noise (same seeds). Each agent row is dealt from an
     EmissionQueue that starts the clip logged at (tick, agent), exactly as
-    the live agent's own queue did. Output files land in <run_dir>/replay/
-    and must be byte-identical to the originals.
+    the live agent's own queue did. Output files land in the run's replay
+    directory and must be byte-identical to the originals. The scenario
+    and the log are read only once their checksums match the manifest's.
     """
-    run_dir = Path(run_dir)
+    run = RunDir(run_dir)
     scn = Scenario.from_dict(
-        json.loads((run_dir / SCENARIO_FILE).read_text()))
+        json.loads(run.verified(SCENARIO_FILE).read_text()))
     emissions = _emissions_from_log(load_run_events(run_dir))
     bus_rng, source_rngs, _ = _spawn_rngs(scn)
     agent_ids = [a.id for a in scn.agents]
@@ -879,6 +853,7 @@ def replay_run(run_dir) -> dict:
                 queue.start(pcm)
         bus.deal(queues)
 
-    replay_dir = run_dir / "replay"
+    replay_dir = run.path / REPLAY_DIR
     replay_dir.mkdir(exist_ok=True)
-    return bus.write_renders(replay_dir)
+    return {name: file_sha256(replay_dir / name)
+            for name in bus.write_renders(replay_dir)}

@@ -8,15 +8,13 @@ agree bit for bit.
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
 from .agents import ComposerParams
 from .audio_core import fft_magnitude, frames, read_wav
-from .environment import (MANIFEST_FILE, OCCUPATION_META, OCCUPATION_NPY,
-                          load_run_events)
 from .params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE
+from .rundir import OCCUPATION_META, OCCUPATION_NPY, RunDir, load_run_events
 
 DB_FLOOR = -120.0
 BIN_HZ = SAMPLE_RATE / FRAME_SIZE
@@ -303,36 +301,33 @@ def analyze_run(run_dir):
 
     Spectrograms render on one worker per monitor, up to the CPU count.
     Returns the metrics dict with a list of written artifact names under
-    "artifacts".
+    "artifacts". Each input is read only once its checksum matches the
+    manifest's.
     """
-    run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / MANIFEST_FILE).read_text())
-    events = load_run_events(run_dir)
-    occupation = np.load(run_dir / OCCUPATION_NPY)
-    meta = json.loads((run_dir / OCCUPATION_META).read_text())
+    run = RunDir(run_dir)
+    events = load_run_events(run.path)
+    occupation = np.load(run.verified(OCCUPATION_NPY))
+    meta = json.loads(run.verified(OCCUPATION_META).read_text())
 
     metrics = occupation_metrics(events, occupation, meta,
-                                 manifest["n_ticks"])
+                                 run.manifest["n_ticks"])
     written = ["metrics.json", "metrics.csv"]
 
-    # the manifest's renders, not whatever an earlier run left beside them
-    monitors = sorted(name for name in manifest["artifacts"]
-                      if name.startswith("monitor_"))
-
     def render(name):
-        stem = name[:-len(".wav")]
-        save_spectrogram(run_dir / name, run_dir / f"{stem}_spectrogram.csv",
-                         run_dir / f"{stem}_spectrogram.pgm")
+        stem = os.path.splitext(name)[0]
+        save_spectrogram(run.verified(name),
+                         run.path / f"{stem}_spectrogram.csv",
+                         run.path / f"{stem}_spectrogram.pgm")
         return [f"{stem}_spectrogram.csv", f"{stem}_spectrogram.pgm"]
 
-    if monitors:
-        workers = min(len(monitors), os.cpu_count() or 1)
+    if run.monitors:
+        workers = min(len(run.monitors), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for names in pool.map(render, monitors):
+            for names in pool.map(render, run.monitors):
                 written.extend(names)
 
     metrics = dict(metrics, artifacts=sorted(written))
-    (run_dir / "metrics.json").write_text(
+    (run.path / "metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True))
-    (run_dir / "metrics.csv").write_text(_metrics_csv_lines(metrics))
+    (run.path / "metrics.csv").write_text(_metrics_csv_lines(metrics))
     return metrics

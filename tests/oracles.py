@@ -259,7 +259,6 @@ class OracleLedger:
         self.dt_h = dt_s / 3600.0
         self.battery_wh = battery_wh
         self.harvested_wh = self.consumed_wh = 0.0
-        self.overflow_wh = self.unpaid_wh = 0.0
 
     def step(self, harvest_w, emitted):
         model = self.model
@@ -270,9 +269,7 @@ class OracleLedger:
         self.harvested_wh += harvest_w * self.dt_h
         self.consumed_wh += cost * self.dt_h
         if raw > model.battery_max_wh:
-            self.overflow_wh += raw - model.battery_max_wh
             raw = model.battery_max_wh
         elif raw < 0.0:
-            self.unpaid_wh += -raw
             raw = 0.0
         self.battery_wh = raw

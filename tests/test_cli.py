@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import holonsim
+from holonsim import agents
 from holonsim.audio_core import write_wav
 from holonsim.cli import main, parse_duration
 from holonsim.environment import ScenarioError, load_run_events
@@ -84,6 +85,35 @@ def test_run_refuses_overwrite_without_force(tmp_path, capsys):
     assert main(["run", "--scenario", scn, "--out", out]) == 2
     assert "--force" in capsys.readouterr().err
     assert main(["run", "--scenario", scn, "--out", out, "--force"]) == 0
+
+
+def test_run_refuses_a_directory_that_holds_no_run(tmp_path, capsys):
+    scn = composer_scenario(tmp_path, duration_s=1.0)
+    out = tmp_path / "notes"
+    out.mkdir()
+    (out / "todo.txt").write_text("keep me")
+    for force in ([], ["--force"]):
+        assert main(["run", "--scenario", scn, "--out", str(out)]
+                    + force) == 2
+        assert str(out) in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["todo.txt"]
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch,
+                                               capsys):
+    step = agents.ComposerAgent.step
+
+    def failing_step(self, hearing, clock):
+        if clock.tick == 5:
+            raise RuntimeError("step fault")
+        return step(self, hearing, clock)
+
+    monkeypatch.setattr(agents.ComposerAgent, "step", failing_step)
+    scn = composer_scenario(tmp_path, duration_s=1.0)
+    assert main(["run", "--scenario", scn, "--out",
+                 str(tmp_path / "out" / "run")]) == 3
+    assert "step fault" in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("rel", ["file", "file/sub"])
@@ -230,16 +260,59 @@ def test_analyze_prints_metrics(tmp_path, capsys):
 def test_analyze_reads_only_the_renders_the_manifest_names(tmp_path):
     out = finished_run(tmp_path, duration_s=1.0,
                        monitors=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    # a one-monitor run over it leaves monitor_01/02.wav on disk
+    # a one-monitor run over it replaces the run whole
     scn = composer_scenario(tmp_path, duration_s=1.0)
     assert main(["run", "--scenario", scn, "--out", str(out),
                  "--force"]) == 0
-    assert (out / "monitor_02.wav").exists()
+    assert not (out / "monitor_02.wav").exists()
+    assert sorted(p.name for p in out.glob("monitor_*")) == ["monitor_00.wav"]
     assert main(["analyze", str(out)]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert [n for n in metrics["artifacts"] if n.startswith("monitor_")] \
         == ["monitor_00_spectrogram.csv", "monitor_00_spectrogram.pgm"]
     assert not list(out.glob("monitor_0[12]_spectrogram.*"))
+
+
+def test_force_replaces_a_run_whole(tmp_path):
+    out = finished_run(tmp_path, duration_s=1.0,
+                       monitors=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    assert main(["analyze", str(out)]) == 0
+    assert main(["replay", str(out)]) == 0
+    scn = composer_scenario(tmp_path, duration_s=1.0)
+    assert main(["run", "--scenario", scn, "--out", str(out),
+                 "--force"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted([*manifest["artifacts"], "manifest.json"])
+    assert sorted(p.name for p in out.glob("monitor_*")) == ["monitor_00.wav"]
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["run"]
+
+
+def flip_a_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("name", ["events.jsonl", "occupation.npy",
+                                  "scenario_resolved.json", "monitor_00.wav"])
+def test_analyze_names_a_tampered_artifact(tmp_path, capsys, name):
+    out = finished_run(tmp_path, duration_s=1.0)
+    flip_a_byte(out / name)
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 3
+    assert name in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("name", ["events.jsonl", "scenario_resolved.json"])
+def test_replay_names_a_tampered_input(tmp_path, capsys, name):
+    out = finished_run(tmp_path, duration_s=1.0)
+    flip_a_byte(out / name)
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 3
+    assert name in capsys.readouterr().err
+    assert not (out / "replay").exists()
 
 
 def test_analyze_empty_roster_reports_na(tmp_path, capsys):
