@@ -301,29 +301,29 @@ def analyze_run(run_dir):
 
     Spectrograms render on one worker per monitor, up to the CPU count.
     Returns the metrics dict with a list of written artifact names under
-    "artifacts". Each input is read only once its checksum matches the
-    manifest's.
+    "artifacts". Every input's checksum is checked against the manifest
+    before anything is written.
     """
     run = RunDir(run_dir)
     events = load_run_events(run.path)
     occupation = np.load(run.verified(OCCUPATION_NPY))
     meta = json.loads(run.verified(OCCUPATION_META).read_text())
+    renders = [run.verified(name) for name in run.monitors]
 
     metrics = occupation_metrics(events, occupation, meta,
                                  run.manifest["n_ticks"])
     written = ["metrics.json", "metrics.csv"]
 
-    def render(name):
-        stem = os.path.splitext(name)[0]
-        save_spectrogram(run.verified(name),
-                         run.path / f"{stem}_spectrogram.csv",
+    def render(path):
+        stem = path.stem
+        save_spectrogram(path, run.path / f"{stem}_spectrogram.csv",
                          run.path / f"{stem}_spectrogram.pgm")
         return [f"{stem}_spectrogram.csv", f"{stem}_spectrogram.pgm"]
 
-    if run.monitors:
-        workers = min(len(run.monitors), os.cpu_count() or 1)
+    if renders:
+        workers = min(len(renders), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for names in pool.map(render, run.monitors):
+            for names in pool.map(render, renders):
                 written.extend(names)
 
     metrics = dict(metrics, artifacts=sorted(written))

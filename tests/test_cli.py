@@ -295,14 +295,17 @@ def flip_a_byte(path):
 
 
 @pytest.mark.parametrize("name", ["events.jsonl", "occupation.npy",
-                                  "scenario_resolved.json", "monitor_00.wav"])
+                                  "scenario_resolved.json", "monitor_02.wav"])
 def test_analyze_names_a_tampered_artifact(tmp_path, capsys, name):
-    out = finished_run(tmp_path, duration_s=1.0)
+    out = finished_run(tmp_path, duration_s=1.0,
+                       monitors=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     flip_a_byte(out / name)
     capsys.readouterr()
     assert main(["analyze", str(out)]) == 3
     assert name in capsys.readouterr().err
-    assert not (out / "metrics.json").exists()
+    # nothing is written from a run that is refused
+    assert not list(out.glob("metrics.*"))
+    assert not list(out.glob("*_spectrogram.*"))
 
 
 @pytest.mark.parametrize("name", ["events.jsonl", "scenario_resolved.json"])
