@@ -837,9 +837,8 @@ def replay_run(run_dir) -> dict:
     and the log are read only once their checksums match the manifest's.
     """
     run = RunDir(run_dir)
-    scn = Scenario.from_dict(
-        json.loads(run.verified(SCENARIO_FILE).read_text()))
-    emissions = _emissions_from_log(load_run_events(run_dir))
+    scn = Scenario.from_dict(run.scenario)
+    emissions = _emissions_from_log(load_run_events(run))
     bus_rng, source_rngs, _ = _spawn_rngs(scn)
     agent_ids = [a.id for a in scn.agents]
     queues = [EmissionQueue() for _ in agent_ids]

@@ -3,9 +3,10 @@
 A run directory holds the artifacts of one run and a manifest that lists
 each with its sha256. RunWriter stages a run in a sibling
 `.<name>.partial` directory and moves it into place once the manifest is
-written, so a run directory is either complete or absent. RunDir opens a
-finished run through its manifest and checks an artifact's sha256 before
-handing it out. Anything else a tool writes beside the artifacts
+written, so a run directory is either complete or absent; a completed run
+it replaces is first moved aside to `.<name>.old` and removed last. RunDir
+opens a finished run through its manifest and checks an artifact's sha256
+before handing it out. Anything else a tool writes beside the artifacts
 (`replay/`, metrics, spectrograms) is not listed in the manifest.
 """
 
@@ -48,20 +49,24 @@ def file_sha256(path) -> str:
 
 
 def holds_run(out_dir: Path) -> bool:
-    """Whether out_dir holds a completed run (it has a manifest).
+    """Whether out_dir holds a completed run (a manifest that RunDir reads).
 
     An absent or empty directory gives False; a run may replace it, as it
-    may a completed run. A non-empty directory with no manifest raises
-    RunDirError, and a path that is not a directory raises OSError.
+    may a completed run. Any other directory, one with an unreadable or
+    foreign manifest.json too, raises RunDirError, and a path that is not a
+    directory raises OSError.
     """
     if not out_dir.exists():
         return False
-    if (out_dir / MANIFEST_FILE).is_file():
+    try:
+        _read_manifest(out_dir)
         return True
+    except RunDirError:
+        pass
     if any(out_dir.iterdir()):
-        raise RunDirError(f"{out_dir} is not empty and holds no run "
-                          f"({MANIFEST_FILE} missing); refusing to write "
-                          "a run into it")
+        raise RunDirError(f"{out_dir} is not empty and holds no run (no "
+                          f"valid {MANIFEST_FILE}); refusing to write a "
+                          "run into it")
     return False
 
 
@@ -71,15 +76,16 @@ class RunWriter:
     Files go to `path(name)`, in a sibling `.<name>.partial` directory.
     When the block ends cleanly, the manifest lists every staged file with
     its sha256 (`artifacts`) and the directory moves into place, over an
-    empty directory or a completed run. When it ends by any exception, the
-    staged directory is removed.
+    empty directory or a completed run. A completed run is renamed to a
+    sibling `.<name>.old` first and removed once the new run is in place,
+    so an interrupt leaves the old run or the new one. When the block ends
+    by any exception, the staged directory is removed.
     """
 
     def __init__(self, out_dir, name: str, seed: int, n_ticks: int):
-        self.out_dir = Path(out_dir)
+        self.out_dir = Path(out_dir).resolve()
         holds_run(self.out_dir)   # refuse a non-run directory up front
-        out = Path(os.path.abspath(self.out_dir))
-        self.stage = out.parent / f".{out.name}.partial"
+        self.stage = self._sibling("partial")
         self.manifest = {"format": FORMAT, "name": name, "seed": seed,
                          "n_ticks": n_ticks}
         self.artifacts = None
@@ -101,6 +107,9 @@ class RunWriter:
     def path(self, name: str) -> Path:
         return self.stage / name
 
+    def _sibling(self, suffix: str) -> Path:
+        return self.out_dir.parent / f".{self.out_dir.name}.{suffix}"
+
     def _commit(self):
         self.artifacts = {p.name: file_sha256(p)
                           for p in self.stage.iterdir()}
@@ -108,34 +117,36 @@ class RunWriter:
                         config_sha256=self.artifacts[SCENARIO_FILE])
         self.path(MANIFEST_FILE).write_text(
             json.dumps(manifest, sort_keys=True, indent=2))
-        if holds_run(self.out_dir):
-            shutil.rmtree(self.out_dir)
-        os.replace(self.stage, self.out_dir)
+        old = self._sibling("old")
+        shutil.rmtree(old, ignore_errors=True)   # left by a killed swap
+        replacing = holds_run(self.out_dir)
+        if replacing:
+            os.replace(self.out_dir, old)
+        try:
+            os.replace(self.stage, self.out_dir)
+        except BaseException:
+            if replacing:
+                os.replace(old, self.out_dir)
+            raise
+        shutil.rmtree(old, ignore_errors=True)
 
 
 class RunDir:
     """A finished run, opened through its manifest.
 
-    Opening checks the manifest's layout and the resolved scenario, by
-    which the manifest knows the run (its `config_sha256`); verified(name)
-    checks a listed artifact's sha256 before handing out its path. Each
-    raises RunDirError naming the manifest or the file.
+    Opening checks the manifest's layout and reads the resolved scenario
+    (`scenario`, a dict), by which the manifest knows the run (its
+    `config_sha256`), once its sha256 matches; verified(name) checks a
+    listed artifact's sha256 before handing out its path. Each raises
+    RunDirError naming the manifest or the file.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        where = self.path / MANIFEST_FILE
-        try:
-            manifest = json.loads(where.read_text())
-        except (OSError, ValueError) as exc:
-            raise RunDirError(f"corrupt or missing manifest {where}: {exc}")
-        if not _valid_manifest(manifest):
-            raise RunDirError(f"corrupt manifest {where}: unrecognised "
-                              f"layout (expected format {FORMAT})")
-        self.manifest = manifest
-        self.monitors = sorted(name for name in manifest["artifacts"]
+        self.manifest = _read_manifest(self.path)
+        self.monitors = sorted(name for name in self.manifest["artifacts"]
                                if _MONITOR.fullmatch(name))
-        self.verified(SCENARIO_FILE)
+        self.scenario = json.loads(self.verified(SCENARIO_FILE).read_text())
 
     def verified(self, name: str) -> Path:
         path = self.path / name
@@ -151,6 +162,18 @@ class RunDir:
         return path
 
 
+def _read_manifest(path: Path) -> dict:
+    where = path / MANIFEST_FILE
+    try:
+        manifest = json.loads(where.read_text())
+    except (OSError, ValueError) as exc:
+        raise RunDirError(f"corrupt or missing manifest {where}: {exc}")
+    if not _valid_manifest(manifest):
+        raise RunDirError(f"corrupt manifest {where}: unrecognised "
+                          f"layout (expected format {FORMAT})")
+    return manifest
+
+
 def _valid_manifest(manifest) -> bool:
     if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
         return False
@@ -164,7 +187,7 @@ def _valid_manifest(manifest) -> bool:
                     for name, sha in artifacts.items()))
 
 
-def load_run_events(run_dir) -> list:
-    """The event log of the run in run_dir, once its sha256 is verified."""
-    with open(RunDir(run_dir).verified(EVENTS_FILE)) as fh:
+def load_run_events(run: RunDir) -> list:
+    """The event log of an opened run, once its sha256 is verified."""
+    with open(run.verified(EVENTS_FILE)) as fh:
         return [json.loads(line) for line in fh if line.strip()]

@@ -305,7 +305,7 @@ def analyze_run(run_dir):
     before anything is written.
     """
     run = RunDir(run_dir)
-    events = load_run_events(run.path)
+    events = load_run_events(run)
     occupation = np.load(run.verified(OCCUPATION_NPY))
     meta = json.loads(run.verified(OCCUPATION_META).read_text())
     renders = [run.verified(name) for name in run.monitors]

@@ -23,6 +23,7 @@ from holonsim.features import (DEFAULT_CAPACITY_BYTES, DEFAULT_MAX_ITEMS,
                                SampleCollection, SoundSample, Verdict, mfcc,
                                zero_crossing_rate)
 from holonsim.params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE, TICK_SECONDS
+from holonsim.rundir import RunDir
 from holonsim.telemetry import analyze_run
 
 import oracles
@@ -51,7 +52,7 @@ def run_preset(name: str, out_dir, seed=None, mutate=None):
 
 def onsets(run_dir):
     return [(e["tick"] * TICK_SECONDS, e["payload"]["band"])
-            for e in load_run_events(run_dir)
+            for e in load_run_events(RunDir(run_dir))
             if e["event"] == "emission_start"]
 
 
@@ -244,7 +245,7 @@ def test_criterion_06_transform_spectra(capsys):
 def test_criterion_07_insolation_monotonicity(tmp_path, capsys):
     def night_counts(run_dir):
         return {e["agent_id"]: e["payload"]["night_emissions"]
-                for e in load_run_events(run_dir)
+                for e in load_run_events(RunDir(run_dir))
                 if e["event"] == "summary" and e["kind"] == "composer"}
 
     def doubled(scn):
@@ -286,7 +287,7 @@ def test_criterion_08_determinism_and_replay(tmp_path, capsys):
                             level_dbfs=-25.0, freq_hz=1000.0,
                             start_s=4.0, stop_s=5.0)])
     s3 = run_scenario(mixed, tmp_path / "c")
-    pcm_events = {e["event"] for e in load_run_events(tmp_path / "c")}
+    pcm_events = {e["event"] for e in load_run_events(RunDir(tmp_path / "c"))}
     pcm_replay = replay_run(tmp_path / "c")
     pcm_ok = ("disrupt_start" in pcm_events
               and all(s3.artifacts[n] == sha
@@ -330,7 +331,7 @@ def test_criterion_10_full_roster_wall_clock(tmp_path, capsys):
     t0 = time.time()
     _, summary = run_preset("full_roster", tmp_path / "run")
     wall = time.time() - t0
-    agents = {e["agent_id"] for e in load_run_events(tmp_path / "run")
+    agents = {e["agent_id"] for e in load_run_events(RunDir(tmp_path / "run"))
               if e["event"] == "summary"}
     ok = wall < 600.0 and summary.n_ticks == 3750 and len(agents) == 130
     report(capsys, 10, ok,

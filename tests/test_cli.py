@@ -16,6 +16,7 @@ from holonsim import agents
 from holonsim.audio_core import write_wav
 from holonsim.cli import main, parse_duration
 from holonsim.environment import ScenarioError, load_run_events
+from holonsim.rundir import RunDir
 
 from synth import silence, sine
 
@@ -99,6 +100,20 @@ def test_run_refuses_a_directory_that_holds_no_run(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["todo.txt"]
 
 
+def test_run_refuses_a_directory_with_a_foreign_manifest(tmp_path, capsys):
+    scn = composer_scenario(tmp_path, duration_s=1.0)
+    out = tmp_path / "project"
+    out.mkdir()
+    (out / "manifest.json").write_text('{"name": "app", "version": 3}')
+    (out / "main.py").write_text("print('keep me')")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for force in ([], ["--force"]):
+        assert main(["run", "--scenario", scn, "--out", str(out)]
+                    + force) == 2
+        assert str(out) in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch,
                                                capsys):
     step = agents.ComposerAgent.step
@@ -141,7 +156,7 @@ def test_run_duration_override_on_empty_roster(tmp_path):
     rc = main(["run", "--scenario", scn, "--duration", "10s",
                "--out", str(out)])
     assert rc == 0
-    events = load_run_events(out)
+    events = load_run_events(RunDir(out))
     assert {e["kind"] for e in events} == {"scheduler", "clock"}
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n_ticks"] == 625  # 10 s of 16 ms ticks
@@ -288,6 +303,17 @@ def test_force_replaces_a_run_whole(tmp_path):
     assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["run"]
 
 
+def test_force_replaces_the_run_it_is_started_in(tmp_path, monkeypatch):
+    out = finished_run(tmp_path, duration_s=1.0,
+                       monitors=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    scn = composer_scenario(tmp_path, duration_s=1.0)
+    monkeypatch.chdir(out)
+    assert main(["run", "--scenario", scn, "--out", ".", "--force"]) == 0
+    assert sorted(p.name for p in out.glob("monitor_*")) == ["monitor_00.wav"]
+    assert main(["replay", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["run"]
+
+
 def flip_a_byte(path):
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x01
@@ -365,7 +391,7 @@ def test_replay_without_logged_audio_exits_three(tmp_path, capsys):
                      "freq_hz": 1000.0, "start_s": 4.0, "stop_s": 5.0}]})
     out = tmp_path / "run"
     assert main(["run", "--scenario", scn, "--out", str(out)]) == 0
-    events = load_run_events(out)
+    events = load_run_events(RunDir(out))
     assert any(e["event"] == "disrupt_start" for e in events)
     assert main(["replay", str(out)]) == 3
     assert "pcm_omitted" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   load_run_events, load_scenario, replay_run,
                                   run_scenario)
 from holonsim.params import FRAME_HOP, SAMPLE_RATE
+from holonsim.rundir import RunDir
 
 import oracles
 import test_golden as golden
@@ -98,7 +99,7 @@ def test_emission_becomes_audible_next_tick(tmp_path):
                    agents=[AgentSpec("composer_000", "composer",
                                      (0.0, 0.0))])
     run_scenario(scn, tmp_path / "run")
-    events = load_run_events(tmp_path / "run")
+    events = load_run_events(RunDir(tmp_path / "run"))
     starts = named(events, "emission_start")
     assert starts, "composer never sang in a silent field"
     t0 = starts[0]["tick"]
@@ -254,7 +255,7 @@ def test_different_seed_diverges(tmp_path):
 
 def test_replay_reproduces_renders(tmp_path):
     summary = run_scenario(full_scenario(), tmp_path / "run")
-    events = load_run_events(tmp_path / "run")
+    events = load_run_events(RunDir(tmp_path / "run"))
     # the scenario must exercise all three emission kinds for this
     # replay check to mean anything
     assert named(events, "emission_start")
@@ -271,7 +272,7 @@ def test_replay_without_logged_audio_refuses(tmp_path):
 
 def test_replay_refuses_before_synthesizing(tmp_path, monkeypatch):
     run_scenario(full_scenario(log_audio=False), tmp_path / "run")
-    events = load_run_events(tmp_path / "run")
+    events = load_run_events(RunDir(tmp_path / "run"))
     first_omitted = min(e["tick"] for e in events
                         if e["payload"].get("pcm_omitted"))
     # composer notes logged before the first omitted clip would be synthesized
@@ -290,7 +291,7 @@ def test_replay_of_composers_needs_no_logged_audio(tmp_path):
                    log_audio=False,
                    agents=[AgentSpec("composer_000", "composer", (0.0, 0.0))])
     summary = run_scenario(scn, tmp_path / "run")
-    assert named(load_run_events(tmp_path / "run"), "emission_start")
+    assert named(load_run_events(RunDir(tmp_path / "run")), "emission_start")
     replayed = replay_run(tmp_path / "run")
     assert replayed["monitor_00.wav"] == summary.artifacts["monitor_00.wav"]
 
@@ -316,7 +317,7 @@ def test_replay_equals_run_at_the_edges_of_the_schedule(tmp_path, n_ticks,
     scn.duration_s = n_ticks * FRAME_HOP / SAMPLE_RATE
     summary = run_scenario(scn, tmp_path / "run")
     assert summary.n_ticks == n_ticks
-    starts = [e for e in load_run_events(tmp_path / "run")
+    starts = [e for e in load_run_events(RunDir(tmp_path / "run"))
               if e["event"] in ("emission_start", "playback_start",
                                 "disrupt_start")]
     last = n_ticks - 1
@@ -445,7 +446,7 @@ def test_an_empty_note_is_charged_vetoed_and_ends_on_its_tick(
          "energy": {"harvest_peak_w": 0.0, "cost_idle_w": 0.0,
                     "cost_emit_w": 1.0, "liveliness_per_s": 50.0}}])
     run_scenario(load_scenario(write_yaml(tmp_path, body)), tmp_path / "run")
-    events = load_run_events(tmp_path / "run")
+    events = load_run_events(RunDir(tmp_path / "run"))
     starts = [e["tick"] for e in named(events, "emission_start")]
     assert len(starts) > 1
     assert all(e["payload"]["n_samples"] == 0
@@ -600,7 +601,7 @@ def test_empty_roster_logs_only_scheduler_records(tmp_path):
     scn = Scenario(name="empty", seed=1, duration_s=1.0,
                    noise_floor_dbfs=None)
     run_scenario(scn, tmp_path / "run")
-    events = load_run_events(tmp_path / "run")
+    events = load_run_events(RunDir(tmp_path / "run"))
     assert [e["event"] for e in events] == ["boot", "phase", "end"]
 
 
@@ -890,7 +891,7 @@ def test_a_one_sample_recording_cap_runs(tmp_path):
     body["agents"] = [{"kind": "collector", "params": {"record_max_s": cap_s}},
                       {"kind": "disruptor", "params": {"capture_max_s": cap_s}}]
     run_scenario(load_scenario(write_yaml(tmp_path, body)), tmp_path / "run")
-    events = load_run_events(tmp_path / "run")
+    events = load_run_events(RunDir(tmp_path / "run"))
     ends = named(events, "record_end") + named(events, "capture_end")
     assert {e["kind"] for e in ends} == {"collector", "disruptor"}
     assert {e["payload"]["duration_s"] for e in ends} == {1 / SAMPLE_RATE}

@@ -26,6 +26,7 @@ import yaml
 
 from holonsim.environment import (ReplayError, Scenario, load_run_events,
                                   load_scenario, replay_run, run_scenario)
+from holonsim.rundir import RunDir
 
 HERE = Path(__file__).resolve().parent
 SCENARIOS = HERE.parent / "scenarios"
@@ -143,7 +144,7 @@ def digests(scn: Scenario, run_dir: Path) -> tuple:
         for m in range(len(scn.monitors)):
             name = f"replay/monitor_{m:02d}.wav"
             out[name] = sha256(run_dir / name)
-    events = {e["event"] for e in load_run_events(run_dir)}
+    events = {e["event"] for e in load_run_events(RunDir(run_dir))}
     return out, events
 
 

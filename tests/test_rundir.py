@@ -1,6 +1,7 @@
 """The run directory: staged writes, the manifest, and verified reads."""
 
 import json
+import os
 
 import pytest
 
@@ -54,7 +55,7 @@ def test_a_missing_artifact_is_named(tmp_path):
     run_scenario(tiny(1), tmp_path / "run")
     (tmp_path / "run" / "events.jsonl").unlink()
     with pytest.raises(RunDirError, match="events.jsonl"):
-        load_run_events(tmp_path / "run")
+        load_run_events(RunDir(tmp_path / "run"))
 
 
 @pytest.mark.parametrize("edit", [
@@ -98,14 +99,45 @@ def test_a_directory_that_holds_no_run_is_refused(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["notes"]
 
 
+def test_a_foreign_manifest_is_not_a_run(tmp_path):
+    out = tmp_path / "project"
+    out.mkdir()
+    (out / MANIFEST_FILE).write_text('{"name": "app", "version": 3}')
+    (out / "main.py").write_text("print('keep me')")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(RunDirError, match="project"):
+        run_scenario(tiny(1), out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["project"]
+
+
+def test_an_interrupted_swap_keeps_the_completed_run(tmp_path, monkeypatch):
+    run_scenario(tiny(2), tmp_path / "run")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    replace = os.replace
+
+    def halt_on_the_new_run(src, dst):
+        if os.path.basename(src) == ".run.partial":
+            raise Halt("interrupted")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", halt_on_the_new_run)
+    with pytest.raises(Halt):
+        run_scenario(tiny(1), tmp_path / "run")
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert {p.name: p.read_bytes()
+            for p in (tmp_path / "run").iterdir()} == before
+
+
 def test_an_empty_directory_takes_a_run(tmp_path):
     (tmp_path / "run").mkdir()
     run_scenario(tiny(1), tmp_path / "run")
     assert RunDir(tmp_path / "run").monitors == ["monitor_00.wav"]
 
 
-def test_a_killed_runs_staging_is_cleared(tmp_path):
-    stale = tmp_path / ".run.partial"
+@pytest.mark.parametrize("stale", [".run.partial", ".run.old"])
+def test_a_killed_runs_leftovers_are_cleared(tmp_path, stale):
+    stale = tmp_path / stale
     stale.mkdir()
     (stale / "monitor_07.wav").write_bytes(b"left by a killed run")
     run_scenario(tiny(1), tmp_path / "run")
