@@ -88,30 +88,22 @@ def test_run_refuses_overwrite_without_force(tmp_path, capsys):
     assert main(["run", "--scenario", scn, "--out", out, "--force"]) == 0
 
 
-def test_run_refuses_a_directory_that_holds_no_run(tmp_path, capsys):
+@pytest.mark.parametrize("files", [
+    {"todo.txt": "keep me"},
+    # a project whose manifest.json is not a run's
+    {"manifest.json": '{"name": "app", "version": 3}',
+     "main.py": "print('keep me')"}])
+def test_run_refuses_a_directory_that_holds_no_run(tmp_path, capsys, files):
     scn = composer_scenario(tmp_path, duration_s=1.0)
     out = tmp_path / "notes"
     out.mkdir()
-    (out / "todo.txt").write_text("keep me")
+    for name, text in files.items():
+        (out / name).write_text(text)
     for force in ([], ["--force"]):
         assert main(["run", "--scenario", scn, "--out", str(out)]
                     + force) == 2
         assert str(out) in capsys.readouterr().err
-    assert [p.name for p in out.iterdir()] == ["todo.txt"]
-
-
-def test_run_refuses_a_directory_with_a_foreign_manifest(tmp_path, capsys):
-    scn = composer_scenario(tmp_path, duration_s=1.0)
-    out = tmp_path / "project"
-    out.mkdir()
-    (out / "manifest.json").write_text('{"name": "app", "version": 3}')
-    (out / "main.py").write_text("print('keep me')")
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
-    for force in ([], ["--force"]):
-        assert main(["run", "--scenario", scn, "--out", str(out)]
-                    + force) == 2
-        assert str(out) in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert {p.name: p.read_text() for p in out.iterdir()} == files
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch,

@@ -89,26 +89,22 @@ def test_a_failed_rerun_keeps_the_completed_run(tmp_path, monkeypatch):
             for p in (tmp_path / "run").iterdir()} == before
 
 
-def test_a_directory_that_holds_no_run_is_refused(tmp_path):
+# a directory of notes, and a project whose manifest.json is not a run's
+NOT_RUNS = [{"todo.txt": "keep me"},
+            {MANIFEST_FILE: '{"name": "app", "version": 3}',
+             "main.py": "print('keep me')"}]
+
+
+@pytest.mark.parametrize("files", NOT_RUNS)
+def test_a_directory_that_holds_no_run_is_refused(tmp_path, files):
     out = tmp_path / "notes"
     out.mkdir()
-    (out / "todo.txt").write_text("keep me")
+    for name, text in files.items():
+        (out / name).write_text(text)
     with pytest.raises(RunDirError, match="notes"):
         run_scenario(tiny(1), out)
-    assert [p.name for p in out.iterdir()] == ["todo.txt"]
+    assert {p.name: p.read_text() for p in out.iterdir()} == files
     assert [p.name for p in tmp_path.iterdir()] == ["notes"]
-
-
-def test_a_foreign_manifest_is_not_a_run(tmp_path):
-    out = tmp_path / "project"
-    out.mkdir()
-    (out / MANIFEST_FILE).write_text('{"name": "app", "version": 3}')
-    (out / "main.py").write_text("print('keep me')")
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
-    with pytest.raises(RunDirError, match="project"):
-        run_scenario(tiny(1), out)
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    assert [p.name for p in tmp_path.iterdir()] == ["project"]
 
 
 def test_an_interrupted_swap_keeps_the_completed_run(tmp_path, monkeypatch):
