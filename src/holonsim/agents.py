@@ -5,14 +5,14 @@ into it; collectors record onsets and keep the recordings that diversify
 their collection, playing them back at night when they hear a composer
 tone; disruptors grab whatever sounds loud, mangle it and throw it back.
 
-All hearing arithmetic runs once per tick for every agent at once, on
-arrays with one row per agent held by a Hearing: onset detection, spectral
-memory, tone features and hop levels. Each agent reads its own row and
-keeps only its decisions. All sound leaves through an emission queue that
-the bus deals one hop per tick once every agent has stepped (audible to
-everyone the next tick); the Hearing's battery ledger and echo veto read
-who sent a hop from that deal alone. Agents never inspect each other:
-sound on the bus is the only channel.
+A Hearing does all the listening once per tick for every agent, on arrays
+with one row per agent: onset detection, recording segmentation, spectral
+memory, the collectors' tone count and hop levels. Each agent reads its
+own row and keeps only its decisions. All sound leaves through an
+emission queue that the bus deals one hop per tick once every agent has
+stepped (audible to everyone the next tick); the Hearing's battery ledger
+and echo veto read who sent a hop from that deal alone. Agents never
+inspect each other: sound on the bus is the only channel.
 """
 
 from dataclasses import dataclass
@@ -378,33 +378,6 @@ class ComposerAgent(AgentBase):
                 "preferred_band": self.preferred_band}
 
 
-class _Listener(AgentBase):
-    """An agent that records whatever its onset detector row catches."""
-
-    session = None
-
-    @property
-    def is_recording(self) -> bool:
-        return self.session is not None
-
-    def _record(self, hearing: "Hearing", tick: int, max_s: float,
-                start_event: str, events: list) -> "ft.SoundSample | None":
-        """Feed the tick's hop to the open recording, or open one on an
-        onset; returns the sample once its recording closes."""
-        r = self.row
-        if self.session is not None:
-            sample = self.session.feed(hearing.hops[r], hearing.levels[r])
-            if sample is not None:
-                self.session = None
-            return sample
-        if hearing.fired[r]:
-            self.session = ft.RecordingSession(tick, hearing.prev_frames[r],
-                                               max_s)
-            self.session.feed(hearing.hops[r], hearing.levels[r])
-            events.append({"event": start_event})
-        return None
-
-
 @dataclass
 class CollectorParams:
     tone_frames: int = 20           # consecutive same-argmax frames to call it a tone
@@ -416,8 +389,8 @@ class CollectorParams:
     capacity_bytes: int = ft.DEFAULT_CAPACITY_BYTES
 
 
-class CollectorAgent(_Listener):
-    """Records onsets, keeps what diversifies its collection, and answers
+class CollectorAgent(AgentBase):
+    """Keeps the recordings that diversify its collection, and answers
     composer tones at night with a stored sound."""
 
     kind = "collector"
@@ -428,15 +401,14 @@ class CollectorAgent(_Listener):
         self.collection = ft.SampleCollection(
             max_items=self.params.max_items,
             capacity_bytes=self.params.capacity_bytes)
-        self._tone_band = -1
-        self._tone_run = 0
         self._refractory_until = -1
         self._blue_until = -1
 
     def step(self, hearing, clock):
         events = []
-        sample = self._record(hearing, clock.tick, self.params.record_max_s,
-                              "record_start", events)
+        if hearing.fired[self.row]:
+            events.append({"event": "record_start"})
+        sample = hearing.finished.get(self.row)
         if sample is not None:
             events.append({"event": "record_end",
                            "duration_s": sample.duration_s,
@@ -455,14 +427,14 @@ class CollectorAgent(_Listener):
                 self._blue_until = clock.tick + int(
                     round(self.params.accepted_blue_s / TICK_SECONDS))
 
-        self._update_tone_tracker(hearing)
-        if self._tone_trigger_ready(hearing, clock):
-            self._start_playback(clock, events)
+        recording = hearing.recording[self.row]
+        if self._tone_trigger_ready(recording, hearing, clock):
+            self._start_playback(hearing, clock, events)
 
         if self.queue.ending:
             events.append({"event": "playback_end"})
 
-        if self.is_recording:
+        if recording:
             self._set_led(LedMode.ACQUIRING_RED, events)
         elif clock.tick < self._blue_until:
             self._set_led(LedMode.ACCEPTED_BLUE, events)
@@ -472,46 +444,31 @@ class CollectorAgent(_Listener):
             self._set_led(LedMode.OFF, events)
         return events
 
-    def _update_tone_tracker(self, hearing):
-        """Count consecutive frames dominated by one narrowband peak."""
-        if hearing.echo[self.row]:  # our own sound, emitting or its echo
-            self._tone_run = 0
-            return
-        band = int(hearing.tone_bands[self.row])
-        flat = hearing.flatness[self.row]
-        if flat < self.params.flatness_max and band == self._tone_band:
-            self._tone_run += 1
-        elif flat < self.params.flatness_max:
-            self._tone_band = band
-            self._tone_run = 1
-        else:
-            self._tone_run = 0
-
-    def _tone_trigger_ready(self, hearing, clock) -> bool:
+    def _tone_trigger_ready(self, recording, hearing, clock) -> bool:
         # the agent's own state first: a recording collector never asks
         # the clock whether it is night
-        return (not self.is_recording
+        return (not recording
                 and not self.queue.active
                 and len(self.collection) > 0
-                and self._tone_run >= self.params.tone_frames
+                and hearing.tone_run[self.row] >= self.params.tone_frames
                 and clock.tick >= self._refractory_until
                 and hearing.battery_wh[self.row]
                 >= self.energy.emission_floor_wh
                 and clock.is_night)
 
-    def _start_playback(self, clock, events: list):
+    def _start_playback(self, hearing, clock, events: list):
         index = int(self.rng.integers(len(self.collection)))
         sample = self.collection.items[index]
         self.queue.start(sample.pcm)
         self._refractory_until = clock.tick + int(
             round(self.params.playback_refractory_s / TICK_SECONDS))
-        self._tone_run = 0
+        hearing.tone_run[self.row] = 0
         events.append({
             "event": "playback_start",
             "sample_index": index,
             "captured_at": sample.captured_at,
             "n_samples": len(sample.pcm),
-            "tone_band": self._tone_band,
+            "tone_band": int(hearing.tone_band[self.row]),
             "_pcm": sample.pcm,
         })
 
@@ -525,8 +482,8 @@ class DisruptorParams:
     capture_max_s: float = 5.0
 
 
-class DisruptorAgent(_Listener):
-    """Captures whatever starts up nearby, warps it, and plays it back."""
+class DisruptorAgent(AgentBase):
+    """Warps whatever it captured nearby and plays it back."""
 
     kind = "disruptor"
     Params = DisruptorParams
@@ -537,8 +494,9 @@ class DisruptorAgent(_Listener):
 
     def step(self, hearing, clock):
         events = []
-        sample = self._record(hearing, clock.tick, self.params.capture_max_s,
-                              "capture_start", events)
+        if hearing.fired[self.row]:
+            events.append({"event": "capture_start"})
+        sample = hearing.finished.get(self.row)
         if sample is not None:
             events.append({"event": "capture_end",
                            "duration_s": sample.duration_s})
@@ -548,7 +506,7 @@ class DisruptorAgent(_Listener):
             self._set_led(LedMode.EMITTING, events)
             if self.queue.ending:
                 events.append({"event": "disrupt_end"})
-        elif self.is_recording:
+        elif hearing.recording[self.row]:
             self._set_led(LedMode.ACQUIRING_RED, events)
         else:
             self._set_led(LedMode.OFF, events)
@@ -582,49 +540,61 @@ class Hearing:
 
     listen() takes the tick's frames, the previous tick's frames, their
     spectra and Mel energies, one row per agent in the order given, and
-    runs the hearing arithmetic on arrays: onset detection for collectors
-    and disruptors, armed from each one's state before anyone steps
-    (agents do not hear each other within a tick); spectral memory for
-    composers not hearing themselves, in a profile whose rows become the
-    composers' own; and the collectors' tone features. Each agent's step()
-    then reads its row.
+    does all the listening on arrays. For collectors and disruptors it
+    detects onsets, armed in rows neither recording nor hearing
+    themselves, feeds each open recording the tick's hop, hands out the
+    samples that close (`finished`) and opens a recording pre-rolled with
+    the previous frame in each row that fired (`recording`). It updates
+    the spectral memory of composers not hearing themselves, whose rows
+    become the composers' own, and counts each collector's run of frames
+    that one narrowband peak dominates (`tone_run`, in Mel band
+    `tone_band`), zero while it hears itself. Each agent's step() then
+    reads its row; agents do not hear each other within a tick.
 
-    The Hearing also holds each agent's battery ledger, which energy_step()
+    It also holds each agent's battery ledger, which energy_step()
     advances, and its echo veto, which veto_echo() sets: both read who sent
-    a hop from the bus deal's mask.
+    a hop from the bus deal's mask. It keeps no agent; it gathers what it
+    needs of their parameters when built.
     """
 
     def __init__(self, agents):
-        self.agents = list(agents)
-        kinds = [a.kind for a in self.agents]
-        self._listeners = [j for j, k in enumerate(kinds)
-                           if k in ("collector", "disruptor")]
-        self._composers = [j for j, k in enumerate(kinds) if k == "composer"]
-        self._collectors = [j for j, k in enumerate(kinds)
-                            if k == "collector"]
+        agents = list(agents)
+        kinds = [a.kind for a in agents]
+        caps = {"collector": "record_max_s", "disruptor": "capture_max_s"}
+        # the rows of each kind, as arrays: they gather faster than lists
+        self._listeners = np.flatnonzero([k in caps for k in kinds])
+        self._composers = np.flatnonzero([k == "composer" for k in kinds])
+        self._collectors = np.flatnonzero([k == "collector" for k in kinds])
+        self._max_s = {j: getattr(agents[j].params, caps[kinds[j]])
+                       for j in self._listeners.tolist()}
+        self._flatness_max = np.array(
+            [agents[j].params.flatness_max for j in self._collectors])
         self.onsets = ft.OnsetDetector(len(self._listeners))
-        composers = [self.agents[j] for j in self._composers]
+        composers = [agents[j] for j in self._composers]
         self.profile = SpectralProfile(
             [c.params.long_half_life_s for c in composers],
             [c.params.short_half_life_s for c in composers])
         for row, composer in enumerate(composers):
             composer.profile, composer.profile_row = self.profile, row
-        for row, agent in enumerate(self.agents):
+        for row, agent in enumerate(agents):
             agent.row = row
-        n = len(self.agents)
+        n = len(agents)
         (self.battery_max_wh, self.harvest_peak_w, self.cost_base_w,
          self.cost_emit_w) = np.array(
             [[e.battery_max_wh, e.harvest_peak_w, e.cost_idle_w
               + e.cost_listen_w, e.cost_emit_w]
-             for e in (a.energy for a in self.agents)]).reshape(n, 4).T
-        self.battery_wh = np.array([a.start_wh for a in self.agents], float)
+             for e in (a.energy for a in agents)]).reshape(n, 4).T
+        self.battery_wh = np.array([a.start_wh for a in agents], float)
         self.harvested_wh, self.consumed_wh = np.zeros((2, n))
         self.echo_until = np.full(n, -1)
         self.fired = np.zeros(n, dtype=bool)
         self.levels = np.zeros(n)              # RMS of each row's new hop
-        self.tone_bands = np.zeros(n, dtype=int)
-        self.flatness = np.zeros(n)
-        self.hops = self.prev_frames = self.mels = self.echo = None
+        self.recording = np.zeros(n, dtype=bool)
+        self._sessions = {}                    # row -> its open recording
+        self.finished = {}                     # row -> sample closed this tick
+        self.tone_run = np.zeros(n, dtype=int)
+        self.tone_band = np.full(n, -1)
+        self.hops = self.mels = self.echo = None
 
     def veto_echo(self, sent: np.ndarray, tick: int):
         """The agents that sent a hop at tick hear themselves (`echo`)
@@ -640,26 +610,46 @@ class Hearing:
     def listen(self, frames: np.ndarray, prev_frames: np.ndarray,
                spectra: np.ndarray, mel_energies: np.ndarray, clock):
         self.hops = frames[:, FRAME_SIZE - FRAME_HOP:]
-        self.prev_frames = prev_frames
         self.mels = mel_energies
         # an agent emitting this tick sent a hop last tick, so the echo
         # veto covers it too
         self.echo = clock.tick <= self.echo_until
         rows = self._listeners
-        if rows:
-            idle = [self.agents[j].session is None for j in rows]
-            self.onsets.update(spectra[rows], idle & ~self.echo[rows])
+        if len(rows):
+            fired = self.onsets.update(spectra[rows],
+                                       ~(self.recording | self.echo)[rows])
             self.fired[rows] = self.onsets.fired
             self.levels[rows] = np.sqrt(
                 np.mean(np.square(self.hops[rows]), axis=1))
+            # feed the open recordings, then open one in each row that fired
+            hops, levels = self.hops, self.levels.tolist()
+            self.finished = {}
+            for r, session in list(self._sessions.items()):
+                sample = session.feed(hops[r], levels[r])
+                if sample is not None:
+                    self.finished[r] = sample
+                    del self._sessions[r]
+                    self.recording[r] = False
+            if fired:
+                for r in np.flatnonzero(self.fired).tolist():
+                    session = self._sessions[r] = ft.RecordingSession(
+                        clock.tick, prev_frames[r], self._max_s[r])
+                    # a sample this first feed returns (a cap of at most
+                    # pre-roll and one hop) is handed out by the next feed
+                    session.feed(hops[r], levels[r])
+                self.recording |= self.fired
         rows = self._composers
-        if rows:
+        if len(rows):
             self.profile.update(mel_energies[rows], ~self.echo[rows])
         rows = self._collectors
-        if rows:
+        if len(rows):
             mels = mel_energies[rows]
-            self.tone_bands[rows] = np.argmax(mels, axis=1)
-            self.flatness[rows] = ft.spectral_flatness(mels)
+            tonal = ((ft.spectral_flatness(mels) < self._flatness_max)
+                     & ~self.echo[rows])
+            band, held = np.argmax(mels, axis=1), self.tone_band[rows]
+            self.tone_run[rows] = tonal * np.where(
+                band == held, self.tone_run[rows] + 1, 1)
+            self.tone_band[rows] = np.where(tonal, band, held)
 
 
 AGENT_KINDS = {

@@ -238,6 +238,31 @@ class OracleSpectralProfile:
             level, self.floor + self.alpha_long * (level - self.floor))
 
 
+class OracleToneTracker:
+    """One collector's count of consecutive frames that one narrowband
+    peak dominates, as each collector kept it before the count moved to
+    the batched hearing: a frame heard while the collector hears itself
+    (echo) ends the run; a frame flatter than flatness_max ends it too;
+    a tonal frame extends the run when its loudest band is the run's, and
+    starts a new run of 1 in its band otherwise."""
+
+    def __init__(self, flatness_max):
+        self.flatness_max = flatness_max
+        self.band = -1
+        self.run = 0
+
+    def update(self, flatness, band, echo):
+        if echo:
+            self.run = 0
+        elif flatness < self.flatness_max and band == self.band:
+            self.run += 1
+        elif flatness < self.flatness_max:
+            self.band = band
+            self.run = 1
+        else:
+            self.run = 0
+
+
 def oracle_distance_gain(d_m, d_ref_m=2.0):
     """Propagation attenuation 1 / (1 + d / d_ref): 1 at the source, 1/2
     at d_ref."""

@@ -393,6 +393,59 @@ def test_collector_records_one_burst_exactly():
     assert led_modes[:3] == ["acquiring_red", "accepted_blue", "off"]
 
 
+@pytest.mark.parametrize("kind, cap", [("collector", "record_max_s"),
+                                       ("disruptor", "capture_max_s")])
+def test_a_recording_capped_at_one_hop_ends_the_next_tick(kind, cap):
+    # the two hops of pre-roll and the first hop fill a 0.048 s cap at
+    # once; the sample that first hop completes is handed out one tick on
+    agent = make(ag.AGENT_KINDS[kind], 3, **{cap: 0.048})
+    rng = np.random.default_rng(21)
+    pcm = np.concatenate([silence(1.024), white_noise(rng, 0.32, 0.4),
+                          silence(1.0)])
+    events, _ = drive(agent, pcm)
+    start, end = (f"{'record' if kind == 'collector' else 'capture'}_{e}"
+                  for e in ("start", "end"))
+    starts = [t for t, _ in named(events, start)]
+    assert starts[0] == 64
+    assert [t for t, _ in named(events, end)] == [t + 1 for t in starts]
+    assert all(e["duration_s"] == 3 * FRAME_HOP / SAMPLE_RATE
+               for _, e in named(events, end))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hearing_counts_tone_runs_as_each_collector_did(data):
+    kinds = data.draw(st.lists(st.sampled_from(sorted(ag.AGENT_KINDS)),
+                               min_size=1, max_size=5), label="kinds")
+    agents = [make(ag.AGENT_KINDS[k], **(
+        {"flatness_max": data.draw(st.floats(0.0, 1.0))}
+        if k == "collector" else {})) for k in kinds]
+    n, ticks = len(agents), data.draw(st.integers(1, 30), label="ticks")
+    # one loud band over a flat floor: the louder it is, the less flat the
+    # frame; a silent band leaves the frame flat and its argmax at band 0
+    bands = data.draw(hnp.arrays(int, (ticks, n), elements=st.integers(0, 3)),
+                      label="bands")
+    peaks = data.draw(hnp.arrays(float, (ticks, n),
+                                 elements=st.floats(0.0, 1e9)), label="peaks")
+    echo = data.draw(hnp.arrays(bool, (ticks, n)), label="echo")
+    hearing = ag.Hearing(agents)
+    trackers = {j: oracles.OracleToneTracker(a.params.flatness_max)
+                for j, a in enumerate(agents) if a.kind == "collector"}
+    frames = np.zeros((n, FRAME_SIZE), dtype=np.float32)
+    spectra = np.zeros((n, FRAME_SIZE // 2 + 1), dtype=np.float32)
+    for t in range(ticks):
+        mels = np.ones((n, N_MEL_BANDS))
+        mels[np.arange(n), bands[t]] += peaks[t]
+        hearing.echo_until = np.where(echo[t], t, -1)
+        hearing.listen(frames, frames, spectra, mels,
+                       SimClock(t, 240.0, DAY_ALWAYS))
+        flatness = ft.spectral_flatness(mels)
+        for j, tracker in trackers.items():
+            tracker.update(flatness[j], int(np.argmax(mels[j])), echo[t, j])
+            assert (hearing.tone_run[j], hearing.tone_band[j]) == (
+                tracker.run, tracker.band), (t, j)
+
+
 def test_collector_rejects_the_same_burst_keeps_a_different_one():
     # hop-aligned layout makes both takes of the burst bit-identical,
     # which is the only way a candidate can fail to raise the spread of a

@@ -26,14 +26,11 @@ def test_the_tracer_installs_in_a_fresh_interpreter():
     assert done.returncode == 0, done.stderr
 
 
-def test_a_traced_session_times_the_run_directory_layers(tmp_path):
+def traced_session(tmp_path, scenario_body: dict) -> dict:
+    """Run perfbench/session.py with trace on over one scenario, in a fresh
+    interpreter; returns its result."""
     scenario = tmp_path / "scn.yaml"
-    scenario.write_text(yaml.safe_dump({
-        "name": "traced", "seed": 4, "duration_s": 2.0, "log_audio": True,
-        "monitors": [[1.0, 0.0]],
-        "agents": [{"kind": "composer", "position": [0.0, 0.0],
-                    "params": {"slot_s": 0.5},
-                    "energy": {"liveliness_per_s": 20.0}}]}))
+    scenario.write_text(yaml.safe_dump(scenario_body))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "src": str(ROOT / "src"), "scenario": str(scenario),
@@ -50,8 +47,32 @@ def test_a_traced_session_times_the_run_directory_layers(tmp_path):
     assert [(c["op"], c["ok"]) for c in result["calls"]] == [
         ("load_scenario", True), ("run_scenario", True),
         ("analyze_run", True), ("replay_run", True)]
-    layers = result["trace"]
+    return result
+
+
+def test_a_traced_session_times_the_run_directory_layers(tmp_path):
+    layers = traced_session(tmp_path, {
+        "name": "traced", "seed": 4, "duration_s": 2.0, "log_audio": True,
+        "monitors": [[1.0, 0.0]],
+        "agents": [{"kind": "composer", "position": [0.0, 0.0],
+                    "params": {"slot_s": 0.5},
+                    "energy": {"liveliness_per_s": 20.0}}]})["trace"]
     assert layers["agents.emissions"] > 0
     for layer in ("environment.replay_load_ms", "telemetry.load_events_ms",
                   "audio_core.write_wav_ms", "environment.finalize_ms"):
         assert layers[layer] > 0, layer
+
+
+def test_a_traced_session_times_the_recordings(tmp_path):
+    # a chirp sets off the disruptor, whose capture closes within the run
+    layers = traced_session(tmp_path, {
+        "name": "recorded", "seed": 4, "duration_s": 2.0, "log_audio": True,
+        "monitors": [[1.0, 0.0]],
+        "agents": [{"kind": "disruptor", "position": [0.0, 0.0],
+                    "params": {"capture_max_s": 0.2}}],
+        "sources": [{"kind": "chirp_train", "channel": "biophony",
+                     "position": [1.0, 0.0], "level_dbfs": -15.0,
+                     "start_s": 0.5, "chirp_s": 0.3, "period_s": 1.0,
+                     "count": 1}]})["trace"]
+    assert layers["features.record_feed_ms"] > 0
+    assert layers["features.recordings"] >= 1
