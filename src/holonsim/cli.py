@@ -17,7 +17,7 @@ from .audio_core import WavFormatError, read_wav
 from .environment import (ReplayError, ScenarioError, load_scenario,
                           replay_run, run_scenario)
 from .features import analyze
-from .rundir import REPLAY_DIR, RunDir, RunDirError, holds_run
+from .rundir import REPLAY_DIR, RunDirError, holds_run
 from .telemetry import analyze_run
 
 EXIT_OK = 0
@@ -63,7 +63,6 @@ def cmd_run(args) -> int:
 
     out = Path(args.out) if args.out else Path("runs") / scenario.name
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
         completed = holds_run(out)
     except OSError as exc:
         fail(f"cannot create output directory {out}: {exc.strerror}")
@@ -135,20 +134,12 @@ def cmd_analyze(args) -> int:
 def cmd_replay(args) -> int:
     run_dir = Path(args.run_dir)
     try:
-        original = RunDir(run_dir).manifest["artifacts"]
         replayed = replay_run(run_dir)
     except (RunDirError, ReplayError) as exc:
         fail(str(exc))
         return EXIT_RUNTIME
     except Exception as exc:
         fail(f"replay failed: {exc}")
-        return EXIT_RUNTIME
-
-    mismatched = [name for name, sha in replayed.items()
-                  if original.get(name) != sha]
-    if mismatched:
-        fail("replay diverged from the original render: "
-             + ", ".join(sorted(mismatched)))
         return EXIT_RUNTIME
     print(f"replay matches original renders ({len(replayed)} file(s)) "
           f"-> {run_dir / REPLAY_DIR}")

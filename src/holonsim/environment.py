@@ -614,14 +614,6 @@ class Bus:
         return names
 
 
-def _np_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 class EventWriter:
     """JSON-lines event log with optional embedded emission audio.
 
@@ -649,8 +641,7 @@ class EventWriter:
                 payload["pcm_omitted"] = True
         record = {"tick": tick, "agent_id": agent_id, "kind": kind,
                   "event": event["event"], "payload": payload}
-        self._fh.write(json.dumps(record, separators=(",", ":"),
-                                  default=_np_default))
+        self._fh.write(json.dumps(record, separators=(",", ":")))
         self._fh.write("\n")
         self.count += 1
 
@@ -833,8 +824,9 @@ def replay_run(run_dir) -> dict:
     and bus noise (same seeds). Each agent row is dealt from an
     EmissionQueue that starts the clip logged at (tick, agent), exactly as
     the live agent's own queue did. Output files land in the run's replay
-    directory and must be byte-identical to the originals. The scenario
-    and the log are read only once their checksums match the manifest's.
+    directory, and a render whose sha256 differs from the manifest's
+    raises ReplayError naming it. The scenario and the log are read only
+    once their checksums match the manifest's.
     """
     run = RunDir(run_dir)
     scn = Scenario.from_dict(run.scenario)
@@ -854,5 +846,11 @@ def replay_run(run_dir) -> dict:
 
     replay_dir = run.path / REPLAY_DIR
     replay_dir.mkdir(exist_ok=True)
-    return {name: file_sha256(replay_dir / name)
-            for name in bus.write_renders(replay_dir)}
+    replayed = {name: file_sha256(replay_dir / name)
+                for name in bus.write_renders(replay_dir)}
+    diverged = sorted(name for name, sha in replayed.items()
+                      if run.manifest["artifacts"].get(name) != sha)
+    if diverged:
+        raise ReplayError("replay diverged from the original render: "
+                          + ", ".join(diverged))
+    return replayed

@@ -10,11 +10,14 @@ before handing it out. Anything else a tool writes beside the artifacts
 (`replay/`, metrics, spectrograms) is not listed in the manifest.
 """
 
+import errno
 import hashlib
 import json
 import os
 import re
 import shutil
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 
 EVENTS_FILE = "events.jsonl"
@@ -53,10 +56,14 @@ def holds_run(out_dir: Path) -> bool:
 
     An absent or empty directory gives False; a run may replace it, as it
     may a completed run. Any other directory, one with an unreadable or
-    foreign manifest.json too, raises RunDirError, and a path that is not a
-    directory raises OSError.
+    foreign manifest.json too, raises RunDirError, and a path that is not
+    a directory, or an absent one whose nearest existing ancestor is not a
+    directory this process may write in, raises OSError.
     """
     if not out_dir.exists():
+        base = next(p for p in out_dir.parents if p.exists())
+        if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+            raise PermissionError(errno.EACCES, f"cannot write in {base}")
         return False
     try:
         _read_manifest(out_dir)
@@ -78,8 +85,8 @@ class RunWriter:
     its sha256 (`artifacts`) and the directory moves into place, over an
     empty directory or a completed run. A completed run is renamed to a
     sibling `.<name>.old` first and removed once the new run is in place,
-    so an interrupt leaves the old run or the new one. When the block ends
-    by any exception, the staged directory is removed.
+    so an interrupt leaves the old run or the new one. An exception that
+    ends the block removes the staging and the parents the block made.
     """
 
     def __init__(self, out_dir, name: str, seed: int, n_ticks: int):
@@ -91,6 +98,9 @@ class RunWriter:
         self.artifacts = None
 
     def __enter__(self):
+        # the parents this run creates, innermost first
+        self._made = list(takewhile(lambda p: not p.exists(),
+                                    self.out_dir.parents))
         self.stage.parent.mkdir(parents=True, exist_ok=True)
         if self.stage.exists():   # left by a run that was killed
             shutil.rmtree(self.stage)
@@ -103,6 +113,10 @@ class RunWriter:
                 self._commit()
         finally:
             shutil.rmtree(self.stage, ignore_errors=True)
+            if not self.out_dir.exists():   # the run failed
+                with suppress(OSError):   # a parent others wrote in stays
+                    for parent in self._made:
+                        parent.rmdir()
 
     def path(self, name: str) -> Path:
         return self.stage / name

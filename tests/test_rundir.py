@@ -6,8 +6,8 @@ import os
 import pytest
 
 from holonsim import agents
-from holonsim.environment import (AgentSpec, Scenario, replay_run,
-                                  run_scenario)
+from holonsim.environment import (AgentSpec, ReplayError, Scenario,
+                                  replay_run, run_scenario)
 from holonsim.rundir import (MANIFEST_FILE, RunDir, RunDirError,
                              load_run_events)
 from holonsim.telemetry import analyze_run
@@ -76,6 +76,30 @@ def test_an_interrupted_run_leaves_no_directory(tmp_path, monkeypatch):
     with pytest.raises(Halt):
         run_scenario(tiny(1), tmp_path / "run")
     assert not list(tmp_path.iterdir())
+
+
+def test_a_failed_run_removes_the_parents_it_made(tmp_path, monkeypatch):
+    (tmp_path / "a").mkdir()
+    out = tmp_path / "a" / "b" / "c" / "run"
+    raise_at_tick_5(monkeypatch, RuntimeError)
+    with pytest.raises(RuntimeError):
+        run_scenario(tiny(1), out)
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
+    assert not list((tmp_path / "a").iterdir())
+    monkeypatch.undo()
+    run_scenario(tiny(1), out)
+    assert RunDir(out).monitors == ["monitor_00.wav"]
+
+
+def test_replay_names_the_render_that_diverged(tmp_path):
+    run_scenario(tiny(2), tmp_path / "run")
+    path = tmp_path / "run" / MANIFEST_FILE
+    manifest = json.loads(path.read_text())
+    manifest["artifacts"]["monitor_00.wav"] = "0" * 64
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ReplayError, match="monitor_00.wav") as caught:
+        replay_run(tmp_path / "run")
+    assert "monitor_01.wav" not in str(caught.value)
 
 
 def test_a_failed_rerun_keeps_the_completed_run(tmp_path, monkeypatch):
