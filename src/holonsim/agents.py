@@ -463,13 +463,14 @@ class CollectorAgent(AgentBase):
         self._refractory_until = clock.tick + int(
             round(self.params.playback_refractory_s / TICK_SECONDS))
         hearing.tone_run[self.row] = 0
+        # the clip is logged once, by the sample_decision that kept it, and
+        # captured_at names that decision
         events.append({
             "event": "playback_start",
             "sample_index": index,
             "captured_at": sample.captured_at,
             "n_samples": len(sample.pcm),
             "tone_band": int(hearing.tone_band[self.row]),
-            "_pcm": sample.pcm,
         })
 
     def summary(self) -> dict:

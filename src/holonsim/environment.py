@@ -29,6 +29,7 @@ from .agents import (AGENT_KINDS, ComposerParams, EmissionQueue, EnergyModel,
 from .audio_core import (HighpassFilter, SimClock, WavFormatError,
                          default_filterbank, fft_magnitude, read_wav,
                          write_wav)
+from .features import Verdict
 from .params import (FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE,
                      TICK_SECONDS)
 from .rundir import (EVENTS_FILE, OCCUPATION_META, OCCUPATION_NPY, REPLAY_DIR,
@@ -784,36 +785,46 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
 
 # --- replay ----------------------------------------------------------------------
 
-_PCM_EMISSIONS = ("playback_start", "disrupt_start")
-
-
 def _emissions_from_log(events) -> dict:
     """(tick, agent_id) -> float32 pcm of every emission in the log.
 
+    A disruptor's clip is logged in its disrupt_start. A collector's clip
+    is logged once, in the sample_decision that kept it, and each
+    playback_start names that decision by its captured_at: a collector
+    records one sound at a time, so (agent_id, captured_at) picks out one.
     Refuses a log whose emissions lack their audio before synthesizing
-    anything.
+    anything, and decodes a kept clip only when a playback plays it.
     """
-    if any(record["event"] in _PCM_EMISSIONS
-           and record.get("payload", {}).get("pcm_omitted")
-           for record in events):
+    kept = {(record["agent_id"], record["payload"]["captured_at"]):
+            record["payload"]
+            for record in events if record["event"] == "sample_decision"
+            and record["payload"]["verdict"] != Verdict.REJECT.value}
+    clips = {}
+    for record in events:
+        payload = record["payload"]
+        if record["event"] == "playback_start":
+            payload = kept.get((record["agent_id"], payload["captured_at"]))
+            if payload is None:
+                raise ReplayError(
+                    f"playback_start at tick {record['tick']} by "
+                    f"{record['agent_id']} names no logged sample")
+        elif record["event"] != "disrupt_start":
+            continue
+        clips[record["tick"], record["agent_id"]] = payload
+    if any(payload.get("pcm_omitted") for payload in clips.values()):
         raise ReplayError(
             "log has pcm_omitted entries (run used log_audio: "
             "false); renders cannot be reproduced")
-    emissions = {}
+    emissions = {key: np.frombuffer(base64.b64decode(payload["pcm_b64"]),
+                                    dtype=np.float32)
+                 for key, payload in clips.items()}
     for record in events:
-        payload = record.get("payload", {})
-        event = record["event"]
-        if event == "emission_start":
-            pcm = synth_tone(payload["freq_hz"], payload["amp"],
-                             payload["n_samples"],
-                             payload["attack_samples"],
-                             payload["decay_samples"], SAMPLE_RATE)
-        elif event in _PCM_EMISSIONS:
-            pcm = np.frombuffer(
-                base64.b64decode(payload["pcm_b64"]), dtype=np.float32)
-        else:
-            continue
-        emissions[record["tick"], record["agent_id"]] = pcm
+        if record["event"] == "emission_start":
+            payload = record["payload"]
+            emissions[record["tick"], record["agent_id"]] = synth_tone(
+                payload["freq_hz"], payload["amp"], payload["n_samples"],
+                payload["attack_samples"], payload["decay_samples"],
+                SAMPLE_RATE)
     return emissions
 
 

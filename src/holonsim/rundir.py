@@ -26,7 +26,7 @@ OCCUPATION_NPY = "occupation.npy"
 OCCUPATION_META = "occupation.json"
 MANIFEST_FILE = "manifest.json"
 REPLAY_DIR = "replay"
-FORMAT = 1
+FORMAT = 2   # 2: a playback names its kept clip, logged once
 _MANIFEST_KEYS = {"format", "name", "seed", "config_sha256", "n_ticks",
                   "artifacts"}
 _MONITOR = re.compile(r"monitor_\d{2,}\.wav")
@@ -52,10 +52,11 @@ def file_sha256(path) -> str:
 
 
 def holds_run(out_dir: Path) -> bool:
-    """Whether out_dir holds a completed run (a manifest that RunDir reads).
+    """Whether out_dir holds a completed run (a manifest whose layout
+    RunDir reads, of any format).
 
     An absent or empty directory gives False; a run may replace it, as it
-    may a completed run. Any other directory, one with an unreadable or
+    may a completed run, one written in an older format too. Any other directory, one with an unreadable or
     foreign manifest.json too, raises RunDirError, and a path that is not
     a directory, or an absent one whose nearest existing ancestor is not a
     directory this process may write in, raises OSError.
@@ -148,7 +149,8 @@ class RunWriter:
 class RunDir:
     """A finished run, opened through its manifest.
 
-    Opening checks the manifest's layout and reads the resolved scenario
+    Opening checks the manifest's layout and format, refusing a run
+    written in another format, and reads the resolved scenario
     (`scenario`, a dict), by which the manifest knows the run (its
     `config_sha256`), once its sha256 matches; verified(name) checks a
     listed artifact's sha256 before handing out its path. Each raises
@@ -158,6 +160,11 @@ class RunDir:
     def __init__(self, path):
         self.path = Path(path)
         self.manifest = _read_manifest(self.path)
+        if self.manifest["format"] != FORMAT:
+            raise RunDirError(
+                f"{self.path / MANIFEST_FILE} was written in format "
+                f"{self.manifest['format']}; this holonsim reads format "
+                f"{FORMAT}; re-run the scenario")
         self.monitors = sorted(name for name in self.manifest["artifacts"]
                                if _MONITOR.fullmatch(name))
         self.scenario = json.loads(self.verified(SCENARIO_FILE).read_text())
@@ -183,16 +190,16 @@ def _read_manifest(path: Path) -> dict:
     except (OSError, ValueError) as exc:
         raise RunDirError(f"corrupt or missing manifest {where}: {exc}")
     if not _valid_manifest(manifest):
-        raise RunDirError(f"corrupt manifest {where}: unrecognised "
-                          f"layout (expected format {FORMAT})")
+        raise RunDirError(f"corrupt manifest {where}: unrecognised layout")
     return manifest
 
 
 def _valid_manifest(manifest) -> bool:
+    """The manifest layout, which every format so far shares."""
     if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
         return False
     artifacts = manifest["artifacts"]
-    return (manifest["format"] == FORMAT
+    return (isinstance(manifest["format"], int)
             and isinstance(manifest["n_ticks"], int)
             and isinstance(artifacts, dict)
             and manifest["config_sha256"] == artifacts.get(SCENARIO_FILE)

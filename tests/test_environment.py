@@ -1,9 +1,11 @@
 """World tests: scenario loading, propagation, mixing, and replay."""
 
+import base64
 import gc
 import hashlib
 import json
 import math
+import shutil
 import threading
 import warnings
 from dataclasses import fields
@@ -21,7 +23,7 @@ from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   load_run_events, load_scenario, replay_run,
                                   run_scenario)
 from holonsim.params import FRAME_HOP, SAMPLE_RATE
-from holonsim.rundir import RunDir
+from holonsim.rundir import EVENTS_FILE, RunDir, RunWriter
 
 import oracles
 import test_golden as golden
@@ -294,6 +296,82 @@ def test_replay_of_composers_needs_no_logged_audio(tmp_path):
     assert named(load_run_events(RunDir(tmp_path / "run")), "emission_start")
     replayed = replay_run(tmp_path / "run")
     assert replayed["monitor_00.wav"] == summary.artifacts["monitor_00.wav"]
+
+
+def test_replay_of_kept_clips_needs_no_logged_audio(tmp_path):
+    # a collector keeps clips by day and plays none back
+    day = {k: v for k, v in golden.MIXED.items() if k != "night_window"}
+    scn = load_scenario(write_yaml(tmp_path, dict(
+        day, duration_s=8.0, log_audio=False,
+        agents=[{"kind": "collector", "params": {"record_max_s": 1.5}}])))
+    summary = run_scenario(scn, tmp_path / "run")
+    events = load_run_events(RunDir(tmp_path / "run"))
+    assert any(e["payload"].get("pcm_omitted")
+               for e in named(events, "sample_decision"))
+    assert not named(events, "playback_start")
+    replayed = replay_run(tmp_path / "run")
+    for name, digest in replayed.items():
+        assert digest == summary.artifacts[name], name
+
+
+def test_replay_of_a_playback_without_logged_audio_refuses(tmp_path):
+    collectors = [a for a in golden.MIXED["agents"]
+                  if a["kind"] != "disruptor"]
+    scn = load_scenario(write_yaml(tmp_path, dict(
+        golden.MIXED, duration_s=4.0, log_audio=False, agents=collectors)))
+    run_scenario(scn, tmp_path / "run")
+    events = load_run_events(RunDir(tmp_path / "run"))
+    assert named(events, "playback_start")
+    assert not named(events, "disrupt_start")
+    with pytest.raises(ReplayError, match="pcm_omitted"):
+        replay_run(tmp_path / "run")
+
+
+@pytest.fixture(scope="module")
+def mixed_run(tmp_path_factory):
+    work = tmp_path_factory.mktemp("mixed")
+    run_scenario(load_scenario(write_yaml(work, golden.MIXED)), work / "run")
+    return work / "run"
+
+
+def test_each_clip_is_logged_once(mixed_run):
+    clips = [e["payload"]["pcm_b64"]
+             for e in load_run_events(RunDir(mixed_run))
+             if "pcm_b64" in e["payload"]]
+    assert clips
+    assert len(set(clips)) == len(clips)
+
+
+def test_a_playback_names_the_decision_that_kept_its_clip(mixed_run):
+    events = load_run_events(RunDir(mixed_run))
+    playbacks = named(events, "playback_start")
+    assert playbacks
+    for playback in playbacks:
+        payload = playback["payload"]
+        assert "pcm_b64" not in payload
+        [kept] = [e for e in named(events, "sample_decision")
+                  if e["agent_id"] == playback["agent_id"]
+                  and e["payload"]["captured_at"] == payload["captured_at"]]
+        pcm = np.frombuffer(base64.b64decode(kept["payload"]["pcm_b64"]),
+                            dtype=np.float32)
+        assert len(pcm) == payload["n_samples"]
+
+
+def test_a_playback_of_no_logged_sample_is_refused(mixed_run, tmp_path):
+    run = RunDir(mixed_run)
+    events = load_run_events(run)
+    playback = named(events, "playback_start")[-1]
+    playback["payload"]["captured_at"] = -1
+    # a log with a matching sha256 in its manifest
+    with RunWriter(tmp_path / "run", run.manifest["name"],
+                   run.manifest["seed"], run.manifest["n_ticks"]) as writer:
+        for name in run.manifest["artifacts"]:
+            shutil.copy(mixed_run / name, writer.path(name))
+        writer.path(EVENTS_FILE).write_text("".join(
+            json.dumps(e, separators=(",", ":")) + "\n" for e in events))
+    with pytest.raises(ReplayError, match=f"tick {playback['tick']} by "
+                       f"{playback['agent_id']} names no logged sample"):
+        replay_run(tmp_path / "run")
 
 
 def audible_ticks(start):
@@ -589,7 +667,7 @@ def test_failed_run_closes_its_event_log(tmp_path, monkeypatch):
 def test_manifest_checksums_match_files(tmp_path):
     summary = run_scenario(full_scenario(), tmp_path / "run")
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["format"] == 1
+    assert manifest["format"] == 2
     assert manifest["n_ticks"] == summary.n_ticks
     for name, sha in manifest["artifacts"].items():
         digest = hashlib.sha256(

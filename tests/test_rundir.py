@@ -6,10 +6,11 @@ import os
 import pytest
 
 from holonsim import agents
+from holonsim.cli import main
 from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   replay_run, run_scenario)
-from holonsim.rundir import (MANIFEST_FILE, RunDir, RunDirError,
-                             load_run_events)
+from holonsim.rundir import (FORMAT, MANIFEST_FILE, RunDir, RunDirError,
+                             holds_run, load_run_events)
 from holonsim.telemetry import analyze_run
 
 
@@ -59,7 +60,7 @@ def test_a_missing_artifact_is_named(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [
-    {"format": 2}, {"artifacts": {"../elsewhere.wav": "0" * 64}},
+    {"format": 1}, {"artifacts": {"../elsewhere.wav": "0" * 64}},
     {"n_ticks": "62"}, {"extra": True}])
 def test_an_unrecognised_manifest_is_refused(tmp_path, edit):
     run_scenario(tiny(1), tmp_path / "run")
@@ -69,6 +70,25 @@ def test_an_unrecognised_manifest_is_refused(tmp_path, edit):
         analyze_run(tmp_path / "run")
     with pytest.raises(RunDirError, match="manifest"):
         replay_run(tmp_path / "run")
+
+
+def test_a_run_of_an_older_format_is_refused_by_its_format(tmp_path,
+                                                          capsys):
+    run_scenario(tiny(1), tmp_path / "run")
+    path = tmp_path / "run" / MANIFEST_FILE
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), format=1)))
+    message = (f"{path} was written in format 1; this holonsim reads "
+               f"format {FORMAT}; re-run the scenario")
+    with pytest.raises(RunDirError) as caught:
+        RunDir(tmp_path / "run")
+    assert str(caught.value) == message
+    for command in ("analyze", "replay"):
+        assert main([command, str(tmp_path / "run")]) == 3
+        assert message in capsys.readouterr().err
+    # it is still a run, which a new run may replace
+    assert holds_run(tmp_path / "run")
+    run_scenario(tiny(1), tmp_path / "run")
+    assert RunDir(tmp_path / "run").manifest["format"] == FORMAT
 
 
 def test_an_interrupted_run_leaves_no_directory(tmp_path, monkeypatch):
