@@ -52,11 +52,11 @@ def file_sha256(path) -> str:
 
 
 def holds_run(out_dir: Path) -> bool:
-    """Whether out_dir holds a completed run (a manifest whose layout
-    RunDir reads, of any format).
+    """Whether out_dir holds a completed run: a manifest whose layout
+    RunDir reads, of this format or another.
 
     An absent or empty directory gives False; a run may replace it, as it
-    may a completed run, one written in an older format too. Any other directory, one with an unreadable or
+    may a completed run. Any other directory, one with an unreadable or
     foreign manifest.json too, raises RunDirError, and a path that is not
     a directory, or an absent one whose nearest existing ancestor is not a
     directory this process may write in, raises OSError.
