@@ -9,13 +9,12 @@ match it, replay mismatch; the message names the file).
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .audio_core import WavFormatError, read_wav
-from .environment import (ReplayError, ScenarioError, load_scenario,
-                          replay_run, run_scenario)
+from .environment import (DURATION_RULE, ReplayError, ScenarioError,
+                          load_scenario, replay_run, run_scenario)
 from .features import analyze
 from .rundir import REPLAY_DIR, RunDirError, holds_run
 from .telemetry import analyze_run
@@ -42,9 +41,9 @@ def parse_duration(text: str) -> float:
     except ValueError:
         raise ScenarioError(f"cannot parse duration {text!r} "
                             "(expected seconds, e.g. 90, 90s or 2m)")
-    if not 0 < value < math.inf:
-        raise ScenarioError("duration must be a positive, finite number "
-                            "of seconds")
+    rule, ok = DURATION_RULE
+    if not ok(value):
+        raise ScenarioError(f"duration {rule}")
     return value
 
 
@@ -141,7 +140,7 @@ def cmd_replay(args) -> int:
     except Exception as exc:
         fail(f"replay failed: {exc}")
         return EXIT_RUNTIME
-    print(f"replay matches original renders ({len(replayed)} file(s)) "
+    print(f"replay matches the original run ({len(replayed)} file(s)) "
           f"-> {run_dir / REPLAY_DIR}")
     return EXIT_OK
 
@@ -178,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana_p.set_defaults(func=cmd_analyze)
 
     rep_p = sub.add_parser("replay",
-                           help="re-render audio from the event log and "
-                                "verify checksums")
+                           help="rebuild the renders and occupation from "
+                                "the event log and verify checksums")
     rep_p.add_argument("run_dir", help="run directory with a manifest")
     rep_p.set_defaults(func=cmd_replay)
     return parser

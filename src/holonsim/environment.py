@@ -9,8 +9,8 @@ keeps the update order well defined no matter how stepping is executed.
 A run directory holds everything needed to reproduce the run bit for
 bit: the resolved scenario, the JSON-lines event log, occupation
 matrices, rendered monitor WAVs, and a manifest of checksums.
-replay_run() rebuilds the renders from the log alone and must produce
-byte-identical files.
+replay_run() rebuilds the occupation and the renders from the log alone,
+and each file must be byte-identical to the run's.
 """
 
 import base64
@@ -141,9 +141,10 @@ _KIND_NAMES = {float: "a finite number", int: "an integer",
 # The values of a field that would abort a run or mean nothing, as (rule,
 # test), keyed by field name across the scenario, source, agent, energy and
 # parameter dataclasses; any other value of the field's type runs. A time
-# the agent counts in samples or ticks must give a finite count, a
-# recording cap must hold at least one sample, a collection at least one
-# item, and a charge or power is never negative.
+# the run counts in samples or ticks must give a finite count, a recording
+# cap must hold at least one sample, a collection at least one item and
+# one byte, and a charge, a power or a run of tone frames is never
+# negative.
 _POSITIVE = ("must be positive", lambda v: v > 0)
 _NOT_NEGATIVE = ("must not be negative", lambda v: v >= 0)
 _AT_MOST_0 = ("must be at most 0", lambda v: v <= 0)
@@ -156,17 +157,23 @@ _ONE_SAMPLE = ("must be at least one sample long",
                and round(v * SAMPLE_RATE) >= 1)
 _TICKS = ("must be a finite count of ticks",
           lambda v: math.isfinite(v / TICK_SECONDS))
+# a run's length, which cli.parse_duration checks --duration by too
+DURATION_RULE = ("must be a positive, finite number of seconds with a "
+                 "finite count of samples",
+                 lambda v: 0 < v * SAMPLE_RATE < math.inf)
 # a note is rendered as float32, which holds no larger magnitude
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 _FIELD_RANGES = {
-    "seed": _NOT_NEGATIVE, "duration_s": _POSITIVE, "day_length_s": _POSITIVE,
+    "seed": _NOT_NEGATIVE, "duration_s": DURATION_RULE,
+    "day_length_s": _POSITIVE,
     "night_window": ("must be two day fractions in [0, 1]",
                      lambda v: all(0.0 <= x <= 1.0 for x in v)),
     "noise_floor_dbfs": _AT_MOST_0, "level_dbfs": _AT_MOST_0,
     "freq_hz": (f"must be inside (0, {NYQUIST})", lambda v: 0 < v < NYQUIST),
     "band_hz": (f"must be [low, high] inside (0, {NYQUIST})",
                 lambda v: 0 < v[0] < v[1] < NYQUIST),
-    "count": _NOT_NEGATIVE,
+    "count": _NOT_NEGATIVE, "start_s": _SAMPLES, "stop_s": _SAMPLES,
+    "chirp_s": _SAMPLES, "period_s": _SAMPLES,
     "preferred_band": (f"must be a Mel band index in [0, {N_MEL_BANDS})",
                        lambda v: 0 <= v < N_MEL_BANDS),
     "amplitude": (f"must be at most {_FLOAT32_MAX!r} in magnitude, the "
@@ -174,6 +181,7 @@ _FIELD_RANGES = {
     "battery_wh": _NOT_NEGATIVE, "harvest_peak_w": _NOT_NEGATIVE,
     "cost_idle_w": _NOT_NEGATIVE, "cost_listen_w": _NOT_NEGATIVE,
     "cost_emit_w": _NOT_NEGATIVE, "max_items": _POSITIVE,
+    "capacity_bytes": _POSITIVE, "tone_frames": _NOT_NEGATIVE,
     "battery_max_wh": _POSITIVE, "long_half_life_s": _POSITIVE,
     "short_half_life_s": _POSITIVE, "range_full_db": _POSITIVE,
     "occupancy_percentile": ("must be in [0, 100]", lambda v: 0 <= v <= 100),
@@ -512,11 +520,13 @@ class Bus:
     Rows of `hops` are the scripted sources, the noise rows (`noise_rows`),
     then the agents' emission ports (`agent_rows`); listeners are the
     agents, the occupation point, then the monitors. mix(tick) writes the
-    source and noise rows and mixes every listener's hop into `mixed`;
-    deal() then writes each agent's next hop from its EmissionQueue, heard
-    from the next tick on. `active` marks the agent rows that hold sound,
-    and the gain product reads only those, the source rows and the noise
-    rows.
+    source and noise rows, mixes every listener's hop into `mixed`, keeps
+    the monitors' hops and adds the Mel energies of each channel's pre-clip
+    sub-mix at the occupation point to `occupation`; deal() then writes
+    each agent's next hop from its EmissionQueue, heard from the next tick
+    on. `active` marks the agent rows that hold sound, and the gain product
+    reads only those, the source rows and the noise rows. write_renders()
+    writes the occupation and the monitor renders.
 
     The noise floor is NOISE_ROWS rows of fresh unit normals per tick, none
     without a floor. Each listener hears them through its own fixed weight
@@ -554,9 +564,20 @@ class Bus:
         self._monitors = slice(n_agents + 1, None)
         self._renders = np.zeros((len(scn.monitors), n_ticks * FRAME_HOP),
                                  dtype=np.float32)
+        # each channel's rows, the noise floor in geophony and the agents in
+        # cyberphony, and their gains at the occupation point
+        rows = {c: [i for i, s in enumerate(scn.sources) if s.channel == c]
+                for c in CHANNELS}
+        rows["geophony"] += self.noise_rows
+        rows["cyberphony"] += range(self.noise_rows.stop, len(self.hops))
+        self._chan_mix = [(np.array(rows[c], dtype=np.intp),
+                           self.gains[rows[c], n_agents]) for c in CHANNELS]
+        self._chan_rings = np.zeros((len(CHANNELS), FRAME_SIZE))
+        n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS)
+        self.occupation = np.zeros((len(CHANNELS), n_windows, N_MEL_BANDS))
 
     def mix(self, tick: int):
-        """Mix one tick into `mixed`."""
+        """Mix one tick into `mixed`, and add its occupation."""
         for i, s in enumerate(self._sources):
             self.hops[i] = s.hop(tick)
         if self.noise_rows:
@@ -566,6 +587,11 @@ class Bus:
         np.clip(self.mixed, -1.0, 1.0, out=self.mixed)
         self._renders[:, tick * FRAME_HOP:(tick + 1) * FRAME_HOP] = \
             self.mixed[self._monitors]
+        self._chan_rings[:, :FRAME_HOP] = self._chan_rings[:, FRAME_HOP:]
+        for c, (rows, gains) in enumerate(self._chan_mix):
+            self._chan_rings[c, FRAME_HOP:] = gains @ self.hops[rows]
+        self.occupation[:, tick // OCCUPATION_WINDOW_TICKS] += \
+            default_filterbank().apply(fft_magnitude(self._chan_rings))
 
     def deal(self, queues) -> np.ndarray:
         """Deal one hop from each agent's queue into its row; returns the
@@ -608,11 +634,19 @@ class Bus:
         return self._gains_act, self.hops[self._rows]
 
     def write_renders(self, out_dir: Path) -> list:
-        """Write one WAV per monitor into out_dir; returns their names."""
+        """Write the occupation and one WAV per monitor; returns names."""
+        np.save(out_dir / OCCUPATION_NPY, self.occupation)
+        (out_dir / OCCUPATION_META).write_text(json.dumps({
+            "channels": list(CHANNELS),
+            "window_ticks": OCCUPATION_WINDOW_TICKS,
+            "window_s": OCCUPATION_WINDOW_TICKS * FRAME_HOP / SAMPLE_RATE,
+            "n_windows": self.occupation.shape[1],
+            "n_bands": N_MEL_BANDS,
+        }, sort_keys=True, indent=2))
         names = [monitor_name(m) for m in range(len(self._renders))]
         for name, samples in zip(names, self._renders):
             write_wav(out_dir / name, samples)
-        return names
+        return [OCCUPATION_NPY, OCCUPATION_META, *names]
 
 
 class EventWriter:
@@ -689,43 +723,28 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     bus_rng, source_rngs, agent_rngs = _spawn_rngs(scn)
     agents = [AGENT_KINDS[s.kind](s, rng)
               for s, rng in zip(scn.agents, agent_rngs)]
-    n_agents, n_sources = len(agents), len(scn.sources)
-    n_ticks = scn.n_ticks
-    occ_col = n_agents
+    n_agents, n_ticks = len(agents), scn.n_ticks
 
     bank = default_filterbank()
-    hp = HighpassFilter(n_agents) if n_agents else None
+    hp = HighpassFilter(n_agents)
     hearing = Hearing(agents)
     queues = [agent.queue for agent in agents]
     # agents hear in float32; the high-pass runs in float64 and its output
     # is rounded into the ring
     rings = np.zeros((n_agents, FRAME_SIZE), dtype=np.float32)
     prev_rings = np.zeros_like(rings)
-    chan_rings = np.zeros((len(CHANNELS), FRAME_SIZE))
-    n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS) if n_ticks else 0
-    occupation = np.zeros((len(CHANNELS), n_windows, N_MEL_BANDS))
 
     bus = Bus(scn, bus_rng, source_rngs)
     with run, EventWriter(run.path(EVENTS_FILE), scn.log_audio) as writer:
         resolved = run.path(SCENARIO_FILE)
         resolved.write_text(json.dumps(scn.to_dict(), sort_keys=True,
                                        indent=2))
-        # per-channel bus rows and their gains at the occupation point; the
-        # noise floor is geophony
-        chan_rows = {c: [] for c in CHANNELS}
-        for i, spec in enumerate(scn.sources):
-            chan_rows[spec.channel].append(i)
-        chan_rows["geophony"] += bus.noise_rows
-        chan_rows["cyberphony"] = list(range(bus.noise_rows.stop,
-                                             len(bus.hops)))
-        chan_mix = [(np.array(chan_rows[c], dtype=np.intp),
-                     bus.gains[chan_rows[c], occ_col]) for c in CHANNELS]
-
         clock = SimClock(0, scn.day_length_s, scn.night_window)
         writer.write(0, None, "scheduler", {
             "event": "boot", "name": scn.name, "seed": scn.seed,
             "n_ticks": n_ticks, "n_agents": n_agents,
-            "n_sources": n_sources, "config_sha256": file_sha256(resolved)})
+            "n_sources": len(scn.sources),
+            "config_sha256": file_sha256(resolved)})
         last_phase = None
 
         for tick in range(n_ticks):
@@ -737,31 +756,19 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                 last_phase = night
 
             bus.mix(tick)
-
-            # occupation attribution happens pre-clip, per channel sub-mix
-            window = tick // OCCUPATION_WINDOW_TICKS
-            chan_rings[:, :FRAME_HOP] = chan_rings[:, FRAME_HOP:]
-            for c, (rows, chan_gains) in enumerate(chan_mix):
-                chan_rings[c, FRAME_HOP:] = chan_gains @ bus.hops[rows]
-            occupation[:, window, :] += bank.apply(fft_magnitude(chan_rings))
-
-            if n_agents:
-                feeds = hp.process(bus.mixed[:n_agents])
-                # two ring buffers in turn: last tick's stays whole for
-                # pre-roll
-                prev_rings, rings = rings, prev_rings
-                rings[:, :FRAME_HOP] = prev_rings[:, FRAME_HOP:]
-                rings[:, FRAME_HOP:] = feeds
-                mags = fft_magnitude(rings)
-                hearing.listen(rings, prev_rings, mags, bank.apply(mags),
-                               clock)
-                for agent in agents:
-                    for event in agent.step(hearing, clock):
-                        writer.write(tick, agent.agent_id, agent.kind,
-                                     event)
-                sent = bus.deal(queues)
-                energy_step(hearing, daylight(clock), sent)
-                hearing.veto_echo(sent, tick)
+            feeds = hp.process(bus.mixed[:n_agents])
+            # two ring buffers in turn: last tick's stays whole for pre-roll
+            prev_rings, rings = rings, prev_rings
+            rings[:, :FRAME_HOP] = prev_rings[:, FRAME_HOP:]
+            rings[:, FRAME_HOP:] = feeds
+            mags = fft_magnitude(rings)
+            hearing.listen(rings, prev_rings, mags, bank.apply(mags), clock)
+            for agent in agents:
+                for event in agent.step(hearing, clock):
+                    writer.write(tick, agent.agent_id, agent.kind, event)
+            sent = bus.deal(queues)
+            energy_step(hearing, daylight(clock), sent)
+            hearing.veto_echo(sent, tick)
             clock.advance()
 
         for j, agent in enumerate(agents):
@@ -770,15 +777,6 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                           **agent.summary()})
         writer.write(n_ticks, None, "scheduler",
                      {"event": "end", "n_ticks": n_ticks})
-
-        np.save(run.path(OCCUPATION_NPY), occupation)
-        run.path(OCCUPATION_META).write_text(json.dumps({
-            "channels": list(CHANNELS),
-            "window_ticks": OCCUPATION_WINDOW_TICKS,
-            "window_s": OCCUPATION_WINDOW_TICKS * FRAME_HOP / SAMPLE_RATE,
-            "n_windows": n_windows,
-            "n_bands": N_MEL_BANDS,
-        }, sort_keys=True, indent=2))
         bus.write_renders(run.stage)
     return RunSummary(run.out_dir, n_ticks, writer.count, run.artifacts)
 
@@ -829,15 +827,16 @@ def _emissions_from_log(events) -> dict:
 
 
 def replay_run(run_dir) -> dict:
-    """Re-render monitor WAVs from the log alone; returns name -> sha256.
+    """Rebuild what the Bus wrote, the occupation and the monitor WAVs,
+    from the log alone; returns name -> sha256.
 
     Replay mixes on the same Bus as the run, with the same source streams
     and bus noise (same seeds). Each agent row is dealt from an
     EmissionQueue that starts the clip logged at (tick, agent), exactly as
     the live agent's own queue did. Output files land in the run's replay
-    directory, and a render whose sha256 differs from the manifest's
-    raises ReplayError naming it. The scenario and the log are read only
-    once their checksums match the manifest's.
+    directory, and a file whose sha256 differs from the manifest's raises
+    ReplayError naming it. The scenario and the log are read only once
+    their checksums match the manifest's.
     """
     run = RunDir(run_dir)
     scn = Scenario.from_dict(run.scenario)

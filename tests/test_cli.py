@@ -58,6 +58,16 @@ def test_run_refuses_a_duration_that_is_not_finite(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # refused at load
 
 
+def test_run_refuses_a_duration_of_infinitely_many_samples(tmp_path, capsys):
+    # finite seconds, but more samples than a float counts
+    scn = composer_scenario(tmp_path)
+    assert main(["run", "--scenario", scn, "--duration", "1e305",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "duration must be a positive, finite number of seconds with a " \
+        "finite count of samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- run -----------------------------------------------------------------------
 
 def test_run_exits_zero_and_writes_artifacts(tmp_path, capsys):

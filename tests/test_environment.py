@@ -407,9 +407,20 @@ def test_replay_equals_run_at_the_edges_of_the_schedule(tmp_path, n_ticks,
     else:
         assert any(end == last for _, end in spans)
     replayed = replay_run(tmp_path / "run")
-    assert sorted(replayed) == ["monitor_00.wav", "monitor_01.wav"]
+    assert sorted(replayed) == ["monitor_00.wav", "monitor_01.wav",
+                                "occupation.json", "occupation.npy"]
     for name, digest in replayed.items():
         assert digest == summary.artifacts[name], name
+
+
+def test_replay_names_an_occupation_that_diverges(tmp_path, monkeypatch):
+    run_scenario(load_scenario(write_yaml(tmp_path, dict(
+        golden.MIXED, duration_s=2.0))), tmp_path / "run")
+    # replay bins the same ticks into half-second windows
+    monkeypatch.setattr(environment, "OCCUPATION_WINDOW_TICKS", 31)
+    with pytest.raises(ReplayError) as err:
+        replay_run(tmp_path / "run")
+    assert str(err.value).endswith(": occupation.json, occupation.npy")
 
 
 # --- active-set mixing ---------------------------------------------------------
@@ -772,6 +783,9 @@ def test_resolved_scenario_round_trips(tmp_path):
     (lambda b: b.update(noise_floor_dbfs=10000.0),
      "noise_floor_dbfs must be at most 0"),
     (lambda b: b.update(log_audio="no"), "log_audio"),
+    (lambda b: b.update(duration_s=1.0e+305),
+     "duration_s must be a positive, finite number of seconds with a "
+     "finite count of samples"),
 ])
 def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     body = base_yaml()
@@ -818,6 +832,17 @@ def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     ({"kind": "chirp_train", "position": [0, 0], "chirp_s": 0.5,
       "period_s": 1.0, "count": 3, "path": "w.wav"},
      "path does not apply to a chirp_train source"),
+    # a time of a source must give a finite count of samples
+    ({"kind": "tone", "position": [0, 0], "freq_hz": 440.0,
+      "start_s": 1.0e+305}, "start_s must be a finite count of samples"),
+    ({"kind": "tone", "position": [0, 0], "freq_hz": 440.0,
+      "stop_s": 1.0e+305}, "stop_s must be a finite count of samples"),
+    ({"kind": "chirp_train", "position": [0, 0], "chirp_s": 0.5,
+      "period_s": 1.0e+305, "count": 3},
+     "period_s must be a finite count of samples"),
+    ({"kind": "chirp_train", "position": [0, 0], "chirp_s": 1.0e+305,
+      "period_s": 1.0e+305, "count": 3},
+     "chirp_s must be a finite count of samples"),
 ])
 def test_source_errors_name_the_key(tmp_path, source, message):
     body = base_yaml(sources=[source])
@@ -907,6 +932,10 @@ def test_malformed_wav_source_fails_at_load(tmp_path, content, message):
      "energy.cost_emit_w must not be negative"),
     ({"kind": "collector", "params": {"max_items": 0}},
      "params.max_items must be positive"),
+    ({"kind": "collector", "params": {"capacity_bytes": -5}},
+     "params.capacity_bytes must be positive"),
+    ({"kind": "collector", "params": {"tone_frames": -3}},
+     "params.tone_frames must not be negative"),
 ])
 def test_agent_errors_name_the_key(tmp_path, agent, message):
     body = base_yaml(agents=[agent])

@@ -2,7 +2,8 @@
 niche_filling, plus one mixed scenario with all three kinds of agent and
 audio logged, the same one without a noise floor, one of scripted sources
 only and one whose channel rows interleave, must write byte-identical
-artifacts and replay renders to those pinned in golden_digests.json.
+artifacts and replay renders to those pinned in golden_digests.json, and
+each replay must rebuild its run's occupation files byte for byte.
 
 A change that moves these bytes on purpose re-pins the file with
 
@@ -144,6 +145,9 @@ def digests(scn: Scenario, run_dir: Path) -> tuple:
         for m in range(len(scn.monitors)):
             name = f"replay/monitor_{m:02d}.wav"
             out[name] = sha256(run_dir / name)
+        for name in ["occupation.npy", "occupation.json"]:
+            assert sha256(run_dir / "replay" / name) == \
+                sha256(run_dir / name), name
     events = {e["event"] for e in load_run_events(RunDir(run_dir))}
     return out, events
 

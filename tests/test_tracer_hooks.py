@@ -59,7 +59,8 @@ def test_a_traced_session_times_the_run_directory_layers(tmp_path):
                     "energy": {"liveliness_per_s": 20.0}}]})["trace"]
     assert layers["agents.emissions"] > 0
     for layer in ("environment.replay_load_ms", "telemetry.load_events_ms",
-                  "audio_core.write_wav_ms", "environment.finalize_ms"):
+                  "audio_core.write_wav_ms", "environment.finalize_ms",
+                  "environment.occupation_ms", "agents.hearing_ms"):
         assert layers[layer] > 0, layer
 
 
