@@ -323,6 +323,8 @@ def _source_from_raw(raw, index: int, base_dir: Path) -> SourceSpec:
         raise ScenarioError(
             f"{prefix}channel must be biophony, geophony or anthrophony "
             "(cyberphony is reserved for agents)")
+    if spec.stop_s is not None and spec.stop_s <= spec.start_s:
+        raise ScenarioError(f"{prefix}stop_s must be after start_s")
     if kind == "chirp_train" and not 0 < spec.chirp_s <= spec.period_s:
         raise ScenarioError(f"{prefix}need 0 < chirp_s <= period_s")
     if kind == "wav":
@@ -384,29 +386,17 @@ def _roster_from_raw(entries: list, radius_m: float) -> list:
 
 # --- scripted sources ----------------------------------------------------------
 
-def _window_samples(spec: SourceSpec, n_ticks: int):
-    start = int(round(spec.start_s * SAMPLE_RATE))
-    stop = (n_ticks * FRAME_HOP if spec.stop_s is None
-            else int(round(spec.stop_s * SAMPLE_RATE)))
-    return start, stop
-
-
 class ToneSource:
-    """Steady sinusoid, sample-accurate start/stop, RMS at level_dbfs."""
+    """Steady sinusoid, RMS at level_dbfs."""
 
-    def __init__(self, spec: SourceSpec, rng, n_ticks: int):
+    def __init__(self, spec: SourceSpec, rng, start: int, stop: int):
         self.spec = spec
         self.amp = 10.0 ** (spec.level_dbfs / 20.0) * np.sqrt(2.0)
-        self.start, self.stop = _window_samples(spec, n_ticks)
 
     def hop(self, tick: int) -> np.ndarray:
-        i0 = tick * FRAME_HOP
-        if i0 + FRAME_HOP <= self.start or i0 >= self.stop:
-            return np.zeros(FRAME_HOP)
-        idx = np.arange(i0, i0 + FRAME_HOP)
-        y = self.amp * np.sin(2.0 * np.pi * self.spec.freq_hz * idx
-                              / SAMPLE_RATE)
-        return np.where((idx >= self.start) & (idx < self.stop), y, 0.0)
+        idx = np.arange(tick * FRAME_HOP, (tick + 1) * FRAME_HOP)
+        return self.amp * np.sin(2.0 * np.pi * self.spec.freq_hz * idx
+                                 / SAMPLE_RATE)
 
 
 class BandNoiseSource:
@@ -417,8 +407,7 @@ class BandNoiseSource:
     calibration is part of the deterministic stream.
     """
 
-    def __init__(self, spec: SourceSpec, rng, n_ticks: int):
-        self.spec = spec
+    def __init__(self, spec: SourceSpec, rng, start: int, stop: int):
         self.rng = rng
         lo, hi = spec.band_hz
         self.b, self.a = butter(2, [lo, hi], btype="bandpass",
@@ -429,13 +418,8 @@ class BandNoiseSource:
         target = 10.0 ** (spec.level_dbfs / 20.0)
         self.scale = target / measured if measured > 0 else 0.0
         self.zi = np.zeros(max(len(self.a), len(self.b)) - 1)
-        start, stop = _window_samples(spec, n_ticks)
-        self.start_tick = start // FRAME_HOP
-        self.stop_tick = -(-stop // FRAME_HOP)
 
     def hop(self, tick: int) -> np.ndarray:
-        if not self.start_tick <= tick < self.stop_tick:
-            return np.zeros(FRAME_HOP)
         x = self.rng.standard_normal(FRAME_HOP)
         y, self.zi = lfilter(self.b, self.a, x, zi=self.zi)
         return y * self.scale
@@ -446,28 +430,33 @@ class ChirpTrainSource:
 
     Every Mel band receives a deterministic partial, so the call covers
     the whole analysis range at a predictable per-band level (Gaussian
-    noise would leave random bands underpowered frame to frame).
+    noise would leave random bands underpowered frame to frame). Phases
+    are drawn only for the calls that start before stop and last a sample.
     """
 
-    def __init__(self, spec: SourceSpec, rng, n_ticks: int):
-        self.spec = spec
+    def __init__(self, spec: SourceSpec, rng, start: int, stop: int):
         self.freqs = default_filterbank().band_centers_hz.copy()
         n = len(self.freqs)
         self.amp = 10.0 ** (spec.level_dbfs / 20.0) * np.sqrt(2.0 / n)
-        self.phases = rng.uniform(0.0, 2.0 * np.pi, size=(spec.count, n))
-        start = int(round(spec.start_s * SAMPLE_RATE))
-        period = int(round(spec.period_s * SAMPLE_RATE))
-        width = int(round(spec.chirp_s * SAMPLE_RATE))
-        self.windows = [(start + k * period, start + k * period + width)
-                        for k in range(spec.count)]
+        self.start = start
+        self.period = int(round(spec.period_s * SAMPLE_RATE))
+        self.width = int(round(spec.chirp_s * SAMPLE_RATE))
+        calls = (min(spec.count, -(-max(0, stop - start) // self.period))
+                 if self.width else 0)
+        self.phases = rng.uniform(0.0, 2.0 * np.pi, size=(calls, n))
 
     def hop(self, tick: int) -> np.ndarray:
         i0 = tick * FRAME_HOP
         out = np.zeros(FRAME_HOP)
-        for k, (lo, hi) in enumerate(self.windows):
-            if i0 + FRAME_HOP <= lo or i0 >= hi:
-                continue
-            idx = np.arange(max(i0, lo), min(i0 + FRAME_HOP, hi))
+        if not len(self.phases):
+            return out
+        # the calls k with start + k*period in (i0 - width, i0 + FRAME_HOP)
+        first = max(0, (i0 - self.start - self.width) // self.period + 1)
+        last = min(len(self.phases),
+                   -(-(i0 + FRAME_HOP - self.start) // self.period))
+        for k in range(first, last):
+            lo = self.start + k * self.period
+            idx = np.arange(max(i0, lo), min(i0 + FRAME_HOP, lo + self.width))
             t = idx / SAMPLE_RATE
             partials = np.sin(2.0 * np.pi * self.freqs[:, None] * t[None, :]
                               + self.phases[k][:, None])
@@ -478,11 +467,10 @@ class ChirpTrainSource:
 class WavSource:
     """Plays a WAV file (resampled to the bus rate) from start_s."""
 
-    def __init__(self, spec: SourceSpec, rng, n_ticks: int):
-        self.spec = spec
+    def __init__(self, spec: SourceSpec, rng, start: int, stop: int):
         samples, _ = read_wav(spec.path)
         self.samples = samples * spec.gain
-        self.start = int(round(spec.start_s * SAMPLE_RATE))
+        self.start = start
 
     def hop(self, tick: int) -> np.ndarray:
         i0 = tick * FRAME_HOP - self.start
@@ -520,8 +508,9 @@ class Bus:
     Rows of `hops` are the scripted sources, the noise rows (`noise_rows`),
     then the agents' emission ports (`agent_rows`); listeners are the
     agents, the occupation point, then the monitors. mix(tick) writes the
-    source and noise rows, mixes every listener's hop into `mixed`, keeps
-    the monitors' hops and adds the Mel energies of each channel's pre-clip
+    source rows, each gated to its [start_s, stop_s) window to the sample,
+    and the noise rows, mixes every listener's hop into `mixed`, keeps the
+    monitors' hops and adds the Mel energies of each channel's pre-clip
     sub-mix at the occupation point to `occupation`; deal() then writes
     each agent's next hop from its EmissionQueue, heard from the next tick
     on. `active` marks the agent rows that hold sound, and the gain product
@@ -537,8 +526,15 @@ class Bus:
 
     def __init__(self, scn: Scenario, bus_rng, source_rngs):
         n_ticks, n_agents = scn.n_ticks, len(scn.agents)
-        self._sources = [_SOURCE_BUILDERS[spec.kind](spec, rng, n_ticks)
-                         for spec, rng in zip(scn.sources, source_rngs)]
+        # each source's window in samples, cut at the end of the run
+        end = n_ticks * FRAME_HOP
+        self._windows = [(int(round(spec.start_s * SAMPLE_RATE)),
+                          end if spec.stop_s is None
+                          else min(end, int(round(spec.stop_s * SAMPLE_RATE))))
+                         for spec in scn.sources]
+        self._sources = [_SOURCE_BUILDERS[spec.kind](spec, rng, *window)
+                         for spec, rng, window in zip(
+                             scn.sources, source_rngs, self._windows)]
         agent_pos = [a.position for a in scn.agents]
         listener_pos = agent_pos + [scn.occupation_position] + \
             list(scn.monitors)
@@ -578,8 +574,14 @@ class Bus:
 
     def mix(self, tick: int):
         """Mix one tick into `mixed`, and add its occupation."""
-        for i, s in enumerate(self._sources):
-            self.hops[i] = s.hop(tick)
+        i0 = tick * FRAME_HOP
+        for i, (s, (start, stop)) in enumerate(zip(self._sources,
+                                                    self._windows)):
+            lo, hi = max(start - i0, 0), min(stop - i0, FRAME_HOP)
+            self.hops[i] = s.hop(tick) if lo < hi else 0.0
+            if lo or hi < FRAME_HOP:
+                self.hops[i, :lo] = 0.0
+                self.hops[i, hi:] = 0.0
         if self.noise_rows:
             self.hops[self.noise_rows] = self._rng.standard_normal(
                 (len(self.noise_rows), FRAME_HOP))

@@ -13,6 +13,7 @@ from scipy.signal import butter, lfilter
 
 RATE = 32000
 N = 1024
+HOP = N // 2
 N_BINS = N // 2 + 1
 N_BANDS = 128
 FMIN = 80.0
@@ -298,3 +299,23 @@ class OracleLedger:
         elif raw < 0.0:
             raw = 0.0
         self.battery_wh = raw
+
+
+def oracle_band_noise_ticks(rng, band_hz, level_dbfs, start, stop, n_ticks):
+    """Band noise rendered a whole hop at a time over every hop that
+    overlaps the sample window [start, stop), and silent elsewhere.
+
+    A one second probe from rng, band-passed, calibrates the in-band RMS to
+    level_dbfs; then each of those hops draws HOP fresh normals and filters
+    them, the filter state carried from hop to hop.
+    """
+    b, a = butter(2, list(band_hz), btype="bandpass", fs=RATE)
+    probe = lfilter(b, a, rng.standard_normal(RATE))
+    scale = 10.0 ** (level_dbfs / 20.0) / float(np.sqrt(np.mean(
+        np.square(probe))))
+    state = np.zeros(max(len(a), len(b)) - 1)
+    out = np.zeros(n_ticks * HOP)
+    for tick in range(start // HOP, min(n_ticks, -(-stop // HOP))):
+        y, state = lfilter(b, a, rng.standard_normal(HOP), zi=state)
+        out[tick * HOP:(tick + 1) * HOP] = y * scale
+    return out

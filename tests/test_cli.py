@@ -152,6 +152,24 @@ def test_run_missing_wav_names_the_path(tmp_path, capsys):
     assert "birdcall.wav" in capsys.readouterr().err
 
 
+def test_run_builds_only_the_chirps_that_can_sound(tmp_path):
+    # four calls start within the one second; phases for all 10**12 would
+    # take 931 TiB
+    def run(count):
+        scn = write_scenario(tmp_path, {
+            "seed": 3, "duration_s": 1.0, "monitors": [[1.0, 0.0]],
+            "sources": [{"kind": "chirp_train", "position": [0.0, 0.0],
+                         "channel": "biophony", "start_s": 0.1,
+                         "chirp_s": 0.1, "period_s": 0.25,
+                         "count": count}]}, name=f"{count}.yaml")
+        out = tmp_path / str(count)
+        assert main(["run", "--scenario", scn, "--out", str(out)]) == 0
+        return [(out / name).read_bytes()
+                for name in ("monitor_00.wav", "occupation.npy")]
+
+    assert run(10 ** 12) == run(4)
+
+
 def test_run_duration_override_on_empty_roster(tmp_path):
     scn = write_scenario(tmp_path, {"seed": 2, "duration_s": 600.0})
     out = tmp_path / "out"

@@ -132,20 +132,54 @@ def test_wav_source_plays_file_verbatim(tmp_path):
     assert not rendered[n:].any()
 
 
-def test_tone_window_is_sample_accurate(tmp_path):
-    scn = Scenario(name="w", seed=9, duration_s=1.0,
-                   noise_floor_dbfs=None, monitors=[(0.0, 0.0)],
-                   sources=[SourceSpec("t", "tone", (0.0, 0.0),
-                                       "anthrophony", level_dbfs=-20.0,
-                                       freq_hz=2000.0, start_s=0.25,
-                                       stop_s=0.5)])
-    run_scenario(scn, tmp_path / "run")
-    samples, _ = read_wav(tmp_path / "run" / "monitor_00.wav")
-    start = int(0.25 * SAMPLE_RATE)
-    stop = int(0.5 * SAMPLE_RATE)
+# Each kind's own keys for the window test. The window opens and closes
+# mid-hop, the chirp call that starts at 0.45 s spans stop_s and the one at
+# 0.65 s starts after it, and the WAV outlasts the window.
+WINDOW_START_S, WINDOW_STOP_S = 0.2503, 0.4997
+WINDOWED_KINDS = {
+    "tone": {"freq_hz": 2000.0},
+    "band_noise": {"band_hz": (1000.0, 3000.0)},
+    "chirp_train": {"chirp_s": 0.1, "period_s": 0.2, "count": 3},
+    "wav": {"path": "long.wav"},
+}
+
+
+@pytest.mark.parametrize("kind", WINDOWED_KINDS)
+def test_source_window_is_sample_accurate(tmp_path, kind):
+    write_pcm16_wav(tmp_path / "long.wav",
+                    sine(700.0, amp=0.5, phase=1.0))
+
+    def render(name, **window):
+        spec = SourceSpec("s", kind, (0.0, 0.0), "anthrophony",
+                          level_dbfs=-20.0, start_s=WINDOW_START_S,
+                          **window, **WINDOWED_KINDS[kind])
+        if kind == "wav":
+            spec.path = str(tmp_path / spec.path)
+        run_scenario(Scenario(name=name, seed=9, duration_s=1.0,
+                              noise_floor_dbfs=None, monitors=[(0.0, 0.0)],
+                              sources=[spec]), tmp_path / name)
+        return read_wav(tmp_path / name / "monitor_00.wav",
+                        target_rate=None)[0]
+
+    samples = render("w", stop_s=WINDOW_STOP_S)
+    start = round(WINDOW_START_S * SAMPLE_RATE)
+    stop = round(WINDOW_STOP_S * SAMPLE_RATE)
+    assert start % FRAME_HOP and stop % FRAME_HOP  # both mid-hop
     assert not samples[:start].any()
-    assert np.abs(samples[start:stop]).max() > 0.05
     assert not samples[stop:].any()
+    assert samples[start] != 0.0 and samples[stop - 1] != 0.0
+    # the window cuts the source's signal and changes none of it
+    open_ended = render("open")
+    assert np.array_equal(samples[start:stop], open_ended[start:stop])
+    if kind == "band_noise":
+        # the one source's stream: the seed's second child, after the bus
+        rng = np.random.default_rng(np.random.SeedSequence(9).spawn(2)[1])
+        ticks = oracles.oracle_band_noise_ticks(
+            rng, WINDOWED_KINDS[kind]["band_hz"], -20.0, start, stop,
+            len(samples) // FRAME_HOP)
+        expected = np.zeros_like(ticks)
+        expected[start:stop] = ticks[start:stop]
+        assert np.array_equal(samples, expected.astype(np.float32))
 
 
 # --- scripted source spectra ----------------------------------------------------
@@ -186,6 +220,18 @@ def test_chirp_train_fires_on_schedule(tmp_path):
     assert seg_rms(2.0, 3.5) == 0.0
     assert seg_rms(4.0, 4.5) > 0.05
     assert seg_rms(5.0, 8.0) == 0.0
+
+
+def test_chirp_train_of_calls_shorter_than_a_sample_is_silent(tmp_path):
+    # chirp_s and period_s both round to 0 samples at 32 kHz
+    body = base_yaml(duration_s=1.0, noise_floor_dbfs=None,
+                     monitors=[[0.0, 0.0]],
+                     sources=[{"kind": "chirp_train", "position": [0, 0],
+                               "chirp_s": 1.0e-5, "period_s": 1.2e-5,
+                               "count": 5}])
+    run_scenario(load_scenario(write_yaml(tmp_path, body)), tmp_path / "run")
+    samples, _ = read_wav(tmp_path / "run" / "monitor_00.wav")
+    assert len(samples) and not samples.any()
 
 
 # --- occupation attribution ------------------------------------------------------
@@ -843,6 +889,10 @@ def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     ({"kind": "chirp_train", "position": [0, 0], "chirp_s": 1.0e+305,
       "period_s": 1.0e+305, "count": 3},
      "chirp_s must be a finite count of samples"),
+    # a window that never sounds
+    ({"kind": "tone", "position": [0, 0], "freq_hz": 440.0,
+      "start_s": 2.0, "stop_s": 2.0},
+     r"sources\[0\]: stop_s must be after start_s"),
 ])
 def test_source_errors_name_the_key(tmp_path, source, message):
     body = base_yaml(sources=[source])

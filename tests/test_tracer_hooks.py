@@ -77,3 +77,6 @@ def test_a_traced_session_times_the_recordings(tmp_path):
                      "count": 1}]})["trace"]
     assert layers["features.record_feed_ms"] > 0
     assert layers["features.recordings"] >= 1
+    # the train is asked only for the hops from start_s on: ticks 31 to 124
+    assert layers["environment.source_hops"] == 94
+    assert layers["environment.sources_ms"] > 0
