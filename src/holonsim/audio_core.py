@@ -6,12 +6,14 @@ goes through the functions here so the whole simulator analyses sound
 the same way.
 """
 
+import importlib.machinery
+import importlib.util
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.fft
-from scipy.signal import lfilter
 
 from .params import (
     FRAME_HOP,
@@ -25,6 +27,30 @@ from .params import (
 )
 
 BUTTERWORTH_Q = 1.0 / np.sqrt(2.0)
+
+
+def _load_linear_filter():
+    """scipy.signal's compiled lfilter kernel, loaded from its own file.
+
+    For the 3-tap denominators used here, lfilter(b, a, x, axis[, zi])
+    only calls _sigtools._linear_filter with the same arguments. Importing
+    scipy.signal for it would run the package's init, which loads
+    scipy.stats, interpolate and optimize and trebles the import time.
+    """
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(scipy_dir) / "signal" / f"_sigtools{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(
+                "scipy.signal._sigtools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module._linear_filter
+    raise ImportError(f"no compiled scipy.signal._sigtools in {scipy_dir}")
+
+
+# linear_filter(b, a, x, axis) -> y, and (b, a, x, axis, zi) -> (y, zf)
+linear_filter = _load_linear_filter()
 
 
 class WavFormatError(ValueError):
@@ -158,6 +184,46 @@ def butter_highpass_coeffs():
     return b / a[0], a / a[0]
 
 
+def _poly(roots):
+    """Polynomial coefficients from complex roots, as scipy.signal's
+    zpk2tf expands them: one convolution per root, then the real part
+    when the roots come in conjugate pairs."""
+    coeffs = np.ones((1,), dtype=roots.dtype)
+    one = np.ones_like(roots[0])
+    for root in roots:
+        coeffs = np.convolve(coeffs, np.stack((one, -root)), mode="full")
+    if np.all(np.sort(np.imag(roots)) == np.sort(np.imag(np.conj(roots)))):
+        coeffs = np.real(coeffs).copy()
+    return coeffs
+
+
+def butter_bandpass_coeffs(lo_hz, hi_hz):
+    """(b, a) of a second-order Butterworth band-pass from lo_hz to hi_hz.
+
+    scipy.signal.butter(2, [lo_hz, hi_hz], "bandpass", fs=SAMPLE_RATE)
+    step for step, in its dtypes and order of operations, so the bytes
+    are the same: the analog prototype (buttap), pre-warped band edges,
+    the shift to the band (lp2bp_zpk), the bilinear transform
+    (bilinear_zpk) and the expansion into polynomials (zpk2tf).
+    """
+    p = -np.exp(1j * np.pi * np.arange(-1, 2, 2, dtype=np.float64) / 4)
+    wn = np.asarray([lo_hz, hi_hz], dtype=np.float64) / (SAMPLE_RATE / 2)
+    warped = 4.0 * np.tan(np.pi * wn / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # the low-pass poles scaled to the bandwidth and shifted to +-wo; the
+    # two zeros go to the origin
+    p_lp = p * bw / 2
+    p_bp = np.concatenate((p_lp + np.sqrt(p_lp**2 - wo**2),
+                           p_lp - np.sqrt(p_lp**2 - wo**2)))
+    z_bp = np.zeros(2, dtype=np.complex128)
+    # bilinear transform at fs = 2; the zeros at infinity go to Nyquist
+    z_z = np.concatenate(((4.0 + z_bp) / (4.0 - z_bp), -np.ones(2)))
+    p_z = (4.0 + p_bp) / (4.0 - p_bp)
+    k_z = bw**2 * np.real(np.prod(4.0 - z_bp) / np.prod(4.0 - p_bp))
+    return k_z * _poly(z_z), _poly(p_z)
+
+
 class HighpassFilter:
     """Streaming high-pass with per-channel filter state.
 
@@ -170,7 +236,7 @@ class HighpassFilter:
         self._zi = np.zeros((channels, 2))
 
     def process(self, block: np.ndarray) -> np.ndarray:
-        y, self._zi = lfilter(self.b, self.a, block, axis=-1, zi=self._zi)
+        y, self._zi = linear_filter(self.b, self.a, block, -1, self._zi)
         return y
 
 

@@ -22,13 +22,12 @@ from typing import get_args
 
 import numpy as np
 import yaml
-from scipy.signal import butter, lfilter
 
 from .agents import (AGENT_KINDS, ComposerParams, EmissionQueue, EnergyModel,
                      Hearing, daylight, energy_step, synth_tone)
 from .audio_core import (HighpassFilter, SimClock, WavFormatError,
-                         default_filterbank, fft_magnitude, read_wav,
-                         write_wav)
+                         butter_bandpass_coeffs, default_filterbank,
+                         fft_magnitude, linear_filter, read_wav, write_wav)
 from .features import Verdict
 from .params import (FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE,
                      TICK_SECONDS)
@@ -170,8 +169,11 @@ _FIELD_RANGES = {
                      lambda v: all(0.0 <= x <= 1.0 for x in v)),
     "noise_floor_dbfs": _AT_MOST_0, "level_dbfs": _AT_MOST_0,
     "freq_hz": (f"must be inside (0, {NYQUIST})", lambda v: 0 < v < NYQUIST),
-    "band_hz": (f"must be [low, high] inside (0, {NYQUIST})",
-                lambda v: 0 < v[0] < v[1] < NYQUIST),
+    # the band-pass is designed on the edges as fractions of Nyquist, and
+    # a low edge that rounds to 0 or two that round together has no design
+    "band_hz": (f"must be [low, high] inside (0, {NYQUIST}), also once "
+                f"divided by {NYQUIST}",
+                lambda v: 0 < v[0] / NYQUIST < v[1] / NYQUIST < 1),
     "count": _NOT_NEGATIVE, "start_s": _SAMPLES, "stop_s": _SAMPLES,
     "chirp_s": _SAMPLES, "period_s": _SAMPLES,
     "preferred_band": (f"must be a Mel band index in [0, {N_MEL_BANDS})",
@@ -409,11 +411,9 @@ class BandNoiseSource:
 
     def __init__(self, spec: SourceSpec, rng, start: int, stop: int):
         self.rng = rng
-        lo, hi = spec.band_hz
-        self.b, self.a = butter(2, [lo, hi], btype="bandpass",
-                                fs=SAMPLE_RATE)
+        self.b, self.a = butter_bandpass_coeffs(*spec.band_hz)
         probe = rng.standard_normal(SAMPLE_RATE)
-        probe_out = lfilter(self.b, self.a, probe)
+        probe_out = linear_filter(self.b, self.a, probe, -1)
         measured = float(np.sqrt(np.mean(np.square(probe_out))))
         target = 10.0 ** (spec.level_dbfs / 20.0)
         self.scale = target / measured if measured > 0 else 0.0
@@ -421,7 +421,7 @@ class BandNoiseSource:
 
     def hop(self, tick: int) -> np.ndarray:
         x = self.rng.standard_normal(FRAME_HOP)
-        y, self.zi = lfilter(self.b, self.a, x, zi=self.zi)
+        y, self.zi = linear_filter(self.b, self.a, x, -1, self.zi)
         return y * self.scale
 
 
@@ -431,7 +431,10 @@ class ChirpTrainSource:
     Every Mel band receives a deterministic partial, so the call covers
     the whole analysis range at a predictable per-band level (Gaussian
     noise would leave random bands underpowered frame to frame). Phases
-    are drawn only for the calls that start before stop and last a sample.
+    are drawn only for the calls that start before stop and last a sample,
+    each call's when a hop first needs them, and dropped once the call
+    has ended. Calls draw in call order, so their phases are the rows of
+    one (calls, bands) draw.
     """
 
     def __init__(self, spec: SourceSpec, rng, start: int, stop: int):
@@ -441,19 +444,27 @@ class ChirpTrainSource:
         self.start = start
         self.period = int(round(spec.period_s * SAMPLE_RATE))
         self.width = int(round(spec.chirp_s * SAMPLE_RATE))
-        calls = (min(spec.count, -(-max(0, stop - start) // self.period))
-                 if self.width else 0)
-        self.phases = rng.uniform(0.0, 2.0 * np.pi, size=(calls, n))
+        self.calls = (min(spec.count, -(-max(0, stop - start) // self.period))
+                      if self.width else 0)
+        self.rng = rng
+        self.phases = {}  # call -> its phases, while the call may sound
+        self.drawn = 0
 
     def hop(self, tick: int) -> np.ndarray:
         i0 = tick * FRAME_HOP
         out = np.zeros(FRAME_HOP)
-        if not len(self.phases):
+        if not self.calls:
             return out
         # the calls k with start + k*period in (i0 - width, i0 + FRAME_HOP)
         first = max(0, (i0 - self.start - self.width) // self.period + 1)
-        last = min(len(self.phases),
+        last = min(self.calls,
                    -(-(i0 + FRAME_HOP - self.start) // self.period))
+        for k in range(self.drawn, last):
+            self.phases[k] = self.rng.uniform(0.0, 2.0 * np.pi,
+                                              len(self.freqs))
+        self.drawn = max(self.drawn, last)
+        for k in [k for k in self.phases if k < first]:
+            del self.phases[k]
         for k in range(first, last):
             lo = self.start + k * self.period
             idx = np.arange(max(i0, lo), min(i0 + FRAME_HOP, lo + self.width))

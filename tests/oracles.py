@@ -319,3 +319,25 @@ def oracle_band_noise_ticks(rng, band_hz, level_dbfs, start, stop, n_ticks):
         y, state = lfilter(b, a, rng.standard_normal(HOP), zi=state)
         out[tick * HOP:(tick + 1) * HOP] = y * scale
     return out
+
+
+def oracle_chirp_train(rng, freqs, level_dbfs, start, period, width, calls,
+                       n_samples):
+    """A chirp train rendered call by call, with every call's phases drawn
+    up front as one (calls, bands) block from rng.
+
+    Call k sounds on the samples [start + k*period, start + k*period +
+    width), cut at n_samples: a sine at each frequency in freqs, at that
+    call's phase for it, the sum scaled to an RMS of level_dbfs.
+    """
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(calls, len(freqs)))
+    amp = 10.0 ** (level_dbfs / 20.0) * np.sqrt(2.0 / len(freqs))
+    out = np.zeros(n_samples)
+    for k in range(calls):
+        lo = start + k * period
+        idx = np.arange(lo, min(lo + width, n_samples))
+        t = idx / RATE
+        partials = np.sin(2.0 * np.pi * np.asarray(freqs)[:, None]
+                          * t[None, :] + phases[k][:, None])
+        out[idx] += amp * partials.sum(axis=0)
+    return out

@@ -2,9 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import butter, lfilter
 
 from holonsim import audio_core as ac
-from holonsim.params import FRAME_HOP, FRAME_SIZE, HIGHPASS_HZ, SAMPLE_RATE
+from holonsim import environment
+from holonsim.params import (FRAME_HOP, FRAME_SIZE, HIGHPASS_HZ, NYQUIST,
+                             SAMPLE_RATE)
 
 import oracles
 import synth
@@ -215,6 +220,69 @@ def test_highpass_batched_channels_match_individual():
     for ch in range(3):
         want = oracles.oracle_highpass(x[ch])
         assert np.max(np.abs(got[ch] - want)) < 1e-9
+
+
+# --- the lfilter kernel and the band-pass design --------------------------
+# scipy.signal is the independent reference here: holonsim calls its
+# compiled kernel without the package, and designs the band-pass itself.
+
+@pytest.mark.parametrize("shape", [(0, 512), (1, 512), (130, 512)])
+def test_kernel_equals_lfilter_with_state_in_bytes(shape):
+    rng = np.random.default_rng(shape[0])
+    b, a = ac.butter_highpass_coeffs()
+    x = rng.standard_normal(shape)
+    zi = rng.standard_normal((shape[0], 2))
+    y, zf = ac.linear_filter(b, a, x, -1, zi)
+    y_ref, zf_ref = lfilter(b, a, x, axis=-1, zi=zi)
+    assert y.tobytes() == y_ref.tobytes() and y.dtype == y_ref.dtype
+    assert zf.tobytes() == zf_ref.tobytes() and zf.shape == zf_ref.shape
+
+
+def test_kernel_equals_lfilter_on_one_channel_in_bytes():
+    rng = np.random.default_rng(4)
+    b, a = ac.butter_bandpass_coeffs(300.0, 900.0)
+    x = rng.standard_normal(SAMPLE_RATE)
+    zi = rng.standard_normal(4)
+    assert (ac.linear_filter(b, a, x, -1).tobytes()
+            == lfilter(b, a, x).tobytes())
+    y, zf = ac.linear_filter(b, a, x, -1, zi)
+    y_ref, zf_ref = lfilter(b, a, x, zi=zi)
+    assert y.tobytes() == y_ref.tobytes()
+    assert zf.tobytes() == zf_ref.tobytes()
+
+
+def test_highpass_process_equals_lfilter_in_bytes():
+    rng = np.random.default_rng(13)
+    filt = ac.HighpassFilter(130)
+    state = np.zeros((130, 2))
+    for _ in range(3):
+        block = rng.standard_normal((130, FRAME_HOP))
+        want, state = lfilter(filt.b, filt.a, block, axis=-1, zi=state)
+        assert filt.process(block).tobytes() == want.tobytes()
+
+
+BAND_RULE, BAND_OK = environment._FIELD_RANGES["band_hz"]
+EDGE = st.floats(0.0, float(NYQUIST), exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(EDGE, EDGE).filter(lambda v: v[0] < v[1]))
+@example((5e-324, 100.0))  # the low edge rounds to 0 Hz / Nyquist
+@example((1000.0, float(np.nextafter(1000.0, 2000.0))))
+@example((100.0, float(np.nextafter(NYQUIST, 0.0))))
+@example((200.0, 600.0))
+def test_bandpass_coeffs_equal_scipy_butter_in_bytes(band):
+    # every band the scenario rule accepts designs as scipy designs it,
+    # and every band it refuses is one scipy cannot design
+    if not BAND_OK(band):
+        with pytest.raises(ValueError):
+            butter(2, list(band), btype="bandpass", fs=SAMPLE_RATE)
+        return
+    b_ref, a_ref = butter(2, list(band), btype="bandpass", fs=SAMPLE_RATE)
+    b, a = ac.butter_bandpass_coeffs(*band)
+    assert (b.dtype, a.dtype) == (b_ref.dtype, a_ref.dtype)
+    assert b.tobytes() == b_ref.tobytes()
+    assert a.tobytes() == a_ref.tobytes()
 
 
 # --- resampling -----------------------------------------------------------

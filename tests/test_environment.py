@@ -7,6 +7,7 @@ import json
 import math
 import shutil
 import threading
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holonsim import agents, environment
-from holonsim.audio_core import read_wav, write_wav
+from holonsim.audio_core import default_filterbank, read_wav, write_wav
 from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   ScenarioError, SourceSpec, build_gains,
                                   load_run_events, load_scenario, replay_run,
@@ -232,6 +233,49 @@ def test_chirp_train_of_calls_shorter_than_a_sample_is_silent(tmp_path):
     run_scenario(load_scenario(write_yaml(tmp_path, body)), tmp_path / "run")
     samples, _ = read_wav(tmp_path / "run" / "monitor_00.wav")
     assert len(samples) and not samples.any()
+
+
+def test_chirp_train_with_calls_shorter_than_a_hop_equals_its_oracle(tmp_path):
+    # in samples: start 100, calls 200 long every 300, so several start in
+    # one hop and some span a hop edge; stop 9500 cuts the 32nd call
+    start, width, period, stop = 100, 200, 300, 9500
+    spec = SourceSpec("c", "chirp_train", (0.0, 0.0), "biophony",
+                      level_dbfs=-20.0, start_s=start / SAMPLE_RATE,
+                      stop_s=stop / SAMPLE_RATE, chirp_s=width / SAMPLE_RATE,
+                      period_s=period / SAMPLE_RATE, count=100)
+    run_scenario(Scenario(name="ct", seed=5, duration_s=0.5,
+                          noise_floor_dbfs=None, monitors=[(0.0, 0.0)],
+                          sources=[spec]), tmp_path / "run")
+    samples, _ = read_wav(tmp_path / "run" / "monitor_00.wav",
+                          target_rate=None)
+    # the one source's stream: the seed's second child, after the bus
+    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[1])
+    expected = oracles.oracle_chirp_train(
+        rng, default_filterbank().band_centers_hz, -20.0, start, period,
+        width, -(-(stop - start) // period), len(samples))
+    expected[stop:] = 0.0
+    assert np.array_equal(samples, expected.astype(np.float32))
+
+
+def test_a_long_dense_chirp_train_holds_only_the_sounding_calls():
+    default_filterbank()  # built once per process, not by the source
+    spec = SourceSpec("c", "chirp_train", (0.0, 0.0), "biophony",
+                      level_dbfs=-20.0, chirp_s=0.0005, period_s=0.001,
+                      count=10**6)
+    tracemalloc.start()
+    try:
+        source = environment.ChirpTrainSource(
+            spec, np.random.default_rng(0), 0, 60 * SAMPLE_RATE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 60,000 calls of 128 phases would be 61.4 MB drawn up front
+    assert source.calls == 60_000
+    assert peak < 1 << 20
+    for tick in range(200):
+        source.hop(tick)
+        # the calls that start in a hop, and the one sounding into it
+        assert len(source.phases) <= FRAME_HOP // 32 + 1
 
 
 # --- occupation attribution ------------------------------------------------------
@@ -893,6 +937,9 @@ def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     ({"kind": "tone", "position": [0, 0], "freq_hz": 440.0,
       "start_s": 2.0, "stop_s": 2.0},
      r"sources\[0\]: stop_s must be after start_s"),
+    # the band-pass is designed on band_hz / 16000, where this low edge is 0
+    ({"kind": "band_noise", "position": [0, 0], "band_hz": [1.0e-320, 600]},
+     "band_hz must be .low, high. inside .0, 16000., also once divided"),
 ])
 def test_source_errors_name_the_key(tmp_path, source, message):
     body = base_yaml(sources=[source])
