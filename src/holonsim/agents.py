@@ -101,7 +101,7 @@ def _ema_alpha(half_life_s: float) -> float:
 
 def _row_alphas(half_lives: list) -> np.ndarray:
     """(n, 1) EMA weights, each worked out in Python floats by _ema_alpha."""
-    return np.array([[_ema_alpha(h)] for h in half_lives])
+    return np.reshape([_ema_alpha(h) for h in half_lives], (-1, 1))
 
 
 class SpectralProfile:
@@ -241,6 +241,11 @@ class AgentBase:
         raise NotImplementedError
 
 
+def occupancy_threshold(energies, percentile: float, floor: float) -> float:
+    """The percentile of the band energies, floored at an absolute level."""
+    return max(float(np.percentile(energies, percentile)), floor)
+
+
 @dataclass
 class ComposerParams:
     slot_s: float = 4.0              # emission decisions happen on this grid
@@ -297,9 +302,8 @@ class ComposerAgent(AgentBase):
         """
         p = self.params
         ema = self.profile.ema_energy[self.profile_row]
-        threshold = max(
-            float(np.percentile(ema, p.occupancy_percentile)),
-            p.occupancy_floor)
+        threshold = occupancy_threshold(ema, p.occupancy_percentile,
+                                        p.occupancy_floor)
         effective = np.maximum(
             self.profile.short_term_energy[self.profile_row], instant_mel)
         occupied = effective >= threshold
@@ -616,41 +620,36 @@ class Hearing:
         # veto covers it too
         self.echo = clock.tick <= self.echo_until
         rows = self._listeners
-        if len(rows):
-            fired = self.onsets.update(spectra[rows],
-                                       ~(self.recording | self.echo)[rows])
-            self.fired[rows] = self.onsets.fired
-            self.levels[rows] = np.sqrt(
-                np.mean(np.square(self.hops[rows]), axis=1))
-            # feed the open recordings, then open one in each row that fired
-            hops, levels = self.hops, self.levels.tolist()
-            self.finished = {}
-            for r, session in list(self._sessions.items()):
-                sample = session.feed(hops[r], levels[r])
-                if sample is not None:
-                    self.finished[r] = sample
-                    del self._sessions[r]
-                    self.recording[r] = False
-            if fired:
-                for r in np.flatnonzero(self.fired).tolist():
-                    session = self._sessions[r] = ft.RecordingSession(
-                        clock.tick, prev_frames[r], self._max_s[r])
-                    # a sample this first feed returns (a cap of at most
-                    # pre-roll and one hop) is handed out by the next feed
-                    session.feed(hops[r], levels[r])
-                self.recording |= self.fired
+        self.onsets.update(spectra[rows], ~(self.recording | self.echo)[rows])
+        self.fired[rows] = self.onsets.fired
+        self.levels[rows] = np.sqrt(
+            np.mean(np.square(self.hops[rows]), axis=1))
+        # feed the open recordings, then open one in each row that fired
+        hops, levels = self.hops, self.levels.tolist()
+        self.finished = {}
+        for r, session in list(self._sessions.items()):
+            sample = session.feed(hops[r], levels[r])
+            if sample is not None:
+                self.finished[r] = sample
+                del self._sessions[r]
+                self.recording[r] = False
+        for r in np.flatnonzero(self.fired).tolist():
+            session = self._sessions[r] = ft.RecordingSession(
+                clock.tick, prev_frames[r], self._max_s[r])
+            # a sample this first feed returns (a cap of at most pre-roll
+            # and one hop) is handed out by the next feed
+            session.feed(hops[r], levels[r])
+        self.recording |= self.fired
         rows = self._composers
-        if len(rows):
-            self.profile.update(mel_energies[rows], ~self.echo[rows])
+        self.profile.update(mel_energies[rows], ~self.echo[rows])
         rows = self._collectors
-        if len(rows):
-            mels = mel_energies[rows]
-            tonal = ((ft.spectral_flatness(mels) < self._flatness_max)
-                     & ~self.echo[rows])
-            band, held = np.argmax(mels, axis=1), self.tone_band[rows]
-            self.tone_run[rows] = tonal * np.where(
-                band == held, self.tone_run[rows] + 1, 1)
-            self.tone_band[rows] = np.where(tonal, band, held)
+        mels = mel_energies[rows]
+        tonal = ((ft.spectral_flatness(mels) < self._flatness_max)
+                 & ~self.echo[rows])
+        band, held = np.argmax(mels, axis=1), self.tone_band[rows]
+        self.tone_run[rows] = tonal * np.where(
+            band == held, self.tone_run[rows] + 1, 1)
+        self.tone_band[rows] = np.where(tonal, band, held)
 
 
 AGENT_KINDS = {

@@ -505,10 +505,8 @@ _SOURCE_BUILDERS = {
 
 def build_gains(source_positions, listener_positions) -> np.ndarray:
     """(n_sources, n_listeners) linear gain matrix from pair distances."""
-    if not source_positions or not listener_positions:
-        return np.zeros((len(source_positions), len(listener_positions)))
-    src = np.asarray(source_positions, dtype=float)
-    lst = np.asarray(listener_positions, dtype=float)
+    src = np.asarray(source_positions, dtype=float).reshape(-1, 2)
+    lst = np.asarray(listener_positions, dtype=float).reshape(-1, 2)
     d = np.sqrt(np.sum((src[:, None, :] - lst[None, :, :]) ** 2, axis=2))
     return 1.0 / (1.0 + d / D_REF_M)
 
@@ -522,11 +520,12 @@ class Bus:
     source rows, each gated to its [start_s, stop_s) window to the sample,
     and the noise rows, mixes every listener's hop into `mixed`, keeps the
     monitors' hops and adds the Mel energies of each channel's pre-clip
-    sub-mix at the occupation point to `occupation`; deal() then writes
-    each agent's next hop from its EmissionQueue, heard from the next tick
-    on. `active` marks the agent rows that hold sound, and the gain product
-    reads only those, the source rows and the noise rows. write_renders()
-    writes the occupation and the monitor renders.
+    sub-mix at the occupation point to `occupation`; hear() then gives the
+    agents what their microphones took in; deal() writes each agent's next
+    hop from its EmissionQueue, heard from the next tick on. `active` marks
+    the agent rows that hold sound, and the gain product reads only those,
+    the source rows and the noise rows. write_renders() writes the
+    occupation and the monitor renders.
 
     The noise floor is NOISE_ROWS rows of fresh unit normals per tick, none
     without a floor. Each listener hears them through its own fixed weight
@@ -582,6 +581,10 @@ class Bus:
         self._chan_rings = np.zeros((len(CHANNELS), FRAME_SIZE))
         n_windows = -(-n_ticks // OCCUPATION_WINDOW_TICKS)
         self.occupation = np.zeros((len(CHANNELS), n_windows, N_MEL_BANDS))
+        # the agents hear in float32: a float64 high-pass rounded into two
+        # frame buffers used in turn, so last tick's stays whole for pre-roll
+        self._highpass = HighpassFilter(n_agents)
+        self._frames = tuple(np.zeros((2, n_agents, FRAME_SIZE), np.float32))
 
     def mix(self, tick: int):
         """Mix one tick into `mixed`, and add its occupation."""
@@ -593,9 +596,8 @@ class Bus:
             if lo or hi < FRAME_HOP:
                 self.hops[i, :lo] = 0.0
                 self.hops[i, hi:] = 0.0
-        if self.noise_rows:
-            self.hops[self.noise_rows] = self._rng.standard_normal(
-                (len(self.noise_rows), FRAME_HOP))
+        self.hops[self.noise_rows] = self._rng.standard_normal(
+            (len(self.noise_rows), FRAME_HOP))
         np.matmul(*self._sounding(), out=self.mixed)
         np.clip(self.mixed, -1.0, 1.0, out=self.mixed)
         self._renders[:, tick * FRAME_HOP:(tick + 1) * FRAME_HOP] = \
@@ -605,6 +607,16 @@ class Bus:
             self._chan_rings[c, FRAME_HOP:] = gains @ self.hops[rows]
         self.occupation[:, tick // OCCUPATION_WINDOW_TICKS] += \
             default_filterbank().apply(fft_magnitude(self._chan_rings))
+
+    def hear(self) -> tuple:
+        """The agents' frames after mix(): this tick's, last tick's, and
+        this tick's spectra and Mel energies, one row per agent."""
+        frames, prev = self._frames = self._frames[::-1]
+        frames[:, :FRAME_HOP] = prev[:, FRAME_HOP:]
+        frames[:, FRAME_HOP:] = self._highpass.process(
+            self.mixed[:len(frames)])
+        mags = fft_magnitude(frames)
+        return frames, prev, mags, default_filterbank().apply(mags)
 
     def deal(self, queues) -> np.ndarray:
         """Deal one hop from each agent's queue into its row; returns the
@@ -630,8 +642,7 @@ class Bus:
         Silent agent rows are zero, and leaving them out changes no byte
         of the product with two or more listeners. With one listener numpy
         takes the gemv path, where leaving rows out can change the last
-        bit; but that bus has no agents, so the product reads every row,
-        and no monitors, so nothing reads its mixed row.
+        bit; but that bus has no agents, so the product reads every row.
         """
         if self._rows is None:
             first = self.noise_rows.stop   # the first agent row
@@ -642,8 +653,6 @@ class Bus:
             # np.take keeps the columns row-major, the layout the product
             # has always read; self._gains_t[:, rows] would be column-major
             self._gains_act = np.take(self._gains_t, self._rows, axis=1)
-        if len(self._rows) == len(self.hops):
-            return self._gains_t, self.hops
         return self._gains_act, self.hops[self._rows]
 
     def write_renders(self, out_dir: Path) -> list:
@@ -737,16 +746,8 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     agents = [AGENT_KINDS[s.kind](s, rng)
               for s, rng in zip(scn.agents, agent_rngs)]
     n_agents, n_ticks = len(agents), scn.n_ticks
-
-    bank = default_filterbank()
-    hp = HighpassFilter(n_agents)
     hearing = Hearing(agents)
     queues = [agent.queue for agent in agents]
-    # agents hear in float32; the high-pass runs in float64 and its output
-    # is rounded into the ring
-    rings = np.zeros((n_agents, FRAME_SIZE), dtype=np.float32)
-    prev_rings = np.zeros_like(rings)
-
     bus = Bus(scn, bus_rng, source_rngs)
     with run, EventWriter(run.path(EVENTS_FILE), scn.log_audio) as writer:
         resolved = run.path(SCENARIO_FILE)
@@ -769,13 +770,7 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
                 last_phase = night
 
             bus.mix(tick)
-            feeds = hp.process(bus.mixed[:n_agents])
-            # two ring buffers in turn: last tick's stays whole for pre-roll
-            prev_rings, rings = rings, prev_rings
-            rings[:, :FRAME_HOP] = prev_rings[:, FRAME_HOP:]
-            rings[:, FRAME_HOP:] = feeds
-            mags = fft_magnitude(rings)
-            hearing.listen(rings, prev_rings, mags, bank.apply(mags), clock)
+            hearing.listen(*bus.hear(), clock)
             for agent in agents:
                 for event in agent.step(hearing, clock):
                     writer.write(tick, agent.agent_id, agent.kind, event)

@@ -168,7 +168,6 @@ class OnsetDetector:
     refractory_ticks = max(1, int(round(ONSET_REFRACTORY_S / TICK_SECONDS)))
 
     def __init__(self, n: int):
-        self.n = n
         self._prev = None
         self._history = np.zeros((n, ONSET_WINDOW))
         self._filled = 0
@@ -180,9 +179,9 @@ class OnsetDetector:
 
         Returns whether any row fired; `fired` holds the per-row result.
         """
-        mags = np.asarray(magnitudes, dtype=float).reshape(self.n, -1)
+        mags = np.array(magnitudes, dtype=float, ndmin=2)   # a copy
         flux = spectral_flux(mags, self._prev)
-        self._prev = mags.copy()
+        self._prev = mags
         if self._filled:
             hist = self._history[:, ONSET_WINDOW - self._filled:]
             threshold = np.mean(hist, axis=1) + ONSET_K * np.std(hist, axis=1)

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .agents import ComposerParams
+from .agents import ComposerParams, occupancy_threshold
 from .audio_core import fft_magnitude, frames, read_wav
 from .params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE
 from .rundir import OCCUPATION_META, OCCUPATION_NPY, RunDir, load_run_events
@@ -200,9 +200,9 @@ def band_occupancy_threshold(mean_band_energy: np.ndarray) -> float:
     Using the same formula the agents act on keeps the metrics honest:
     a band the metric calls occupied is one a composer would avoid.
     """
-    return max(ComposerParams.occupancy_floor,
-               float(np.percentile(mean_band_energy,
-                                   ComposerParams.occupancy_percentile)))
+    return occupancy_threshold(mean_band_energy,
+                               ComposerParams.occupancy_percentile,
+                               ComposerParams.occupancy_floor)
 
 
 def occupation_metrics(events: list, occupation: np.ndarray, meta: dict,
@@ -314,11 +314,16 @@ def analyze_run(run_dir):
                                  run.manifest["n_ticks"])
     written = ["metrics.json", "metrics.csv"]
 
+    def output(name):
+        # a new file: one truncated in place can be flushed to disk on
+        # close (ext4's auto_da_alloc), and a hard link keeps the old bytes
+        (run.path / name).unlink(missing_ok=True)
+        return run.path / name
+
     def render(path):
-        stem = path.stem
-        save_spectrogram(path, run.path / f"{stem}_spectrogram.csv",
-                         run.path / f"{stem}_spectrogram.pgm")
-        return [f"{stem}_spectrogram.csv", f"{stem}_spectrogram.pgm"]
+        names = [f"{path.stem}_spectrogram.{ext}" for ext in ("csv", "pgm")]
+        save_spectrogram(path, *map(output, names))
+        return names
 
     if renders:
         workers = min(len(renders), os.cpu_count() or 1)
@@ -327,7 +332,7 @@ def analyze_run(run_dir):
                 written.extend(names)
 
     metrics = dict(metrics, artifacts=sorted(written))
-    (run.path / "metrics.json").write_text(
+    output("metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True))
-    (run.path / "metrics.csv").write_text(_metrics_csv_lines(metrics))
+    output("metrics.csv").write_text(_metrics_csv_lines(metrics))
     return metrics

@@ -446,6 +446,89 @@ def test_hearing_counts_tone_runs_as_each_collector_did(data):
                 tracker.run, tracker.band), (t, j)
 
 
+KIND_PARAMS = {"composer": {}, "collector": {"record_max_s": 1.0},
+               "disruptor": {"capture_max_s": 0.5}}
+
+
+def seeded_hearing_input(n, ticks, seed):
+    """Per-tick float32 frames (ticks, n, FRAME_SIZE) of each row's own
+    stream of silences, noise bursts and sines, and a random echo mask."""
+    rng = np.random.default_rng(seed)
+    streams = []
+    for _ in range(n):
+        pcm = [silence(0.2)]
+        while sum(map(len, pcm)) < (ticks + 1) * FRAME_HOP:
+            amp, length = rng.uniform(0.05, 0.5), rng.uniform(0.1, 0.6)
+            pcm += [white_noise(rng, length, amp) if rng.random() < 0.5
+                    else sine(rng.uniform(200.0, 8000.0), length, amp),
+                    silence(rng.uniform(0.2, 0.8))]
+        streams.append(np.concatenate(pcm)[:(ticks + 1) * FRAME_HOP])
+    pcm = np.stack(streams).astype(np.float32)
+    frames = np.stack([pcm[:, t * FRAME_HOP:t * FRAME_HOP + FRAME_SIZE]
+                       for t in range(ticks)])
+    return frames, rng.random((ticks, n)) < 0.05
+
+
+def hear_rows(kinds, frames, echo):
+    """Listen through one Hearing of agents of these kinds; returns, per
+    tick, what each agent's row holds after listen()."""
+    agents = [make(ag.AGENT_KINDS[k], **KIND_PARAMS[k]) for k in kinds]
+    hearing = ag.Hearing(agents)
+    prev = np.zeros_like(frames[0])
+    ticks = []
+    for t, now in enumerate(frames):
+        spectra = fft_magnitude(now)
+        hearing.echo_until = np.where(echo[t], t, -1)
+        hearing.listen(now, prev, spectra, BANK.apply(spectra),
+                       SimClock(t, 240.0, DAY_ALWAYS))
+        prev = now
+        rows = []
+        for j, agent in enumerate(agents):
+            sample = hearing.finished.get(j)
+            row = [bool(hearing.fired[j]), bool(hearing.recording[j]),
+                   int(hearing.tone_run[j]), int(hearing.tone_band[j]),
+                   hearing.levels[j].tobytes(), sample and (
+                       sample.captured_at, sample.pcm.tobytes())]
+            if agent.kind == "composer":
+                p, r = agent.profile, agent.profile_row
+                row += [p.ema_energy[r].tobytes(),
+                        p.short_term_energy[r].tobytes(),
+                        p.ema_range_db[r].tobytes()]
+            rows.append(row)
+        ticks.append(rows)
+    return ticks
+
+
+def test_a_hearing_of_one_kind_gives_each_agent_its_row_in_a_mixed_one():
+    # one kind alone leaves the other kinds' rows empty: a composer-only
+    # Hearing has no listeners and no collectors, a disruptor-only one no
+    # composers and no collectors, a collector-only one no composers
+    kinds = ["collector", "composer", "disruptor", "collector", "disruptor",
+             "composer"]
+    frames, echo = seeded_hearing_input(len(kinds), 300, seed=25)
+    mixed = hear_rows(kinds, frames, echo)
+    for kind in ag.AGENT_KINDS:
+        rows = [j for j, k in enumerate(kinds) if k == kind]
+        alone = hear_rows([kind] * len(rows), frames[:, rows], echo[:, rows])
+        for t, (got, want) in enumerate(zip(alone, mixed)):
+            assert got == [want[j] for j in rows], (kind, t)
+    # the input sets off each part of the listening
+    flat = [row for tick in mixed for row in tick]
+    assert sum(row[0] for row in flat) >= 10            # onsets
+    assert sum(row[5] is not None for row in flat) >= 5  # finished samples
+    assert max(row[2] for row in flat) >= 5             # tone runs
+
+
+def test_a_hearing_of_no_agents_listens():
+    hearing = ag.Hearing([])
+    frames = np.zeros((0, FRAME_SIZE), dtype=np.float32)
+    spectra = fft_magnitude(frames)
+    for t in range(3):
+        hearing.listen(frames, frames, spectra, BANK.apply(spectra),
+                       SimClock(t, 240.0, DAY_ALWAYS))
+    assert hearing.finished == {} and not hearing.fired.size
+
+
 def test_collector_rejects_the_same_burst_keeps_a_different_one():
     # hop-aligned layout makes both takes of the burst bit-identical,
     # which is the only way a candidate can fail to raise the spread of a

@@ -9,7 +9,7 @@ import shutil
 import threading
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -64,6 +64,9 @@ def test_gain_matrix_from_positions():
     assert g[0, 1] == 0.5
     assert g[1, 0] == 0.5
     assert g[1, 1] == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)))
+    # no sources or no listeners: an empty matrix of the right shape
+    assert build_gains([], [(0.0, 0.0)]).shape == (0, 1)
+    assert build_gains([(0.0, 0.0)] * 3, []).shape == (3, 0)
 
 
 def test_noise_floor_rms(tmp_path):
@@ -734,6 +737,49 @@ def test_run_and_replay_start_no_thread(tmp_path, monkeypatch):
     run_scenario(full_scenario(), tmp_path / "run")
     replay_run(tmp_path / "run")
     assert started == []
+
+
+def test_the_clock_is_built_once_the_world_exists_and_ends_each_tick(
+        tmp_path, monkeypatch):
+    # a benchmark session hooks environment.SimClock: its construction ends
+    # the setup and each advance() a tick; within a tick the occupation's
+    # FFT runs before the agents' high-pass, and their FFT after it
+    calls = []
+
+    def record(owner, name, label):
+        method = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(label)
+            return method(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recorded)
+
+    class Clock(environment.SimClock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            calls.append("clock")
+
+        def advance(self):
+            super().advance()
+            calls.append("advance")
+
+    monkeypatch.setattr(environment, "SimClock", Clock)
+    record(environment.Bus, "__init__", "bus")
+    record(environment.Hearing, "__init__", "hearing")
+    for kind, cls in agents.AGENT_KINDS.items():
+        record(cls, "__init__", kind)
+    record(environment.HighpassFilter, "process", "high-pass")
+    record(environment, "fft_magnitude", "fft")
+    scn = replace(full_scenario(), duration_s=1.0)
+    run_scenario(scn, tmp_path / "run")
+    start = calls.index("clock")
+    assert sorted(calls[:start]) == sorted(
+        ["bus", "hearing", "composer", "collector", "disruptor"])
+    assert calls[start + 1:] == ["fft", "high-pass", "fft",
+                                 "advance"] * scn.n_ticks
+    calls.clear()
+    replay_run(tmp_path / "run")
+    assert calls == ["bus"] + ["fft"] * scn.n_ticks
 
 
 class StepFault(Exception):

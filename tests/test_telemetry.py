@@ -328,6 +328,24 @@ def test_analyze_is_deterministic(tmp_path):
     assert (out / "metrics.json").read_bytes() == first
 
 
+def test_analyze_replaces_its_outputs_and_leaves_their_links(tmp_path):
+    # each output is written as a new file, never truncated in place, so a
+    # hard link to the old file keeps the old bytes
+    out = quiet_composer_run(tmp_path)
+    analyze_run(out)
+    names = ["metrics.json", "metrics.csv", "monitor_00_spectrogram.csv",
+             "monitor_00_spectrogram.pgm"]
+    fresh = {name: (out / name).read_bytes() for name in names}
+    for name in names:
+        (out / name).write_bytes(b"old")
+        os.link(out / name, tmp_path / name)
+    analyze_run(out)
+    for name in names:
+        assert (out / name).read_bytes() == fresh[name], name
+        assert (tmp_path / name).read_bytes() == b"old", name
+        assert (out / name).stat().st_nlink == 1, name
+
+
 def test_metrics_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     out = quiet_composer_run(tmp_path, monitors=[(1.0, 1.0), (-1.0, 0.0)])
     written = []
