@@ -9,11 +9,11 @@ the same way.
 import importlib.machinery
 import importlib.util
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .params import (
     FRAME_HOP,
@@ -29,28 +29,41 @@ from .params import (
 BUTTERWORTH_Q = 1.0 / np.sqrt(2.0)
 
 
-def _load_linear_filter():
-    """scipy.signal's compiled lfilter kernel, loaded from its own file.
+def _load_scipy_kernel(scipy_dir: Path, name: str):
+    """The compiled module scipy.<name>, loaded from its file under
+    scipy_dir without importing any scipy package above it.
 
-    For the 3-tap denominators used here, lfilter(b, a, x, axis[, zi])
-    only calls _sigtools._linear_filter with the same arguments. Importing
-    scipy.signal for it would run the package's init, which loads
-    scipy.stats, interpolate and optimize and trebles the import time.
+    The packages cost most of the start-up: scipy.signal's init loads
+    scipy.stats, interpolate and optimize, and scipy.fft's loads
+    scipy.special and an array-API layer. holonsim only calls two
+    compiled modules, with the arguments scipy's own wrappers pass. The
+    module is entered in sys.modules under its own name, so a later
+    import of its package reuses it.
     """
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = Path(scipy_dir) / "signal" / f"_sigtools{suffix}"
+    stem = scipy_dir.joinpath(*name.split("."))
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for suffix in suffixes:
+        path = stem.with_name(stem.name + suffix)
         if path.is_file():
-            spec = importlib.util.spec_from_file_location(
-                "scipy.signal._sigtools", path)
+            spec = importlib.util.spec_from_file_location(f"scipy.{name}",
+                                                          path)
             module = importlib.util.module_from_spec(spec)
+            sys.modules[spec.name] = module
             spec.loader.exec_module(module)
-            return module._linear_filter
-    raise ImportError(f"no compiled scipy.signal._sigtools in {scipy_dir}")
+            return module
+    raise ImportError(f"no compiled scipy.{name} in {stem.parent}: looked for "
+                      + ", ".join(stem.name + s for s in suffixes))
 
 
+_SCIPY_DIR = Path(
+    importlib.util.find_spec("scipy").submodule_search_locations[0])
+# the transforms behind scipy.fft's rfft and dct
+pocketfft = _load_scipy_kernel(_SCIPY_DIR, "fft._pocketfft.pypocketfft")
+# For the 3-tap denominators used here, lfilter(b, a, x, axis[, zi]) only
+# calls this kernel with the same arguments:
 # linear_filter(b, a, x, axis) -> y, and (b, a, x, axis, zi) -> (y, zf)
-linear_filter = _load_linear_filter()
+linear_filter = _load_scipy_kernel(_SCIPY_DIR,
+                                   "signal._sigtools")._linear_filter
 
 
 class WavFormatError(ValueError):
@@ -108,10 +121,11 @@ def fft_magnitude(samples: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"frame length {samples.shape[-1]} != FRAME_SIZE {FRAME_SIZE}")
     hann = _HANN32 if samples.dtype == np.float32 else _HANN
-    # scipy.fft keeps float32 in single precision, where np.fft would
-    # promote it, and gives np.fft's bytes in float64; nested, so the
-    # windowed copy is freed before the magnitudes
-    return np.abs(scipy.fft.rfft(samples * hann, axis=-1))
+    # scipy.fft.rfft(x, axis=-1): pocketfft keeps float32 in single
+    # precision and gives np.fft's bytes in float64. np.fft's float32
+    # bytes differ and it is about twice as slow on the 130-agent batch.
+    # Nested, so the windowed copy is freed before the magnitudes.
+    return np.abs(pocketfft.r2c(samples * hann, (-1,), True, 0, None, 1))
 
 
 def hz_to_mel(f):

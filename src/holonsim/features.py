@@ -5,6 +5,10 @@ A recording is kept when adding it increases the spread (per-dimension
 standard deviation, after z-score normalisation) of the collection's
 analysis vectors; once the collection is full the nearest existing member
 is the one considered for replacement.
+
+The MFCCs in an analysis vector take their orthonormal DCT-II from
+pocketfft's compiled module, loaded by audio_core, with the arguments
+scipy.fft.dct passes; scipy.fft itself is never imported.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct
 
 from . import audio_core as ac
 from .params import (
@@ -80,7 +83,9 @@ def mfcc(pcm: np.ndarray) -> np.ndarray:
     windows = ac.frames(pcm)
     bank = ac.default_filterbank()
     energies = bank.apply(ac.fft_magnitude(windows))
-    coeffs = dct(np.log(energies + LOG_FLOOR), type=2, norm="ortho", axis=-1)
+    # scipy.fft.dct(x, type=2, norm="ortho", axis=-1)
+    coeffs = ac.pocketfft.dct(np.log(energies + LOG_FLOOR), 2, (-1,), 1, None,
+                              1, None)
     return np.mean(coeffs[:, :N_MFCC], axis=0)
 
 

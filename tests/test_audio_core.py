@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct, rfft
 from scipy.signal import butter, lfilter
 
 from holonsim import audio_core as ac
-from holonsim import environment
-from holonsim.params import (FRAME_HOP, FRAME_SIZE, HIGHPASS_HZ, NYQUIST,
-                             SAMPLE_RATE)
+from holonsim import environment, features
+from holonsim.params import (FRAME_HOP, FRAME_SIZE, HIGHPASS_HZ, LOG_FLOOR,
+                             N_MFCC, NYQUIST, SAMPLE_RATE)
 
 import oracles
 import synth
@@ -106,6 +107,44 @@ def test_fft_magnitude_float32_matches_naive_dft():
     for frame, mag in zip(frames, got):
         want = oracles.naive_dft_magnitude(frame.astype(float))
         assert np.max(np.abs(mag - want)) <= 1e-5 * np.max(want)
+
+
+# scipy.fft is the reference for the two pocketfft calls: holonsim passes
+# the arguments that scipy.fft.rfft and scipy.fft.dct pass
+
+@pytest.mark.parametrize("shape", [(FRAME_SIZE,), (0, FRAME_SIZE),
+                                   (1, FRAME_SIZE), (2, FRAME_SIZE),
+                                   (10, FRAME_SIZE), (80, FRAME_SIZE),
+                                   (130, FRAME_SIZE)])
+def test_fft_magnitude_float32_bytes_equal_scipy_rfft(shape):
+    rng = np.random.default_rng(len(shape) + shape[0])
+    frames = rng.uniform(-1, 1, shape).astype(np.float32)
+    got = ac.fft_magnitude(frames)
+    want = np.abs(rfft(frames * ac._HANN32, axis=-1))
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def scipy_mfcc(pcm):
+    """features.mfcc written with scipy.fft's rfft and dct."""
+    pcm = np.asarray(pcm, dtype=float)
+    if len(pcm) < FRAME_SIZE:
+        pcm = np.pad(pcm, (0, FRAME_SIZE - len(pcm)))
+    mags = np.abs(rfft(ac.frames(pcm) * ac.hann_window(), axis=-1))
+    energies = ac.default_filterbank().apply(mags)
+    coeffs = dct(np.log(energies + LOG_FLOOR), type=2, norm="ortho", axis=-1)
+    return np.mean(coeffs[:, :N_MFCC], axis=0)
+
+
+@pytest.mark.parametrize("n", [1, FRAME_SIZE // 3, FRAME_SIZE,
+                               FRAME_SIZE + FRAME_HOP + 7, 20 * FRAME_SIZE])
+def test_mfcc_bytes_equal_scipy_dct(n):
+    pcm = np.random.default_rng(n).uniform(-1, 1, n)
+    got = features.mfcc(pcm)
+    want = scipy_mfcc(pcm)
+    assert got.dtype == want.dtype and got.shape == (N_MFCC,)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- Mel filterbank -----------------------------------------------------
@@ -220,6 +259,19 @@ def test_highpass_batched_channels_match_individual():
     for ch in range(3):
         want = oracles.oracle_highpass(x[ch])
         assert np.max(np.abs(got[ch] - want)) < 1e-9
+
+
+# --- the compiled scipy modules -----------------------------------------
+
+@pytest.mark.parametrize("name", ["fft._pocketfft.pypocketfft",
+                                  "signal._sigtools"])
+def test_loader_names_the_file_a_scipy_dir_lacks(tmp_path, name):
+    *package, module = name.split(".")
+    with pytest.raises(ImportError) as raised:
+        ac._load_scipy_kernel(tmp_path, name)
+    message = str(raised.value)
+    assert str(tmp_path.joinpath(*package)) in message
+    assert f"{module}.so" in message and f"scipy.{name}" in message
 
 
 # --- the lfilter kernel and the band-pass design --------------------------
