@@ -18,7 +18,6 @@ from pathlib import Path
 import yaml
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-KERNELS = ["scipy.fft._pocketfft.pypocketfft", "scipy.signal._sigtools"]
 
 RUN_AND_REPORT = """
 import sys
@@ -48,12 +47,13 @@ def test_a_band_noise_run_never_imports_scipy_signal(tmp_path):
 
 RUN_ANALYZE_AND_PRINT = """
 import sys
+from pathlib import Path
 import holonsim.cli
 from holonsim.environment import load_scenario, run_scenario
 from holonsim.telemetry import analyze_run
 run_scenario(load_scenario(sys.argv[1]), sys.argv[2])
 analyze_run(sys.argv[2])
-wav = sorted(__import__("pathlib").Path(sys.argv[2]).glob("*.wav"))[0]
+wav = sorted(Path(sys.argv[2]).glob("*.wav"))[0]
 assert holonsim.cli.main(["features", str(wav)]) == 0
 print(" ".join(sorted(n for n in sys.modules if n.startswith("scipy"))))
 print("numpy.f2py" in sys.modules)
@@ -75,7 +75,8 @@ def test_a_run_analysis_and_feature_print_load_only_the_two_kernels(
         text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     names, f2py = done.stdout.splitlines()[-2:]
-    assert names.split() == KERNELS
+    assert names.split() == ["scipy.fft._pocketfft.pypocketfft",
+                             "scipy.signal._sigtools"]
     assert f2py == "False"
     assert (tmp_path / "run" / "metrics.json").is_file()
 
