@@ -213,9 +213,11 @@ def synth_tone(freq_hz: float, amp: float, n_samples: int,
 
 class AgentBase:
     """An agent built from its scenario entry (an AgentSpec) and its own
-    random stream; each kind names its parameter dataclass as Params."""
+    random stream; each kind names itself as kind, its parameter
+    dataclass as Params and the AgentSpec keys only it reads as
+    spec_keys."""
 
-    kind = "agent"
+    spec_keys = ()
 
     def __init__(self, spec, rng: np.random.Generator):
         self.agent_id = spec.id
@@ -278,6 +280,7 @@ class ComposerAgent(AgentBase):
 
     kind = "composer"
     Params = ComposerParams
+    spec_keys = ("preferred_band", "slot_offset_ticks")
 
     def __init__(self, spec, rng):
         super().__init__(spec, rng)
@@ -528,7 +531,7 @@ class DisruptorAgent(AgentBase):
         self.disruptions += 1
         events.append({
             "event": "disrupt_start",
-            "transform": spec.kind.value,
+            "transform": spec.kind,
             "carrier_hz": spec.carrier_hz,
             "fm_index": dsp.FM_INDEX,
             "in_samples": len(sample.pcm),
@@ -652,8 +655,5 @@ class Hearing:
         self.tone_band[rows] = np.where(tonal, band, held)
 
 
-AGENT_KINDS = {
-    "composer": ComposerAgent,
-    "collector": CollectorAgent,
-    "disruptor": DisruptorAgent,
-}
+AGENT_KINDS = {cls.kind: cls
+               for cls in (ComposerAgent, CollectorAgent, DisruptorAgent)}

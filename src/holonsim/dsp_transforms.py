@@ -3,42 +3,22 @@
 Four ways to mangle a clip: shift it up or down an octave (resampling,
 so duration changes too), frequency-modulate a carrier with it, or ring-
 modulate it against a carrier.  Carriers are drawn per capture from the
-owning agent's random stream.
+owning agent's random stream.  TRANSFORMS declares each kind once.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .params import SAMPLE_RATE
 
-FREQ_MOD_CARRIER_HZ = (50.0, 500.0)
-RING_MOD_CARRIER_HZ = (100.0, 2000.0)
 FM_INDEX = 5.0               # Hz of deviation per unit of input
-
-
-class TransformKind(Enum):
-    PITCH_UP = "pitch_up"
-    PITCH_DOWN = "pitch_down"
-    FREQ_MOD = "freq_mod"
-    RING_MOD = "ring_mod"
 
 
 @dataclass(frozen=True)
 class TransformSpec:
-    kind: TransformKind
+    kind: str                # a key of TRANSFORMS
     carrier_hz: float = 0.0
-
-
-def random_spec(rng: np.random.Generator) -> TransformSpec:
-    """Draw a transform uniformly, with its carrier where one applies."""
-    kind = list(TransformKind)[int(rng.integers(len(TransformKind)))]
-    if kind is TransformKind.FREQ_MOD:
-        return TransformSpec(kind, float(rng.uniform(*FREQ_MOD_CARRIER_HZ)))
-    if kind is TransformKind.RING_MOD:
-        return TransformSpec(kind, float(rng.uniform(*RING_MOD_CARRIER_HZ)))
-    return TransformSpec(kind)
 
 
 def pitch_shift_octave(pcm: np.ndarray, direction: int) -> np.ndarray:
@@ -75,13 +55,24 @@ def freq_mod(pcm: np.ndarray, carrier_hz: float) -> np.ndarray:
     return np.sin(np.cumsum(increments))
 
 
+# Each transform kind, in the order random_spec draws them: its function of
+# (pcm, carrier_hz), and the range its carrier is drawn from (None: none).
+TRANSFORMS = {
+    "pitch_up": (lambda pcm, _: pitch_shift_octave(pcm, +1), None),
+    "pitch_down": (lambda pcm, _: pitch_shift_octave(pcm, -1), None),
+    "freq_mod": (freq_mod, (50.0, 500.0)),
+    "ring_mod": (ring_mod, (100.0, 2000.0)),
+}
+
+
+def random_spec(rng: np.random.Generator) -> TransformSpec:
+    """Draw a transform uniformly, with its carrier where one applies."""
+    kind = list(TRANSFORMS)[int(rng.integers(len(TRANSFORMS)))]
+    carrier = TRANSFORMS[kind][1]
+    if carrier is None:
+        return TransformSpec(kind)
+    return TransformSpec(kind, float(rng.uniform(*carrier)))
+
+
 def apply_transform(pcm: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    if spec.kind is TransformKind.PITCH_UP:
-        return pitch_shift_octave(pcm, +1)
-    if spec.kind is TransformKind.PITCH_DOWN:
-        return pitch_shift_octave(pcm, -1)
-    if spec.kind is TransformKind.FREQ_MOD:
-        return freq_mod(pcm, spec.carrier_hz)
-    if spec.kind is TransformKind.RING_MOD:
-        return ring_mod(pcm, spec.carrier_hz)
-    raise ValueError(f"unknown transform {spec.kind!r}")
+    return TRANSFORMS[spec.kind][0](pcm, spec.carrier_hz)

@@ -58,7 +58,7 @@ class ReplayError(ValueError):
 @dataclass
 class SourceSpec:
     id: str
-    kind: str                    # tone | band_noise | chirp_train | wav
+    kind: str                    # a key of _SOURCE_KINDS
     position: tuple
     channel: str = "anthrophony"
     level_dbfs: float = -30.0
@@ -126,13 +126,9 @@ class Scenario:
 
 
 _AGENT_KEYS = {f.name for f in fields(AgentSpec)} - {"id"} | {"count"}
-# each source kind's own keys, (required, optional); no other kind takes them
-_SOURCE_KINDS = {"tone": (("freq_hz",), ()),
-                 "band_noise": (("band_hz",), ()),
-                 "chirp_train": (("chirp_s", "period_s", "count"), ()),
-                 "wav": (("path",), ("gain",))}
-_KIND_KEYS = {key for required, optional in _SOURCE_KINDS.values()
-              for key in required + optional}
+# the agent keys that only the kinds naming them in spec_keys read
+_AGENT_KIND_KEYS = {key for cls in AGENT_KINDS.values()
+                    for key in cls.spec_keys}
 _KIND_NAMES = {float: "a finite number", int: "an integer",
                bool: "true or false", str: "a string",
                tuple: "a pair [a, b] of finite numbers", list: "a list",
@@ -314,7 +310,7 @@ def _source_from_raw(raw, index: int, base_dir: Path) -> SourceSpec:
         raise ScenarioError(
             f"{prefix}unknown source kind {kind!r} "
             f"(expected one of {sorted(_SOURCE_KINDS)})")
-    required, optional = _SOURCE_KINDS[kind]
+    required, optional, _ = _SOURCE_KINDS[kind]
     stray = sorted(checked.keys() & _KIND_KEYS - {*required, *optional})
     if stray:
         raise ScenarioError(
@@ -356,11 +352,16 @@ def _roster_from_raw(entries: list, radius_m: float) -> list:
             raise ScenarioError(
                 f"{prefix}unknown agent kind {spec.kind!r} "
                 f"(expected one of {sorted(AGENT_KINDS)})")
+        cls = AGENT_KINDS[spec.kind]
+        stray = sorted(raw.keys() & _AGENT_KIND_KEYS - set(cls.spec_keys))
+        if stray:
+            raise ScenarioError(
+                f"{prefix}{stray[0]} does not apply to a {spec.kind}")
         if spec.position is not None and count != 1:
             raise ScenarioError(
                 f"{prefix}give position only for single agents")
-        spec.params = _checked_fields(
-            spec.params, AGENT_KINDS[spec.kind].Params, f"{prefix}params.")
+        spec.params = _checked_fields(spec.params, cls.Params,
+                                      f"{prefix}params.")
         spec.energy = _checked_fields(spec.energy, EnergyModel,
                                       f"{prefix}energy.")
         specs += [replace(spec, params=dict(spec.params),
@@ -493,12 +494,17 @@ class WavSource:
         return out
 
 
-_SOURCE_BUILDERS = {
-    "tone": ToneSource,
-    "band_noise": BandNoiseSource,
-    "chirp_train": ChirpTrainSource,
-    "wav": WavSource,
+# each source kind's keys beyond those every kind takes, (required,
+# optional), and its class; a kind refuses the keys that only others take
+_SOURCE_KINDS = {
+    "tone": (("freq_hz",), ("level_dbfs",), ToneSource),
+    "band_noise": (("band_hz",), ("level_dbfs",), BandNoiseSource),
+    "chirp_train": (("chirp_s", "period_s", "count"), ("level_dbfs",),
+                    ChirpTrainSource),
+    "wav": (("path",), ("gain",), WavSource),
 }
+_KIND_KEYS = {key for required, optional, _ in _SOURCE_KINDS.values()
+              for key in required + optional}
 
 
 # --- the bus -------------------------------------------------------------------
@@ -542,7 +548,7 @@ class Bus:
                           end if spec.stop_s is None
                           else min(end, int(round(spec.stop_s * SAMPLE_RATE))))
                          for spec in scn.sources]
-        self._sources = [_SOURCE_BUILDERS[spec.kind](spec, rng, *window)
+        self._sources = [_SOURCE_KINDS[spec.kind][2](spec, rng, *window)
                          for spec, rng, window in zip(
                              scn.sources, source_rngs, self._windows)]
         agent_pos = [a.position for a in scn.agents]

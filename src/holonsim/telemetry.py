@@ -210,10 +210,11 @@ def occupation_metrics(events: list, occupation: np.ndarray, meta: dict,
     """Niche metrics from the event log and the bus-truth energy matrix.
 
     overlap_ratio: fraction of composer emission windows whose band also
-    carried non-cyberphony energy above the occupancy threshold (None
-    when no composer emitted). niche_spread: distinct bands composers
-    used. switch_events: preferred-band departures plus returns summed
-    over composers.
+    carried non-cyberphony energy above the occupancy threshold, counting
+    only the ticks a note sounds in the run (None when none did).
+    niche_spread: distinct bands composers logged a note in.
+    switch_events: preferred-band departures plus returns summed over
+    composers.
     """
     channels = list(meta["channels"])
     window_ticks = int(meta["window_ticks"])
@@ -242,13 +243,13 @@ def occupation_metrics(events: list, occupation: np.ndarray, meta: dict,
         tick = record["tick"]
         n_hops = -(-payload["n_samples"] // FRAME_HOP)
         bands_used.add(band)
-        # audible from tick+1 for n_hops hops
-        w_lo = (tick + 1) // window_ticks
-        w_hi = min((tick + n_hops) // window_ticks, n_windows - 1)
-        for w in range(w_lo, w_hi + 1):
-            total_windows += 1
-            if mean_energy[w, band] >= thresholds[w]:
-                overlapped += 1
+        # audible from tick+1 for n_hops hops, up to the run's last tick
+        first, last = tick + 1, min(tick + n_hops, n_ticks - 1)
+        if first <= last:
+            for w in range(first // window_ticks, last // window_ticks + 1):
+                total_windows += 1
+                if mean_energy[w, band] >= thresholds[w]:
+                    overlapped += 1
         info = composers.setdefault(record["agent_id"], {
             "preferred_band": payload.get("preferred_band"),
             "bands": [], "departures": 0, "returns": 0})

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from holonsim.audio_core import default_filterbank, fft_magnitude
-from holonsim.dsp_transforms import (TransformKind, TransformSpec,
-                                     apply_transform, pitch_shift_octave,
-                                     ring_mod)
+from holonsim.dsp_transforms import (TransformSpec, apply_transform,
+                                     pitch_shift_octave, ring_mod)
 from holonsim.environment import (AgentSpec, Scenario, SourceSpec,
                                   load_run_events, load_scenario,
                                   replay_run, run_scenario)
@@ -231,8 +230,7 @@ def test_criterion_06_transform_spectra(capsys):
     ring_ok = (abs(top2[0] - lo_bin) <= 1 and abs(top2[1] - hi_bin) <= 1)
 
     fm = apply_transform(np.zeros(SAMPLE_RATE, dtype=np.float32),
-                         TransformSpec(TransformKind.FREQ_MOD,
-                                       carrier_hz=2000.0))
+                         TransformSpec("freq_mod", carrier_hz=2000.0))
     fm_peak = spectral_peak_bin(fm)
     fm_ok = abs(fm_peak - int(round(2000.0 / bin_hz))) <= 1
 

@@ -616,8 +616,8 @@ def test_disruptor_captures_transforms_and_reemits():
     t_d, ev = named(events, "disrupt_start")[0]
     captured = pcm[62 * FRAME_HOP:(62 + 42) * FRAME_HOP].astype(np.float32)
     assert ev["fm_index"] == dsp.FM_INDEX
-    spec = dsp.TransformSpec(dsp.TransformKind(ev["transform"]),
-                             ev["carrier_hz"])
+    assert ev["transform"] in dsp.TRANSFORMS
+    spec = dsp.TransformSpec(ev["transform"], ev["carrier_hz"])
     expected = dsp.apply_transform(captured, spec).astype(np.float32)
     assert ev["out_samples"] == len(expected)
     assert np.array_equal(ev["_pcm"], expected)

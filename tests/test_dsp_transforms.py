@@ -82,12 +82,21 @@ def test_random_spec_deterministic_and_in_range():
     seq1 = [dt.random_spec(rng1) for _ in range(20)]
     seq2 = [dt.random_spec(rng2) for _ in range(20)]
     assert seq1 == seq2
+    # the disruptors' draws rest on the order of TRANSFORMS and on drawing
+    # a carrier only where one applies
+    assert [(s.kind, s.carrier_hz) for s in seq1[:12]] == [
+        ("freq_mod", 280.09739876646273), ("ring_mod", 1954.863040844638),
+        ("ring_mod", 1253.9760807905564), ("pitch_up", 0.0),
+        ("pitch_down", 0.0), ("pitch_down", 0.0),
+        ("freq_mod", 128.5375172648128), ("ring_mod", 1756.107020956547),
+        ("pitch_up", 0.0), ("freq_mod", 455.9967858721948),
+        ("pitch_up", 0.0), ("pitch_down", 0.0)]
     kinds = {s.kind for s in seq1}
     assert len(kinds) >= 3  # all four show up over 20 draws, usually
     for s in seq1:
-        if s.kind is dt.TransformKind.FREQ_MOD:
+        if s.kind == "freq_mod":
             assert 50.0 <= s.carrier_hz <= 500.0
-        elif s.kind is dt.TransformKind.RING_MOD:
+        elif s.kind == "ring_mod":
             assert 100.0 <= s.carrier_hz <= 2000.0
         else:
             assert s.carrier_hz == 0.0
@@ -95,10 +104,8 @@ def test_random_spec_deterministic_and_in_range():
 
 def test_apply_transform_dispatch():
     x = synth.sine(440.0, 0.25)
-    for kind, factor in [(dt.TransformKind.PITCH_UP, 0.5),
-                         (dt.TransformKind.PITCH_DOWN, 2.0),
-                         (dt.TransformKind.FREQ_MOD, 1.0),
-                         (dt.TransformKind.RING_MOD, 1.0)]:
+    for kind, factor in [("pitch_up", 0.5), ("pitch_down", 2.0),
+                         ("freq_mod", 1.0), ("ring_mod", 1.0)]:
         spec = dt.TransformSpec(kind, carrier_hz=150.0)
         y = dt.apply_transform(x, spec)
         assert abs(len(y) - factor * len(x)) <= 1

@@ -986,6 +986,10 @@ def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     # the band-pass is designed on band_hz / 16000, where this low edge is 0
     ({"kind": "band_noise", "position": [0, 0], "band_hz": [1.0e-320, 600]},
      "band_hz must be .low, high. inside .0, 16000., also once divided"),
+    # a wav plays at its file's level, so level_dbfs is refused, not dropped
+    ({"kind": "wav", "position": [0, 0], "path": "nope.wav",
+      "level_dbfs": -20.0},
+     r"sources\[0\]: level_dbfs does not apply to a wav source"),
 ])
 def test_source_errors_name_the_key(tmp_path, source, message):
     body = base_yaml(sources=[source])
@@ -1079,6 +1083,13 @@ def test_malformed_wav_source_fails_at_load(tmp_path, content, message):
      "params.capacity_bytes must be positive"),
     ({"kind": "collector", "params": {"tone_frames": -3}},
      "params.tone_frames must not be negative"),
+    # a key only composers read is refused on another kind, not dropped
+    ({"kind": "collector", "preferred_band": 5, "slot_offset_ticks": 7},
+     "agents[0]: preferred_band does not apply to a collector"),
+    ({"kind": "disruptor", "count": 2, "slot_offset_ticks": 7},
+     "agents[0]: slot_offset_ticks does not apply to a disruptor"),
+    ({"kind": "collector", "slot_offset_ticks": 0},
+     "agents[0]: slot_offset_ticks does not apply to a collector"),
 ])
 def test_agent_errors_name_the_key(tmp_path, agent, message):
     body = base_yaml(agents=[agent])

@@ -265,6 +265,22 @@ def test_no_emissions_yields_not_applicable():
     assert metrics["switch_events"] == 0
 
 
+def test_a_note_started_at_the_last_tick_is_not_counted():
+    # heard from tick 100 on, after the run; window 1 holds ticks 62 to 99
+    occ = blank_occupation(2)
+    occ[list(CHANNELS).index("anthrophony"), 1, 5] = 1e9
+    events = [emission(99, "a", 5, 5), END]
+    metrics = occupation_metrics(events, occ, META, n_ticks=100)
+    assert metrics["emission_windows"] == 0
+    assert metrics["overlap_ratio"] is None
+    assert metrics["niche_spread"] == 1  # the logged band still counts
+    # one tick earlier, the note sounds at tick 99 alone
+    events = [emission(98, "a", 5, 5), END]
+    metrics = occupation_metrics(events, occ, META, n_ticks=100)
+    assert metrics["emission_windows"] == 1
+    assert metrics["overlap_ratio"] == 1.0
+
+
 def test_metrics_are_idempotent():
     events = [emission(10, "a", 5, 5), emission(400, "a", 7, 5), END]
     occ = blank_occupation(8)
