@@ -3,7 +3,9 @@ niche_filling, plus one mixed scenario with all three kinds of agent and
 audio logged, the same one without a noise floor, one of scripted sources
 only and one whose channel rows interleave, must write byte-identical
 artifacts and replay renders to those pinned in golden_digests.json, and
-each replay must rebuild its run's occupation files byte for byte.
+each replay must rebuild its run's occupation files byte for byte. The
+mixed scenario's analysis (metrics and each monitor's spectrogram CSV and
+PGM, about 1,000 frames each) is pinned too.
 
 A change that moves these bytes on purpose re-pins the file with
 
@@ -28,6 +30,7 @@ import yaml
 from holonsim.environment import (ReplayError, Scenario, load_run_events,
                                   load_scenario, replay_run, run_scenario)
 from holonsim.rundir import RunDir
+from holonsim.telemetry import analyze_run
 
 HERE = Path(__file__).resolve().parent
 SCENARIOS = HERE.parent / "scenarios"
@@ -148,6 +151,12 @@ def digests(scn: Scenario, run_dir: Path) -> tuple:
         for name in ["occupation.npy", "occupation.json"]:
             assert sha256(run_dir / "replay" / name) == \
                 sha256(run_dir / name), name
+    if scn.name == MIXED["name"]:
+        analyze_run(run_dir)
+        for name in ["metrics.json", "metrics.csv"] + [
+                f"monitor_{m:02d}_spectrogram.{ext}"
+                for m in range(len(scn.monitors)) for ext in ("csv", "pgm")]:
+            out[name] = sha256(run_dir / name)
     events = {e["event"] for e in load_run_events(RunDir(run_dir))}
     return out, events
 
