@@ -18,6 +18,15 @@ from .rundir import OCCUPATION_META, OCCUPATION_NPY, RunDir, load_run_events
 
 DB_FLOOR = -120.0
 BIN_HZ = SAMPLE_RATE / FRAME_SIZE
+# Frames per chunk of every pass over a render (the STFT, the PGM's two
+# passes and the CSV text), so only the grid grows with the run.
+CSV_CHUNK_ROWS = 256
+
+
+def _chunks(n_rows: int) -> list:
+    """Slices of CSV_CHUNK_ROWS rows, in order, covering n_rows rows."""
+    return [slice(start, start + CSV_CHUNK_ROWS)
+            for start in range(0, n_rows, CSV_CHUNK_ROWS)]
 
 
 def spectrogram_grid(samples: np.ndarray) -> np.ndarray:
@@ -25,7 +34,11 @@ def spectrogram_grid(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if len(samples) < FRAME_SIZE:
         samples = np.pad(samples, (0, FRAME_SIZE - len(samples)))
-    return fft_magnitude(frames(samples))
+    windows = frames(samples)
+    grid = np.empty((len(windows), FRAME_SIZE // 2 + 1))
+    for rows in _chunks(len(windows)):
+        grid[rows] = fft_magnitude(windows[rows])
+    return grid
 
 
 # --- "%.6g" text from array ops -------------------------------------------
@@ -39,7 +52,6 @@ def spectrogram_grid(samples: np.ndarray) -> np.ndarray:
 # outside [1e-300, 1e300], values within a few ulp of a power of ten (where
 # log10 can miss e by one), and values whose seventh digit is a near-tie.
 
-CSV_CHUNK_ROWS = 256      # rows formatted at once; bounds the kernel's memory
 _SLOT = 13                # "d.ddddde-ddd" and its separator
 _PAD = 0
 _ZERO, _EXP, _FALLBACK = 0, 11, 12   # classes; 1 to 10 are fixed, e + 5
@@ -162,32 +174,41 @@ def save_spectrogram_csv(path, grid: np.ndarray):
     times = np.arange(n_frames) * FRAME_HOP / SAMPLE_RATE
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        for start in range(0, n_frames, CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
+        for rows in _chunks(n_frames):
             fh.write(format_csv_rows(
-                np.column_stack([times[start:stop], grid[start:stop]])))
+                np.column_stack([times[rows], grid[rows]])))
 
 
 def save_spectrogram_pgm(path, grid: np.ndarray):
     """Log-scaled greyscale PGM (P5), floored at DB_FLOOR; image row r is
-    frequency bin r."""
-    db = 20.0 * np.log10(grid + 10.0 ** (DB_FLOOR / 20.0))
-    lo = db.min()
-    hi = db.max()
-    if hi - lo < 1e-9:
-        img = np.zeros(grid.shape, dtype=np.uint8)
-    else:
-        img = np.round((db - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    img = img.T  # (n_bins, n_frames): rows are frequency, ascending
+    frequency bin r.
+
+    Two passes of CSV_CHUNK_ROWS frames at a time: the first finds the
+    grid's dB range, the second scales each chunk into the image.
+    """
+    def db(rows):
+        return 20.0 * np.log10(grid[rows] + 10.0 ** (DB_FLOOR / 20.0))
+
+    chunks = _chunks(len(grid))
+    lo, hi = np.inf, -np.inf
+    for rows in chunks:
+        chunk = db(rows)
+        lo, hi = min(lo, chunk.min()), max(hi, chunk.max())
+    # (n_bins, n_frames): rows are frequency, ascending; a flat grid
+    # (silence) stays black
+    img = np.zeros(grid.shape[::-1], dtype=np.uint8)
+    if hi - lo >= 1e-9:
+        for rows in chunks:
+            img[:, rows] = np.round((db(rows) - lo) / (hi - lo) * 255.0).T
     height, width = img.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(img)
 
 
 def save_spectrogram(wav_path, csv_path, pgm_path) -> np.ndarray:
-    samples, _ = read_wav(wav_path, target_rate=None)
-    grid = spectrogram_grid(samples)
+    # the float64 samples go once the grid is made
+    grid = spectrogram_grid(read_wav(wav_path, target_rate=None)[0])
     save_spectrogram_csv(csv_path, grid)
     save_spectrogram_pgm(pgm_path, grid)
     return grid
@@ -313,6 +334,7 @@ def analyze_run(run_dir):
 
     metrics = occupation_metrics(events, occupation, meta,
                                  run.manifest["n_ticks"])
+    del events  # the parsed log, mostly base64 clips; no render reads it
     written = ["metrics.json", "metrics.csv"]
 
     def output(name):

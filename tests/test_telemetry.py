@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from holonsim.audio_core import write_wav
+from holonsim.audio_core import fft_magnitude, frames, write_wav
 from holonsim.environment import (AgentSpec, CHANNELS, Scenario, SourceSpec,
                                   run_scenario)
-from holonsim.params import FRAME_HOP, SAMPLE_RATE
-from holonsim.telemetry import (BIN_HZ, CSV_CHUNK_ROWS, analyze_run,
+from holonsim.params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE
+from holonsim.telemetry import (BIN_HZ, CSV_CHUNK_ROWS, DB_FLOOR, analyze_run,
                                 band_occupancy_threshold, format_csv_rows,
                                 occupation_metrics,
                                 save_spectrogram, save_spectrogram_csv,
@@ -83,6 +83,71 @@ def test_save_spectrogram_from_wav(tmp_path):
     assert (tmp_path / "out.csv").exists()
     assert (tmp_path / "out.pgm").exists()
     assert int(np.argmax(grid.sum(axis=0))) == 64  # 2000 Hz bin
+
+
+# Frame counts either side of the chunk edges; 0 is a signal shorter than
+# one frame.
+CHUNK_EDGE_FRAMES = [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                     CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]
+
+
+def rising_noise(n_frames):
+    """Noise that grows louder frame by frame, so the grid's dB minimum
+    and maximum lie in its first and last chunks."""
+    n = FRAME_SIZE + (n_frames - 1) * FRAME_HOP if n_frames else 700
+    rng = np.random.default_rng(n_frames)
+    return rng.normal(size=n) * np.geomspace(1e-4, 1.0, n)
+
+
+def one_shot_pgm(grid):
+    """The PGM as one formula over the whole dB grid."""
+    db = 20.0 * np.log10(grid + 10.0 ** (DB_FLOOR / 20.0))
+    lo = db.min()
+    hi = db.max()
+    if hi - lo < 1e-9:
+        img = np.zeros(grid.shape, dtype=np.uint8)
+    else:
+        img = np.round((db - lo) / (hi - lo) * 255.0).astype(np.uint8)
+    img = img.T
+    return (f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
+            + img.tobytes())
+
+
+@pytest.mark.parametrize("n_frames", CHUNK_EDGE_FRAMES)
+def test_chunked_grid_equals_one_shot_stft(n_frames):
+    x = rising_noise(n_frames)
+    whole = np.pad(x, (0, max(0, FRAME_SIZE - len(x))))
+    grid = spectrogram_grid(x)
+    assert grid.shape == (max(n_frames, 1), FRAME_SIZE // 2 + 1)
+    assert grid.tobytes() == fft_magnitude(frames(whole)).tobytes()
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["noise", "silence"])
+@pytest.mark.parametrize("n_frames", CHUNK_EDGE_FRAMES)
+def test_two_pass_pgm_equals_one_shot_formula(tmp_path, n_frames, quiet):
+    x = rising_noise(n_frames)
+    grid = spectrogram_grid(np.zeros_like(x) if quiet else x)
+    save_spectrogram_pgm(tmp_path / "grid.pgm", grid)
+    assert (tmp_path / "grid.pgm").read_bytes() == one_shot_pgm(grid)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_temporaries_are_chunks_of_the_grid(tmp_path):
+    x = rising_noise(60 * SAMPLE_RATE // FRAME_HOP - 1)
+    grid = spectrogram_grid(x)
+    # the grid itself, plus one chunk's windowed frames and spectrum
+    assert traced_peak(spectrogram_grid, x) <= 1.5 * grid.nbytes
+    # the uint8 image (an eighth of the grid), plus one chunk's dB rows
+    assert (traced_peak(save_spectrogram_pgm, tmp_path / "grid.pgm", grid)
+            <= 0.5 * grid.nbytes)
 
 
 # --- CSV text ---------------------------------------------------------------------
