@@ -17,6 +17,7 @@ inspect each other: sound on the bus is the only channel.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -157,33 +158,54 @@ class SpectralProfile:
 
 # --- emissions ---------------------------------------------------------------
 
+NOTE_BLOCK_HOPS = 32  # a note is synthesized this many hops at a time
+
+
 class EmissionQueue:
-    """Holds one outgoing clip and deals it out a hop at a time."""
+    """Holds one outgoing sound and deals it out a hop at a time.
+
+    The sound is n samples that render(start, stop) gives as float32, one
+    block at a time as the hops reach it: a note NOTE_BLOCK_HOPS hops a
+    block (sing), a recorded clip as one block that never refills (start).
+    """
 
     def __init__(self):
-        self._pcm = None
-        self._pos = 0
+        self._render = self._block = None
+        self._n = self._pos = self._block_end = 0
 
     @property
     def active(self) -> bool:
-        return self._pcm is not None
+        return self._render is not None
 
     @property
     def ending(self) -> bool:
-        """Whether the next hop dealt is the clip's last."""
-        return self.active and self._pos + FRAME_HOP >= len(self._pcm)
+        """Whether the next hop dealt is the sound's last."""
+        return self.active and self._pos + FRAME_HOP >= self._n
 
     def start(self, pcm: np.ndarray):
-        self._pcm = np.asarray(pcm, dtype=np.float32)
-        self._pos = 0
+        pcm = np.asarray(pcm, dtype=np.float32)
+        self._begin(len(pcm), len(pcm), lambda start, stop: pcm[start:stop])
+
+    def sing(self, n_samples: int, render):
+        self._begin(n_samples, NOTE_BLOCK_HOPS * FRAME_HOP, render)
+
+    def _begin(self, n_samples: int, block_samples: int, render):
+        self._render, self._n, self._block_n = render, n_samples, block_samples
+        self._pos = self._block_end = 0
 
     def next_hop(self) -> np.ndarray | None:
-        if self._pcm is None:
+        if self._render is None:
             return None
-        chunk = self._pcm[self._pos:self._pos + FRAME_HOP]
+        if self._pos >= self._block_end:
+            # blocks hold whole hops, so no hop straddles two
+            self._block_at = self._pos
+            self._block_end = min(self._pos + self._block_n, self._n)
+            self._block = self._render(self._block_at, self._block_end)
+        i = self._pos - self._block_at
+        chunk = self._block[i:i + FRAME_HOP]
         self._pos += FRAME_HOP
-        if self._pos >= len(self._pcm):
-            self._pcm = None
+        if self._pos >= self._n:
+            self._render = self._block = None
         if len(chunk) < FRAME_HOP:
             chunk = np.pad(chunk, (0, FRAME_HOP - len(chunk)))
         return chunk
@@ -191,22 +213,27 @@ class EmissionQueue:
 
 def synth_tone(freq_hz: float, amp: float, n_samples: int,
                attack_samples: int, decay_samples: int,
-               sample_rate: int) -> np.ndarray:
-    """Sinusoid with linear attack/decay ramps, as a float32 clip.
+               sample_rate: int, start: int, stop: int) -> np.ndarray:
+    """Samples [start, stop) of a sinusoid with linear attack/decay ramps,
+    as float32.
 
     Pure function of its arguments so a logged note can be re-rendered
-    bit for bit.
+    bit for bit, and any slice of a note has the bytes of the same slice
+    of the whole note. Where the ramps meet, the decay wins.
     """
-    t = np.arange(n_samples) / sample_rate
-    tone = amp * np.sin(2.0 * np.pi * freq_hz * t)
-    env = np.ones(n_samples)
-    if attack_samples > 0:
-        ramp = np.arange(attack_samples) / attack_samples
-        env[:attack_samples] = ramp
-    if decay_samples > 0:
-        ramp = np.arange(decay_samples, 0, -1) / decay_samples
-        env[n_samples - decay_samples:] = ramp
-    return (tone * env).astype(np.float32)
+    out = np.arange(start, stop, dtype=float)
+    out /= sample_rate
+    out *= 2.0 * np.pi * freq_hz
+    np.sin(out, out=out)
+    out *= amp
+    n, a, d = n_samples, attack_samples, decay_samples
+    hi = min(stop, a, n - d)
+    if start < hi:
+        out[:hi - start] *= np.arange(start, hi) / a
+    lo = max(start, n - d)
+    if lo < stop:
+        out[lo - start:] *= np.arange(n - lo, n - stop, -1) / d
+    return out.astype(np.float32)
 
 
 # --- agents -------------------------------------------------------------------
@@ -362,8 +389,8 @@ class ComposerAgent(AgentBase):
         ad = min(self._attack_decay_s(band), duration_s / 2.0)
         ad_n = int(round(ad * SAMPLE_RATE))
         freq = float(default_filterbank().band_centers_hz[band])
-        pcm = synth_tone(freq, p.amplitude, n, ad_n, ad_n, SAMPLE_RATE)
-        self.queue.start(pcm)
+        self.queue.sing(n, partial(synth_tone, freq, p.amplitude, n, ad_n,
+                                   ad_n, SAMPLE_RATE))
         self.current_band = band
         self.total_emissions += 1
         if clock.is_night:

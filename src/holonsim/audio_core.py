@@ -308,10 +308,11 @@ def read_wav(path, target_rate: int | None = SAMPLE_RATE):
     fmt = None
     raw = None
     pos = 12
+    view = memoryview(data)  # chunk bodies are views: no second copy
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + chunk_size]
+        body = view[pos + 8:pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise WavFormatError(

@@ -25,23 +25,30 @@ def pitch_shift_octave(pcm: np.ndarray, direction: int) -> np.ndarray:
     """Shift one octave by resampled playback; +1 up (half the length,
     read at double speed), -1 down (double the length, read at half speed).
     Plain linear interpolation, artifacts and all.
+
+    Up reads every other sample; down reads each sample and the midpoint
+    after it, (x[j+1] - x[j]) * 0.5 + x[j], which is what np.interp gives
+    at those positions, bit for bit.
     """
-    pcm = np.asarray(pcm, dtype=float)
-    n = len(pcm)
-    if n == 0:
-        return pcm.copy()
     if direction > 0:
-        positions = np.arange((n - 1) // 2 + 1) * 2.0
-    else:
-        positions = np.arange(2 * n - 1) * 0.5
-    return np.interp(positions, np.arange(n), pcm)
+        return np.array(pcm[::2], dtype=float)
+    out = np.empty(max(2 * len(pcm) - 1, 0))
+    out[::2] = pcm
+    mid, left = out[1::2], out[:-2:2]
+    np.subtract(out[2::2], left, out=mid)
+    mid *= 0.5
+    mid += left
+    return out
 
 
 def ring_mod(pcm: np.ndarray, carrier_hz: float) -> np.ndarray:
     """Multiply by a carrier sine: y[i] = x[i] * sin(2 pi c i / fs)."""
-    pcm = np.asarray(pcm, dtype=float)
-    i = np.arange(len(pcm))
-    return pcm * np.sin(2.0 * np.pi * carrier_hz * i / SAMPLE_RATE)
+    out = np.arange(len(pcm), dtype=float)
+    out *= 2.0 * np.pi * carrier_hz
+    out /= SAMPLE_RATE
+    np.sin(out, out=out)
+    out *= pcm
+    return out
 
 
 def freq_mod(pcm: np.ndarray, carrier_hz: float) -> np.ndarray:
@@ -50,9 +57,14 @@ def freq_mod(pcm: np.ndarray, carrier_hz: float) -> np.ndarray:
     phase[i] = phase[i-1] + 2 pi (carrier_hz + FM_INDEX * x[i]) / fs,
     output sin(phase); a zero input therefore gives the bare carrier.
     """
-    pcm = np.asarray(pcm, dtype=float)
-    increments = 2.0 * np.pi * (carrier_hz + FM_INDEX * pcm) / SAMPLE_RATE
-    return np.sin(np.cumsum(increments))
+    out = np.array(pcm, dtype=float)
+    out *= FM_INDEX
+    out += carrier_hz
+    out *= 2.0 * np.pi
+    out /= SAMPLE_RATE
+    np.cumsum(out, out=out)
+    np.sin(out, out=out)
+    return out
 
 
 # Each transform kind, in the order random_spec draws them: its function of

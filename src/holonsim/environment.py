@@ -17,6 +17,7 @@ import base64
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import get_args
 
@@ -450,6 +451,8 @@ class ChirpTrainSource:
         self.rng = rng
         self.phases = {}  # call -> its phases, while the call may sound
         self.drawn = 0
+        self._omegas = 2.0 * np.pi * self.freqs
+        self._partials = np.empty(n * FRAME_HOP)  # one call's, in one buffer
 
     def hop(self, tick: int) -> np.ndarray:
         i0 = tick * FRAME_HOP
@@ -469,10 +472,15 @@ class ChirpTrainSource:
         for k in range(first, last):
             lo = self.start + k * self.period
             idx = np.arange(max(i0, lo), min(i0 + FRAME_HOP, lo + self.width))
-            t = idx / SAMPLE_RATE
-            partials = np.sin(2.0 * np.pi * self.freqs[:, None] * t[None, :]
-                              + self.phases[k][:, None])
-            out[idx - i0] += self.amp * partials.sum(axis=0)
+            partials = self._partials[:len(self.freqs) * len(idx)].reshape(
+                len(self.freqs), len(idx))
+            np.multiply(self._omegas[:, None], idx / SAMPLE_RATE,
+                        out=partials)
+            partials += self.phases[k][:, None]
+            np.sin(partials, out=partials)
+            call = partials.sum(axis=0)
+            call *= self.amp
+            out[idx - i0] += call
         return out
 
 
@@ -696,15 +704,24 @@ class EventWriter:
                 continue
             payload[key] = value
         pcm = event.get("_pcm")
+        b64 = None
         if pcm is not None:
             if self.log_audio:
-                raw = np.asarray(pcm, dtype=np.float32).tobytes()
-                payload["pcm_b64"] = base64.b64encode(raw).decode("ascii")
+                # base64 needs no JSON escaping: it goes in after dumps, as
+                # the value of the last key of the last object
+                b64 = base64.b64encode(np.ascontiguousarray(pcm, np.float32))
+                payload["pcm_b64"] = ""
             else:
                 payload["pcm_omitted"] = True
         record = {"tick": tick, "agent_id": agent_id, "kind": kind,
                   "event": event["event"], "payload": payload}
-        self._fh.write(json.dumps(record, separators=(",", ":")))
+        line = json.dumps(record, separators=(",", ":"))
+        if b64 is None:
+            self._fh.write(line)
+        else:
+            self._fh.write(line[:-3])
+            self._fh.write(b64.decode("ascii"))
+            self._fh.write(line[-3:])
         self._fh.write("\n")
         self.count += 1
 
@@ -797,15 +814,30 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
 
 # --- replay ----------------------------------------------------------------------
 
+def _play_clip(pcm: np.ndarray):
+    return lambda queue: queue.start(pcm)
+
+
+def _sing_note(payload: dict):
+    """Start a queue on a logged note, synthesized as it plays, as the
+    composer's own queue was."""
+    n = payload["n_samples"]
+    render = partial(synth_tone, payload["freq_hz"], payload["amp"], n,
+                     payload["attack_samples"], payload["decay_samples"],
+                     SAMPLE_RATE)
+    return lambda queue: queue.sing(n, render)
+
+
 def _emissions_from_log(events) -> dict:
-    """(tick, agent_id) -> float32 pcm of every emission in the log.
+    """(tick, agent_id) -> a function that starts that emission on a queue.
 
     A disruptor's clip is logged in its disrupt_start. A collector's clip
     is logged once, in the sample_decision that kept it, and each
     playback_start names that decision by its captured_at: a collector
     records one sound at a time, so (agent_id, captured_at) picks out one.
-    Refuses a log whose emissions lack their audio before synthesizing
-    anything, and decodes a kept clip only when a playback plays it.
+    Refuses a log whose emissions lack their audio before decoding or
+    synthesizing anything, and decodes a kept clip only when a playback
+    plays it. A note is synthesized only as its queue deals it.
     """
     kept = {(record["agent_id"], record["payload"]["captured_at"]):
             record["payload"]
@@ -827,16 +859,13 @@ def _emissions_from_log(events) -> dict:
         raise ReplayError(
             "log has pcm_omitted entries (run used log_audio: "
             "false); renders cannot be reproduced")
-    emissions = {key: np.frombuffer(base64.b64decode(payload["pcm_b64"]),
-                                    dtype=np.float32)
+    emissions = {key: _play_clip(np.frombuffer(
+                     base64.b64decode(payload["pcm_b64"]), dtype=np.float32))
                  for key, payload in clips.items()}
     for record in events:
         if record["event"] == "emission_start":
-            payload = record["payload"]
-            emissions[record["tick"], record["agent_id"]] = synth_tone(
-                payload["freq_hz"], payload["amp"], payload["n_samples"],
-                payload["attack_samples"], payload["decay_samples"],
-                SAMPLE_RATE)
+            emissions[record["tick"], record["agent_id"]] = _sing_note(
+                record["payload"])
     return emissions
 
 
@@ -863,9 +892,9 @@ def replay_run(run_dir) -> dict:
     for tick in range(scn.n_ticks):
         bus.mix(tick)
         for agent_id, queue in zip(agent_ids, queues):
-            pcm = emissions.get((tick, agent_id))
-            if pcm is not None:
-                queue.start(pcm)
+            start = emissions.get((tick, agent_id))
+            if start is not None:
+                start(queue)
         bus.deal(queues)
 
     replay_dir = run.path / REPLAY_DIR

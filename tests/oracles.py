@@ -341,3 +341,56 @@ def oracle_chirp_train(rng, freqs, level_dbfs, start, period, width, calls,
                           * t[None, :] + phases[k][:, None])
         out[idx] += amp * partials.sum(axis=0)
     return out
+
+
+# The sound kernels as whole-array formulas, one temporary per step: a
+# note, the four transforms and one hop of a chirp call. Each rewritten
+# kernel must give these bytes.
+
+def oracle_note(freq_hz, amp, n, attack, decay, rate=RATE):
+    """A whole note: sine times an envelope of ones whose first attack
+    samples ramp up and whose last decay samples ramp down, the decay
+    ramp written last, cast to float32."""
+    t = np.arange(n) / rate
+    tone = amp * np.sin(2.0 * np.pi * freq_hz * t)
+    env = np.ones(n)
+    if attack > 0:
+        env[:attack] = np.arange(attack) / attack
+    if decay > 0:
+        env[n - decay:] = np.arange(decay, 0, -1) / decay
+    return (tone * env).astype(np.float32)
+
+
+def oracle_pitch_shift_octave(pcm, direction):
+    """np.interp at every second sample (+1) or every half sample (-1)."""
+    pcm = np.asarray(pcm, dtype=float)
+    n = len(pcm)
+    if n == 0:
+        return pcm.copy()
+    if direction > 0:
+        positions = np.arange((n - 1) // 2 + 1) * 2.0
+    else:
+        positions = np.arange(2 * n - 1) * 0.5
+    return np.interp(positions, np.arange(n), pcm)
+
+
+def oracle_ring_mod(pcm, carrier_hz, rate=RATE):
+    pcm = np.asarray(pcm, dtype=float)
+    i = np.arange(len(pcm))
+    return pcm * np.sin(2.0 * np.pi * carrier_hz * i / rate)
+
+
+def oracle_freq_mod(pcm, carrier_hz, fm_index, rate=RATE):
+    """sin of the running sum of 2 pi (carrier + index * x) / rate."""
+    pcm = np.asarray(pcm, dtype=float)
+    increments = 2.0 * np.pi * (carrier_hz + fm_index * pcm) / rate
+    return np.sin(np.cumsum(increments))
+
+
+def oracle_chirp_partials(freqs, amp, phases, idx, rate=RATE):
+    """One call's samples at the sample indices idx: its partials, one
+    sine per frequency at its phase, summed band by band and scaled."""
+    t = idx / rate
+    partials = np.sin(2.0 * np.pi * np.asarray(freqs)[:, None] * t[None, :]
+                      + phases[:, None])
+    return amp * partials.sum(axis=0)

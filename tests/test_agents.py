@@ -206,7 +206,7 @@ def test_batched_profile_matches_per_row_updates(data):
 
 def test_synth_tone_envelope_and_determinism():
     n, attack, decay = 32000, 1600, 3200
-    y = ag.synth_tone(440.0, 0.5, n, attack, decay, SAMPLE_RATE)
+    y = ag.synth_tone(440.0, 0.5, n, attack, decay, SAMPLE_RATE, 0, n)
     assert y.dtype == np.float32 and len(y) == n
     assert y[0] == 0.0
     assert np.max(np.abs(y)) <= 0.5 + 1e-6
@@ -216,7 +216,7 @@ def test_synth_tone_envelope_and_determinism():
     spec = np.abs(np.fft.rfft(y[8000:24000]))
     assert abs(np.argmax(spec) * SAMPLE_RATE / 16000 - 440.0) <= 2.0
     assert np.array_equal(y, ag.synth_tone(440.0, 0.5, n, attack, decay,
-                                           SAMPLE_RATE))
+                                           SAMPLE_RATE, 0, n))
 
 
 def test_hearing_hops_are_the_latest_hop():
@@ -244,6 +244,74 @@ def test_emission_queue_deals_hops_and_pads_the_tail():
     assert q.next_hop() is None
 
 
+BLOCK = ag.NOTE_BLOCK_HOPS * FRAME_HOP
+
+
+@st.composite
+def notes(draw):
+    """A note's (n, attack, decay): lengths at 0, 1, under one hop, on
+    block edges and at full note size; ramps at 0, distinct, and meeting
+    as _start_note's rounding can make them, a = d = (n + 1) // 2."""
+    n = draw(st.one_of(
+        st.sampled_from([0, 1, 2, FRAME_HOP - 1, FRAME_HOP, FRAME_HOP + 1,
+                         BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
+                         2 * BLOCK + FRAME_HOP, 96000 - 1, 96000]),
+        st.integers(0, 96000)), label="n")
+    ramps = draw(st.sampled_from(["none", "distinct", "meeting"]),
+                 label="ramps")
+    if ramps == "none":
+        return n, 0, 0
+    if ramps == "meeting":
+        return n, (n + 1) // 2, (n + 1) // 2
+    half = st.integers(0, n // 2)
+    return n, draw(half, label="attack"), draw(half, label="decay")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(note=notes(), freq=st.floats(80.0, 16000.0), amp=st.floats(0.0, 1.0))
+def test_a_note_dealt_in_blocks_is_the_whole_note_hop_for_hop(note, freq,
+                                                              amp):
+    n, attack, decay = note
+    calls = []
+
+    def render(start, stop):
+        calls.append((start, stop))
+        return ag.synth_tone(freq, amp, n, attack, decay, SAMPLE_RATE,
+                             start, stop)
+
+    want = oracles.oracle_note(freq, amp, n, attack, decay)
+    want = np.pad(want, (0, -(-max(n, 1) // FRAME_HOP) * FRAME_HOP - n))
+    q = ag.EmissionQueue()
+    q.sing(n, render)
+    hops = []
+    while q.active:
+        ending = q.ending
+        hops.append(q.next_hop())
+        assert ending == (not q.active)
+    assert q.next_hop() is None
+    assert [h.dtype for h in hops] == [np.float32] * len(hops)
+    for k, hop in enumerate(hops):
+        assert hop.tobytes() == want[k * FRAME_HOP:(k + 1) * FRAME_HOP] \
+            .tobytes(), k
+    # one block per NOTE_BLOCK_HOPS hops, each synthesized as it is reached
+    assert calls == [(lo, min(lo + BLOCK, n))
+                     for lo in range(0, max(n, 1), BLOCK)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(note=notes(), freq=st.floats(80.0, 16000.0), amp=st.floats(0.0, 1.0),
+       data=st.data())
+def test_any_slice_of_a_note_is_that_slice_of_the_whole_note(note, freq, amp,
+                                                              data):
+    n, attack, decay = note
+    start = data.draw(st.integers(0, n), label="start")
+    stop = data.draw(st.integers(start, n), label="stop")
+    got = ag.synth_tone(freq, amp, n, attack, decay, SAMPLE_RATE, start, stop)
+    want = oracles.oracle_note(freq, amp, n, attack, decay)[start:stop]
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
 # --- composer -------------------------------------------------------------------
 
 def test_composer_sings_lowest_band_in_a_quiet_field():
@@ -267,7 +335,7 @@ def test_composer_sings_lowest_band_in_a_quiet_field():
     clip = np.concatenate(note_hops)[:ev["n_samples"]]
     resynth = ag.synth_tone(ev["freq_hz"], ev["amp"], ev["n_samples"],
                             ev["attack_samples"], ev["decay_samples"],
-                            SAMPLE_RATE)
+                            SAMPLE_RATE, 0, ev["n_samples"])
     assert np.array_equal(clip, resynth)
 
     ends = named(events, "emission_end")

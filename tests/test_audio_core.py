@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,21 @@ def test_wav_malformed_names_offending_field(tmp_path, kwargs, needle):
     with pytest.raises(ac.WavFormatError) as err:
         ac.read_wav(path)
     assert needle in str(err.value)
+
+
+def test_wav_read_holds_its_data_chunk_once(tmp_path):
+    # the file's bytes (0.5x) beside the float64 samples (1x); a copy of
+    # the data chunk on top would make 2.0x
+    path = tmp_path / "long.wav"
+    ac.write_wav(path, np.zeros(60 * SAMPLE_RATE, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        samples, _ = ac.read_wav(path, target_rate=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.dtype == np.float64 and len(samples) == 60 * SAMPLE_RATE
+    assert peak <= 1.6 * samples.nbytes
 
 
 def test_wav_truncated_file_rejected(tmp_path):

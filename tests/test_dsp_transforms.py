@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holonsim import dsp_transforms as dt
 from holonsim.params import SAMPLE_RATE
 
+import oracles
 import synth
 
 
@@ -109,3 +113,31 @@ def test_apply_transform_dispatch():
         spec = dt.TransformSpec(kind, carrier_hz=150.0)
         y = dt.apply_transform(x, spec)
         assert abs(len(y) - factor * len(x)) <= 1
+
+
+ORACLES = {
+    "pitch_up": lambda pcm, _: oracles.oracle_pitch_shift_octave(pcm, +1),
+    "pitch_down": lambda pcm, _: oracles.oracle_pitch_shift_octave(pcm, -1),
+    "freq_mod": lambda pcm, c: oracles.oracle_freq_mod(pcm, c, dt.FM_INDEX),
+    "ring_mod": oracles.oracle_ring_mod,
+}
+
+# captures as the Hearing records them: finite float32 in [-1, 1], at
+# lengths 0, 1 and 2, odd and even
+captures = hnp.arrays(
+    np.float32,
+    st.one_of(st.sampled_from([0, 1, 2, 3, 4, 511, 512]),
+              st.integers(0, 5000)),
+    elements=st.floats(-1.0, 1.0, width=32))
+
+
+@pytest.mark.parametrize("kind", list(dt.TRANSFORMS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pcm=captures, carrier=st.floats(50.0, 2000.0))
+def test_each_transform_has_its_oracles_bytes(kind, pcm, carrier):
+    before = pcm.tobytes()
+    got = dt.apply_transform(pcm, dt.TransformSpec(kind, carrier))
+    want = ORACLES[kind](pcm, carrier)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert pcm.tobytes() == before  # the capture is not written to

@@ -260,6 +260,36 @@ def test_chirp_train_with_calls_shorter_than_a_hop_equals_its_oracle(tmp_path):
     assert np.array_equal(samples, expected.astype(np.float32))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(start=st.integers(0, 3 * FRAME_HOP), width=st.integers(1, 2000),
+       period=st.integers(1, 2500), count=st.integers(1, 12),
+       level=st.floats(-60.0, 0.0))
+def test_each_chirp_hop_has_the_oracles_bytes(start, width, period, count,
+                                              level):
+    stop, n_ticks = start + 6 * FRAME_HOP, 12
+    spec = SourceSpec("c", "chirp_train", (0.0, 0.0), "biophony",
+                      level_dbfs=level, chirp_s=width / SAMPLE_RATE,
+                      period_s=period / SAMPLE_RATE, count=count)
+    source = environment.ChirpTrainSource(
+        spec, np.random.default_rng(3), start, stop)
+    # its calls' phases are the rows of one (calls, bands) draw
+    freqs = default_filterbank().band_centers_hz
+    calls = min(count, -(-(stop - start) // period))
+    phases = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi,
+                                              (calls, len(freqs)))
+    amp = 10.0 ** (level / 20.0) * np.sqrt(2.0 / len(freqs))
+    for tick in range(n_ticks):
+        i0 = tick * FRAME_HOP
+        want = np.zeros(FRAME_HOP)
+        for k in range(calls):
+            lo = start + k * period
+            idx = np.arange(max(i0, lo), min(i0 + FRAME_HOP, lo + width))
+            if len(idx):
+                want[idx - i0] += oracles.oracle_chirp_partials(
+                    freqs, amp, phases[k], idx)
+        assert source.hop(tick).tobytes() == want.tobytes(), tick
+
+
 def test_a_long_dense_chirp_train_holds_only_the_sounding_calls():
     default_filterbank()  # built once per process, not by the source
     spec = SourceSpec("c", "chirp_train", (0.0, 0.0), "biophony",
@@ -828,6 +858,31 @@ def test_empty_roster_logs_only_scheduler_records(tmp_path):
     run_scenario(scn, tmp_path / "run")
     events = load_run_events(RunDir(tmp_path / "run"))
     assert [e["event"] for e in events] == ["boot", "phase", "end"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1001])
+@pytest.mark.parametrize("log_audio", [True, False])
+def test_a_clip_record_is_the_json_of_its_whole_payload(tmp_path, n,
+                                                        log_audio):
+    pcm = np.random.default_rng(n).uniform(-1, 1, n).astype(np.float32)
+    event = {"event": "disrupt_start", "transform": "ring_mod",
+             "carrier_hz": 1234.5, "note": "a \"quoted\" \u00e9", "_pcm": pcm,
+             "out_samples": n}
+    with environment.EventWriter(tmp_path / "e.jsonl", log_audio) as writer:
+        writer.write(7, "disruptor_000", "disruptor", event)
+        writer.write(8, "disruptor_000", "disruptor",
+                     {"event": "disrupt_end", "_pcm": None})
+    payload = {k: v for k, v in event.items() if k not in ("event", "_pcm")}
+    if log_audio:
+        payload["pcm_b64"] = base64.b64encode(pcm.tobytes()).decode("ascii")
+    else:
+        payload["pcm_omitted"] = True
+    want = [{"tick": 7, "agent_id": "disruptor_000", "kind": "disruptor",
+             "event": "disrupt_start", "payload": payload},
+            {"tick": 8, "agent_id": "disruptor_000", "kind": "disruptor",
+             "event": "disrupt_end", "payload": {}}]
+    assert (tmp_path / "e.jsonl").read_text() == "".join(
+        json.dumps(r, separators=(",", ":")) + "\n" for r in want)
 
 
 def test_event_log_is_json_lines_with_fixed_fields(tmp_path):

@@ -58,9 +58,11 @@ def test_a_traced_session_times_the_run_directory_layers(tmp_path):
                     "params": {"slot_s": 0.5},
                     "energy": {"liveliness_per_s": 20.0}}]})["trace"]
     assert layers["agents.emissions"] > 0
+    # its composer sings and its run is replayed, so notes are synthesized
     for layer in ("environment.replay_load_ms", "telemetry.load_events_ms",
                   "audio_core.write_wav_ms", "environment.finalize_ms",
-                  "environment.occupation_ms", "agents.hearing_ms"):
+                  "environment.occupation_ms", "agents.hearing_ms",
+                  "agents.synth_tone_ms"):
         assert layers[layer] > 0, layer
 
 
@@ -77,6 +79,7 @@ def test_a_traced_session_times_the_recordings(tmp_path):
                      "count": 1}]})["trace"]
     assert layers["features.record_feed_ms"] > 0
     assert layers["features.recordings"] >= 1
+    assert layers["dsp_transforms.transform_ms"] > 0
     # the train is asked only for the hops from start_s on: ticks 31 to 124
     assert layers["environment.source_hops"] == 94
     assert layers["environment.sources_ms"] > 0
