@@ -284,6 +284,9 @@ def resample_linear(samples: np.ndarray, source_rate: int,
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
+# the most samples write_wav can write: its RIFF size, 36 header bytes
+# plus 4 bytes a sample, is a 32-bit field
+WAV_MAX_SAMPLES = (2 ** 32 - 1 - 36) // 4
 
 
 def read_wav(path, target_rate: int | None = SAMPLE_RATE):

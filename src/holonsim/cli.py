@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .audio_core import WavFormatError, read_wav
 from .environment import (DURATION_RULE, ReplayError, ScenarioError,
-                          load_scenario, replay_run, run_scenario)
+                          check_render_length, load_scenario, replay_run,
+                          run_scenario)
 from .features import analyze
 from .rundir import REPLAY_DIR, RunDirError, holds_run
 from .telemetry import analyze_run
@@ -56,6 +57,7 @@ def cmd_run(args) -> int:
             scenario.seed = args.seed
         if args.duration is not None:
             scenario.duration_s = parse_duration(args.duration)
+            check_render_length(scenario)
     except ScenarioError as exc:
         fail(str(exc))
         return EXIT_CONFIG

@@ -27,8 +27,9 @@ import yaml
 from .agents import (AGENT_KINDS, ComposerParams, EmissionQueue, EnergyModel,
                      Hearing, daylight, energy_step, synth_tone)
 from .audio_core import (HighpassFilter, SimClock, WavFormatError,
-                         butter_bandpass_coeffs, default_filterbank,
-                         fft_magnitude, linear_filter, read_wav, write_wav)
+                         WAV_MAX_SAMPLES, butter_bandpass_coeffs,
+                         default_filterbank, fft_magnitude, linear_filter,
+                         read_wav, write_wav)
 from .features import Verdict
 from .params import (FRAME_HOP, FRAME_SIZE, N_MEL_BANDS, NYQUIST, SAMPLE_RATE,
                      TICK_SECONDS)
@@ -299,7 +300,19 @@ def _scenario_from_raw(raw: dict, base_dir: Path, default_name: str):
     scn.sources = [_source_from_raw(s, i, base_dir)
                    for i, s in enumerate(scn.sources)]
     scn.agents = _roster_from_raw(scn.agents, scn.layout_radius_m)
+    check_render_length(scn)
     return scn
+
+
+def check_render_length(scn: Scenario):
+    """Refuse a run whose monitor renders would not fit in a WAV, before
+    it runs rather than when finalize writes them."""
+    max_ticks = WAV_MAX_SAMPLES // FRAME_HOP
+    if scn.monitors and scn.n_ticks > max_ticks:
+        raise ScenarioError(
+            f"scenario: duration_s must give at most {max_ticks} ticks "
+            f"({max_ticks * TICK_SECONDS:.3f} s) in a run with monitors, "
+            "the most a monitor's WAV holds")
 
 
 def _source_from_raw(raw, index: int, base_dir: Path) -> SourceSpec:

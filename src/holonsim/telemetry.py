@@ -7,6 +7,7 @@ agree bit for bit.
 
 import json
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,8 +20,9 @@ from .rundir import OCCUPATION_META, OCCUPATION_NPY, RunDir, load_run_events
 DB_FLOOR = -120.0
 BIN_HZ = SAMPLE_RATE / FRAME_SIZE
 # Frames per chunk of every pass over a render (the STFT, the PGM's two
-# passes and the CSV text), so only the grid grows with the run.
-CSV_CHUNK_ROWS = 256
+# passes and the CSV text), so only the grid grows with the run; small, as
+# each CPU formats a CSV chunk of its own at once.
+CSV_CHUNK_ROWS = 64
 
 
 def _chunks(n_rows: int) -> list:
@@ -165,18 +167,30 @@ def format_csv_rows(values: np.ndarray) -> bytes:
 def save_spectrogram_csv(path, grid: np.ndarray):
     """Magnitude grid as RFC-4180 CSV: one row per frame, time first.
 
-    The text is np.savetxt's with fmt="%.6g", written CSV_CHUNK_ROWS rows
-    at a time.
+    The text is np.savetxt's with fmt="%.6g". One worker per CPU formats
+    CSV_CHUNK_ROWS rows at a time, and the chunks are written in order.
+    A chunk is queued only as an earlier one is written, so at most one
+    more chunk than there are workers is in flight and finished texts
+    cannot pile up behind a slow write.
     """
     n_frames, n_bins = grid.shape
     header = "time_s," + ",".join(f"hz_{k * BIN_HZ:.2f}"
                                   for k in range(n_bins))
     times = np.arange(n_frames) * FRAME_HOP / SAMPLE_RATE
-    with open(path, "wb") as fh:
+
+    def text(rows):
+        return format_csv_rows(np.column_stack([times[rows], grid[rows]]))
+
+    workers = os.cpu_count() or 1
+    with open(path, "wb") as fh, ThreadPoolExecutor(workers) as pool:
         fh.write(header.encode("ascii") + b"\n")
+        ahead = deque()
         for rows in _chunks(n_frames):
-            fh.write(format_csv_rows(
-                np.column_stack([times[rows], grid[rows]])))
+            ahead.append(pool.submit(text, rows))
+            if len(ahead) > workers:
+                fh.write(ahead.popleft().result())
+        for future in ahead:
+            fh.write(future.result())
 
 
 def save_spectrogram_pgm(path, grid: np.ndarray):
@@ -321,10 +335,12 @@ def _metrics_csv_lines(metrics: dict) -> str:
 def analyze_run(run_dir):
     """Metrics JSON/CSV plus a spectrogram pair per monitor render.
 
-    Spectrograms render on one worker per monitor, up to the CPU count.
-    Returns the metrics dict with a list of written artifact names under
-    "artifacts". Every input's checksum is checked against the manifest
-    before anything is written.
+    The renders are analyzed one after another on the calling thread, so
+    one render's samples and grid are alive at a time; only the CSV text
+    is formatted on several threads (save_spectrogram_csv). Returns the
+    metrics dict with a list of written artifact names under "artifacts".
+    Every input's checksum is checked against the manifest before
+    anything is written.
     """
     run = RunDir(run_dir)
     events = load_run_events(run)
@@ -343,16 +359,10 @@ def analyze_run(run_dir):
         (run.path / name).unlink(missing_ok=True)
         return run.path / name
 
-    def render(path):
+    for path in renders:
         names = [f"{path.stem}_spectrogram.{ext}" for ext in ("csv", "pgm")]
         save_spectrogram(path, *map(output, names))
-        return names
-
-    if renders:
-        workers = min(len(renders), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for names in pool.map(render, renders):
-                written.extend(names)
+        written.extend(names)
 
     metrics = dict(metrics, artifacts=sorted(written))
     output("metrics.json").write_text(

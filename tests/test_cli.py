@@ -68,6 +68,20 @@ def test_run_refuses_a_duration_of_infinitely_many_samples(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override", [None, "33554.432"])
+def test_run_refuses_renders_that_would_not_fit_a_wav(tmp_path, capsys,
+                                                      override):
+    # at load, or after --duration lengthens a scenario that loaded
+    scn = composer_scenario(tmp_path, duration_s=(
+        40000.0 if override is None else 8.0))
+    flags = [] if override is None else ["--duration", override]
+    assert main(["run", "--scenario", scn, *flags,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert ("duration_s must give at most 2097151 ticks"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 # --- run -----------------------------------------------------------------------
 
 def test_run_exits_zero_and_writes_artifacts(tmp_path, capsys):

@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from holonsim import agents, environment
-from holonsim.audio_core import default_filterbank, read_wav, write_wav
+from holonsim.audio_core import (WAV_MAX_SAMPLES, default_filterbank,
+                                 read_wav, write_wav)
 from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   ScenarioError, SourceSpec, build_gains,
                                   load_run_events, load_scenario, replay_run,
@@ -983,6 +984,23 @@ def test_scenario_errors_name_the_key(tmp_path, mutate, message):
     mutate(body)
     with pytest.raises(ScenarioError, match=message):
         load_scenario(write_yaml(tmp_path, body))
+
+
+def test_a_run_whose_renders_would_not_fit_a_wav_is_refused_at_load(
+        tmp_path):
+    # write_wav's RIFF size is 36 + 4 bytes a sample in 32 bits: 2**21
+    # ticks of 512 samples need 2**32 + 36
+    assert 36 + 4 * WAV_MAX_SAMPLES < 2 ** 32 <= 36 + 4 * (WAV_MAX_SAMPLES + 1)
+    longest = (WAV_MAX_SAMPLES // FRAME_HOP) * FRAME_HOP / SAMPLE_RATE
+    body = base_yaml(duration_s=33554.432, monitors=[[1.0, 0.0]])
+    with pytest.raises(ScenarioError, match="duration_s must give at most "
+                       r"2097151 ticks \(33554.416 s\) in a run with monitors"):
+        load_scenario(write_yaml(tmp_path, body))
+    # loading sizes nothing: these scenarios are never run
+    assert load_scenario(write_yaml(
+        tmp_path, dict(body, duration_s=longest))).n_ticks == 2 ** 21 - 1
+    assert load_scenario(write_yaml(
+        tmp_path, dict(body, monitors=[]))).n_ticks == 2 ** 21
 
 
 @pytest.mark.parametrize("source,message", [

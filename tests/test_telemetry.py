@@ -85,10 +85,10 @@ def test_save_spectrogram_from_wav(tmp_path):
     assert int(np.argmax(grid.sum(axis=0))) == 64  # 2000 Hz bin
 
 
-# Frame counts either side of the chunk edges; 0 is a signal shorter than
-# one frame.
-CHUNK_EDGE_FRAMES = [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
-                     CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]
+# Frame counts either side of a chunk edge (the fourth) and past several;
+# 0 is a signal shorter than one frame.
+CHUNK_EDGE_FRAMES = [0, 1, 4 * CSV_CHUNK_ROWS - 1, 4 * CSV_CHUNK_ROWS,
+                     4 * CSV_CHUNK_ROWS + 1, 8 * CSV_CHUNK_ROWS + 3]
 
 
 def rising_noise(n_frames):
@@ -200,8 +200,12 @@ def test_csv_rows_match_percent_g(values):
     assert format_csv_rows(values) == percent_g_rows(values)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
-                                    CSV_CHUNK_ROWS + 1])
+# either side of a chunk edge, and many more chunks than the workers that
+# format them
+@pytest.mark.parametrize("n_rows", [0, 1, 4 * CSV_CHUNK_ROWS - 1,
+                                    4 * CSV_CHUNK_ROWS,
+                                    4 * CSV_CHUNK_ROWS + 1,
+                                    9 * CSV_CHUNK_ROWS + 3])
 def test_csv_equals_savetxt(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     # every layout: zeros, fixed notation and exponents of both signs
@@ -433,5 +437,22 @@ def test_metrics_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     for cpus in (1, 8):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         analyze_run(out)
-        written.append((out / "metrics.json").read_bytes())
+        written.append({path.name: path.read_bytes() for pattern in (
+            "metrics.json", "*_spectrogram.csv", "*_spectrogram.pgm")
+            for path in out.glob(pattern)})
+    assert len(written[0]) == 5
     assert written[0] == written[1]
+
+
+def test_renders_are_analyzed_one_at_a_time(tmp_path, monkeypatch):
+    # tracemalloc sees every thread, so renders analyzed at once would add
+    # up; one after another, three renders peak about where one does. Two
+    # CPUs: enough for renders to overlap, few CSV workers to add noise.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    peaks = []
+    for monitors in ([(1.0, 1.0)], [(1.0, 1.0), (-1.0, 0.0), (0.0, 2.0)]):
+        where = tmp_path / f"monitors_{len(monitors)}"
+        where.mkdir()
+        out = quiet_composer_run(where, duration_s=30.0, monitors=monitors)
+        peaks.append(traced_peak(analyze_run, out))
+    assert peaks[1] <= 1.5 * peaks[0]
