@@ -6,7 +6,6 @@ agree bit for bit.
 """
 
 import json
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,8 +20,12 @@ DB_FLOOR = -120.0
 BIN_HZ = SAMPLE_RATE / FRAME_SIZE
 # Frames per chunk of every pass over a render (the STFT, the PGM's two
 # passes and the CSV text), so only the grid grows with the run; small, as
-# each CPU formats a CSV chunk of its own at once.
+# each CSV worker formats a chunk of its own at once.
 CSV_CHUNK_ROWS = 64
+# Threads formatting a CSV's chunks. A fixed count, not one per CPU, so the
+# CSV's working set is the same on every host: each worker holds one
+# chunk's temporaries (about 2.4 MB).
+CSV_WORKERS = 2
 
 
 def _chunks(n_rows: int) -> list:
@@ -167,7 +170,7 @@ def format_csv_rows(values: np.ndarray) -> bytes:
 def save_spectrogram_csv(path, grid: np.ndarray):
     """Magnitude grid as RFC-4180 CSV: one row per frame, time first.
 
-    The text is np.savetxt's with fmt="%.6g". One worker per CPU formats
+    The text is np.savetxt's with fmt="%.6g". CSV_WORKERS threads format
     CSV_CHUNK_ROWS rows at a time, and the chunks are written in order.
     A chunk is queued only as an earlier one is written, so at most one
     more chunk than there are workers is in flight and finished texts
@@ -181,13 +184,12 @@ def save_spectrogram_csv(path, grid: np.ndarray):
     def text(rows):
         return format_csv_rows(np.column_stack([times[rows], grid[rows]]))
 
-    workers = os.cpu_count() or 1
-    with open(path, "wb") as fh, ThreadPoolExecutor(workers) as pool:
+    with open(path, "wb") as fh, ThreadPoolExecutor(CSV_WORKERS) as pool:
         fh.write(header.encode("ascii") + b"\n")
         ahead = deque()
         for rows in _chunks(n_frames):
             ahead.append(pool.submit(text, rows))
-            if len(ahead) > workers:
+            if len(ahead) > CSV_WORKERS:
                 fh.write(ahead.popleft().result())
         for future in ahead:
             fh.write(future.result())

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from holonsim import telemetry
 from holonsim.audio_core import fft_magnitude, frames, write_wav
 from holonsim.environment import (AgentSpec, CHANNELS, Scenario, SourceSpec,
                                   run_scenario)
@@ -233,17 +234,27 @@ def test_csv_of_a_spectrogram_equals_savetxt(tmp_path):
 def test_csv_memory_does_not_grow_with_rows(tmp_path):
     rng = np.random.default_rng(10)
     peaks = []
-    for n_chunks in (4, 16):
-        grid = np.abs(rng.normal(size=(n_chunks * CSV_CHUNK_ROWS, 513)))
+    for n_rows in (1024, 4096):
+        grid = np.abs(rng.normal(size=(n_rows, 513)))
         tracemalloc.start()
         try:
             save_spectrogram_csv(tmp_path / "grid.csv", grid)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # one chunk's working set; the 16-chunk grid alone is 17 MB
+    # a chunk's working set per worker; the 4096-row grid alone is 17 MB
+    # and its text 18 MB
     assert max(peaks) < 16e6
     assert peaks[1] < 1.1 * peaks[0]
+
+
+def test_csv_memory_does_not_grow_with_the_cpu_count(tmp_path, monkeypatch):
+    # CSV_WORKERS chunks at once, about 5 MB; a worker per CPU would hold
+    # about 30 MB at 16 CPUs
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    grid = np.abs(np.random.default_rng(11).normal(size=(1024, 513)))
+    assert traced_peak(save_spectrogram_csv, tmp_path / "grid.csv",
+                       grid) < 8e6
 
 
 # --- occupation metrics -----------------------------------------------------------
@@ -436,6 +447,7 @@ def test_metrics_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     written = []
     for cpus in (1, 8):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(telemetry, "CSV_WORKERS", cpus)
         analyze_run(out)
         written.append({path.name: path.read_bytes() for pattern in (
             "metrics.json", "*_spectrogram.csv", "*_spectrogram.pgm")
@@ -447,7 +459,7 @@ def test_metrics_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
 def test_renders_are_analyzed_one_at_a_time(tmp_path, monkeypatch):
     # tracemalloc sees every thread, so renders analyzed at once would add
     # up; one after another, three renders peak about where one does. Two
-    # CPUs: enough for renders to overlap, few CSV workers to add noise.
+    # CPUs, so that renders spread over the CPUs would overlap here.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     peaks = []
     for monitors in ([(1.0, 1.0)], [(1.0, 1.0), (-1.0, 0.0), (0.0, 2.0)]):
