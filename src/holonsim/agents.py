@@ -589,11 +589,13 @@ class Hearing:
     It also holds each agent's battery ledger, which energy_step()
     advances, and its echo veto, which veto_echo() sets: both read who sent
     a hop from the bus deal's mask. It keeps no agent; it gathers what it
-    needs of their parameters when built.
+    needs of their parameters when built. n_ticks is the run's length,
+    which bounds what a recording can still be fed.
     """
 
-    def __init__(self, agents):
+    def __init__(self, agents, n_ticks: int):
         agents = list(agents)
+        self._n_ticks = n_ticks
         kinds = [a.kind for a in agents]
         caps = {"collector": "record_max_s", "disruptor": "capture_max_s"}
         # the rows of each kind, as arrays: they gather faster than lists
@@ -665,7 +667,8 @@ class Hearing:
                 self.recording[r] = False
         for r in np.flatnonzero(self.fired).tolist():
             session = self._sessions[r] = ft.RecordingSession(
-                clock.tick, prev_frames[r], self._max_s[r])
+                clock.tick, prev_frames[r], self._max_s[r],
+                self._n_ticks - clock.tick)
             # a sample this first feed returns (a cap of at most pre-roll
             # and one hop) is handed out by the next feed
             session.feed(hops[r], levels[r])

@@ -782,7 +782,7 @@ def run_scenario(scn: Scenario, out_dir) -> RunSummary:
     agents = [AGENT_KINDS[s.kind](s, rng)
               for s, rng in zip(scn.agents, agent_rngs)]
     n_agents, n_ticks = len(agents), scn.n_ticks
-    hearing = Hearing(agents)
+    hearing = Hearing(agents, n_ticks)
     queues = [agent.queue for agent in agents]
     bus = Bus(scn, bus_rng, source_rngs)
     with run, EventWriter(run.path(EVENTS_FILE), scn.log_audio) as writer:

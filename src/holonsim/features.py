@@ -210,15 +210,19 @@ class RecordingSession:
     Stops after STOP_RUN_HOPS consecutive hops more than STOP_DROP_DB
     below the recording's peak hop RMS, or at the max_s cap
     (pre-roll counts toward the cap, so total duration never exceeds it).
+    hops_left is the number of hops the run can still feed it.
     """
 
-    def __init__(self, onset_tick: int, preroll: np.ndarray, max_s: float):
+    def __init__(self, onset_tick: int, preroll: np.ndarray, max_s: float,
+                 hops_left: int):
         self.onset_tick = onset_tick
         self._cap = int(round(max_s * SAMPLE_RATE))
         # one buffer in the float32 of the agents' rings and the stored
-        # sample; the sample never outgrows the cap, and pages are
-        # touched as written
-        self._pcm = np.empty(self._cap, dtype=np.float32)
+        # sample, no longer than the cap or than what the run can still
+        # feed; pages are touched as written
+        self._pcm = np.empty(min(self._cap,
+                                 len(preroll) + hops_left * FRAME_HOP),
+                             dtype=np.float32)
         self._count = 0
         self._append(preroll)
         self._peak = 0.0

@@ -211,4 +211,4 @@ def _valid_manifest(manifest) -> bool:
 def load_run_events(run: RunDir) -> list:
     """The event log of an opened run, once its sha256 is verified."""
     with open(run.verified(EVENTS_FILE)) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        return [json.loads(line) for line in fh if not line.isspace()]

@@ -6,8 +6,6 @@ agree bit for bit.
 """
 
 import json
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,13 +17,8 @@ from .rundir import OCCUPATION_META, OCCUPATION_NPY, RunDir, load_run_events
 DB_FLOOR = -120.0
 BIN_HZ = SAMPLE_RATE / FRAME_SIZE
 # Frames per chunk of every pass over a render (the STFT, the PGM's two
-# passes and the CSV text), so only the grid grows with the run; small, as
-# each CSV worker formats a chunk of its own at once.
+# passes and the CSV text), so only the grid grows with the run
 CSV_CHUNK_ROWS = 64
-# Threads formatting a CSV's chunks. A fixed count, not one per CPU, so the
-# CSV's working set is the same on every host: each worker holds one
-# chunk's temporaries (about 2.4 MB).
-CSV_WORKERS = 2
 
 
 def _chunks(n_rows: int) -> list:
@@ -50,95 +43,83 @@ def spectrogram_grid(samples: np.ndarray) -> np.ndarray:
 # A value v > 0 is written from e = floor(log10 v) and its six significant
 # digits D = rint(v * 10**(5 - e)), 10**5 <= D < 10**6. "%g" writes fixed
 # notation for -4 <= e <= 5 and d.ddddde±XX otherwise, with trailing
-# fraction zeros (and a bare point) dropped. Each value gets a slot of
-# _SLOT bytes, separator last; the bytes a value does not use stay _PAD and
-# are dropped before writing. A row holding any other value is written by
-# CPython's own "%.6g" (_FALLBACK): negatives and -0.0, inf and NaN, values
-# outside [1e-300, 1e300], values within a few ulp of a power of ten (where
-# log10 can miss e by one), and values whose seventh digit is a near-tie.
+# fraction zeros (and a bare point) dropped. Each value's text goes into a
+# slot of two little-endian uint64 words, separator in its last byte; the
+# bytes between the pieces of a text stay zero and are deleted before
+# writing. A row holding any other value is written by CPython's own
+# "%.6g" (_FALLBACK): negatives and -0.0, inf and NaN, values outside
+# [1e-300, 1e300], values within a few ulp of a power of ten (where log10
+# can miss e by one), values whose seventh digit is a near-tie, and values
+# whose six digits round up to 10**6.
 
-_SLOT = 13                # "d.ddddde-ddd" and its separator
-_PAD = 0
-_ZERO, _EXP, _FALLBACK = 0, 11, 12   # classes; 1 to 10 are fixed, e + 5
-_POW10_LOW = -295
-# 10**k correctly rounded, for every k that 5 - e can take
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_LOW, 306)])
+# classes: 0 to 3 are fixed notation below one (e + 4), 5 to 10 fixed
+# notation from one up (e + 5)
+_ZERO, _EXP, _FALLBACK = 4, 11, 12
+_E_LOW = -300             # the least e of a value in [1e-300, 1e300]
+_E_RANGE = range(_E_LOW, 301)
+_CLASS = np.array([e + 4 if -4 <= e < 0 else e + 5 if 0 <= e <= 5 else _EXP
+                   for e in _E_RANGE], dtype=np.int8)
+# 10**(5 - e), correctly rounded
+_SCALE = np.array([float(f"1e{5 - e}") for e in _E_RANGE])
 # the product v * 10**(5 - e) is off by at most a few ulp (< 1e-9 below
 # 10**6), so rint gives the correctly rounded digits away from half
 _TIE_MARGIN = 1e-6
-_LEAD_BELOW_ONE = np.frombuffer(b"0.000", dtype=np.uint8)
+# k's three digits in the low bytes of a word, first digit lowest, and the
+# same up to k's last nonzero digit, for 0 <= k < 1000
+_DIGITS = np.array([int.from_bytes(b"%03d" % k, "little")
+                    for k in range(1000)], dtype=np.uint64)
+_SIGNIFICANT = np.array([int.from_bytes((b"%03d" % k).rstrip(b"0"),
+                                        "little")
+                         for k in range(1000)], dtype=np.uint64)
+_SIX_ZEROS = int.from_bytes(b"000000", "little")
+_COMMA, _NEWLINE = ord(",") << 56, ord("\n") << 56
+# each class's slot before its digits go in: "0." and -e - 1 zeros below
+# one, "0" for zero; then the separator
+_START = np.array([[int.from_bytes(b"0.000"[:5 - c] if c < _ZERO
+                                   else b"0" if c == _ZERO else b"",
+                                   "little"), _COMMA]
+                   for c in range(_FALLBACK + 1)], dtype=np.uint64)
 
 
 def _classify(v: np.ndarray):
-    """(class, e, D) of each value; D and e are meaningful only for the
-    fixed and exponent classes."""
+    """(class, e, D) of each value; D is 0 for a zero or a fallback, and e
+    is meaningful only for the fixed and exponent classes."""
     fast = (v >= 1e-300) & (v <= 1e300)
-    safe = np.where(fast, v, 1.0)
-    e = np.floor(np.log10(safe)).astype(np.int64)
-    m = safe * _POW10[5 - e - _POW10_LOW]
-    fast &= (m >= 1e5) & (m < 1e6)   # e was right
-    fast &= np.abs(m - np.floor(m) - 0.5) >= _TIE_MARGIN
-    digits = np.rint(m).astype(np.int32)
-    carry = digits == 10 ** 6     # 999999.5 and up round to 1.00000e(e+1)
-    digits[carry] = 10 ** 5
-    e += carry
-    cls = np.where((e >= -4) & (e <= 5), e + 5, _EXP).astype(np.int8)
-    cls[~fast] = _FALLBACK
-    cls[(v == 0) & ~np.signbit(v)] = _ZERO
-    return cls, e, digits
+    m = np.where(fast, v, 1.0)
+    e = np.floor(np.log10(m)).astype(np.int32)
+    m *= np.take(_SCALE, e - _E_LOW)
+    digits = np.rint(m)
+    fast &= (digits >= 1e5) & (digits < 1e6)   # e was right, and no carry
+    m -= digits
+    fast &= np.abs(m) <= 0.5 - _TIE_MARGIN
+    slow = ~fast
+    digits[slow] = 0
+    cls = np.take(_CLASS, e - _E_LOW)
+    cls[slow] = _FALLBACK
+    cls[v.view(np.uint64) == 0] = _ZERO     # +0.0; -0.0 has its sign bit
+    return cls, e, digits.astype(np.int32)
 
 
-def _fill_slots(slots: np.ndarray, cls: np.ndarray, e: np.ndarray,
-                digits: np.ndarray):
-    """Write each value's text into its slot; all three arrays are sorted
-    by class, so each class is one block of rows."""
-    ends = np.cumsum(np.bincount(cls, minlength=_FALLBACK + 1))
-    # raw[s] is the character of digit s (most significant first); frac
-    # drops the trailing zeros, which "%g" omits after a point
-    raw = np.empty((6, cls.size), dtype=np.uint8)
-    q = digits
-    for s in range(5, -1, -1):
-        q, raw[s] = np.divmod(q, 10)
-    raw += ord("0")
-    frac = raw.copy()
-    keep = np.zeros(cls.size, dtype=bool)
-    for s in range(5, 0, -1):
-        keep |= frac[s] != ord("0")
-        frac[s] *= keep
-
-    def point(s, lo, hi):
-        """"." before digit s where that digit is kept, else a pad."""
-        return np.where(frac[s, lo:hi] != _PAD, ord("."), _PAD)
-
-    slots[:ends[_ZERO], 0] = ord("0")
-    for c in range(1, _EXP):
-        lo, hi = ends[c - 1], ends[c]
-        if lo == hi:
-            continue
-        x = c - 5
-        block = slots[lo:hi]
-        if x >= 0:    # "ddd.ddd": integer digits always, then the fraction
-            block[:, :x + 1] = raw[:x + 1, lo:hi].T
-            if x < 5:
-                block[:, x + 1] = point(x + 1, lo, hi)
-                block[:, x + 2:7] = frac[x + 1:, lo:hi].T
-        else:         # "0.000dddddd"
-            block[:, :-x + 1] = _LEAD_BELOW_ONE[:-x + 1]
-            block[:, -x + 1:-x + 7] = frac[:, lo:hi].T
-    lo, hi = ends[_EXP - 1], ends[_EXP]
-    if lo < hi:
-        block = slots[lo:hi]
-        x = e[lo:hi]
-        a = np.abs(x)
-        wide = a >= 100
-        block[:, 0] = raw[0, lo:hi]
-        block[:, 1] = point(1, lo, hi)
-        block[:, 2:7] = frac[1:, lo:hi].T
-        block[:, 7] = ord("e")
-        block[:, 8] = np.where(x < 0, ord("-"), ord("+"))
-        block[:, 9] = np.where(wide, a // 100, a // 10 % 10) + ord("0")
-        block[:, 10] = np.where(wide, a // 10 % 10, a % 10) + ord("0")
-        block[:, 11] = np.where(wide, a % 10 + ord("0"), _PAD)
+def _slots_from_one(cls, e, significant):
+    """The slots of fixed values from one up and of exponent values: the
+    integer digits (one for an exponent), a point and the fraction's
+    significant digits if there are any, and "e±XX"."""
+    x = np.where(cls < _EXP, cls - 5, 0)
+    point = (8 * x + 8).astype(np.uint64)
+    fraction = significant >> point
+    # an integer digit dropped as a trailing zero is a "0" again
+    integer = (significant | _SIX_ZEROS) & (1 << point) - 1
+    slots = np.empty((len(cls), 2), dtype=np.uint64)
+    slots[:, 0] = (integer | fraction << point + 8
+                   | np.where(fraction != 0, np.uint64(ord(".")) << point, 0))
+    slots[:, 1] = _COMMA
+    exp = cls == _EXP
+    power = e[exp]
+    a = np.abs(power)
+    slots[exp, 1] |= (ord("e") | np.where(power < 0, np.uint64(ord("-") << 8),
+                                          np.uint64(ord("+") << 8))
+                      | np.where(a < 100, _DIGITS[a] >> 8, _DIGITS[a]) << 16)
+    return slots
 
 
 def format_csv_rows(values: np.ndarray) -> bytes:
@@ -149,15 +130,23 @@ def format_csv_rows(values: np.ndarray) -> bytes:
     if values.size == 0:
         return b"\n" * n_rows
     cls, e, digits = _classify(values.ravel())
-    order = np.argsort(cls, kind="stable")
-    slots = np.zeros((cls.size, _SLOT), dtype=np.uint8)
-    _fill_slots(slots, cls[order], e[order], digits[order])
-    out = np.empty_like(slots)
-    out.view(f"V{_SLOT}")[order] = slots.view(f"V{_SLOT}")
-    out = out.reshape(n_rows, n_cols, _SLOT)
-    out[:, :, -1] = ord(",")
-    out[:, -1, -1] = ord("\n")
-    text = out[out != _PAD].tobytes()
+    hi = digits // 1000
+    lo = digits - hi * 1000
+    # the six digits less their trailing zeros; none for D = 0
+    significant = np.take(_DIGITS, hi) | np.take(_SIGNIFICANT, lo) << 24
+    ends = lo == 0
+    significant[ends] = np.take(_SIGNIFICANT, hi[ends])
+    # every slot as a zero or a value below one, then the others over it
+    slots = np.take(_START, cls, axis=0).astype("<u8", copy=False)
+    slots[:, 1] |= significant
+    rest = np.flatnonzero(cls > _ZERO)
+    slots[rest] = _slots_from_one(cls[rest], e[rest], significant[rest])
+    slots.reshape(n_rows, n_cols, 2)[:, -1, 1] ^= _COMMA ^ _NEWLINE
+    # freed before the text is made: the allocator returns a call's peak
+    # to the system, and the fresh pages of the next call's peak cost about
+    # as much as its arithmetic
+    del e, digits, hi, lo, significant, ends, rest
+    text = slots.tobytes().translate(None, b"\0")
     fallback = (cls == _FALLBACK).reshape(n_rows, n_cols).any(axis=1)
     if not fallback.any():
         return text
@@ -170,29 +159,19 @@ def format_csv_rows(values: np.ndarray) -> bytes:
 def save_spectrogram_csv(path, grid: np.ndarray):
     """Magnitude grid as RFC-4180 CSV: one row per frame, time first.
 
-    The text is np.savetxt's with fmt="%.6g". CSV_WORKERS threads format
-    CSV_CHUNK_ROWS rows at a time, and the chunks are written in order.
-    A chunk is queued only as an earlier one is written, so at most one
-    more chunk than there are workers is in flight and finished texts
-    cannot pile up behind a slow write.
+    The text is np.savetxt's with fmt="%.6g", formatted and written
+    CSV_CHUNK_ROWS rows at a time, so the text of one chunk is alive at
+    a time.
     """
     n_frames, n_bins = grid.shape
     header = "time_s," + ",".join(f"hz_{k * BIN_HZ:.2f}"
                                   for k in range(n_bins))
     times = np.arange(n_frames) * FRAME_HOP / SAMPLE_RATE
-
-    def text(rows):
-        return format_csv_rows(np.column_stack([times[rows], grid[rows]]))
-
-    with open(path, "wb") as fh, ThreadPoolExecutor(CSV_WORKERS) as pool:
+    with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        ahead = deque()
         for rows in _chunks(n_frames):
-            ahead.append(pool.submit(text, rows))
-            if len(ahead) > CSV_WORKERS:
-                fh.write(ahead.popleft().result())
-        for future in ahead:
-            fh.write(future.result())
+            fh.write(format_csv_rows(
+                np.column_stack([times[rows], grid[rows]])))
 
 
 def save_spectrogram_pgm(path, grid: np.ndarray):
@@ -337,10 +316,10 @@ def _metrics_csv_lines(metrics: dict) -> str:
 def analyze_run(run_dir):
     """Metrics JSON/CSV plus a spectrogram pair per monitor render.
 
-    The renders are analyzed one after another on the calling thread, so
-    one render's samples and grid are alive at a time; only the CSV text
-    is formatted on several threads (save_spectrogram_csv). Returns the
-    metrics dict with a list of written artifact names under "artifacts".
+    The renders are analyzed one after another on the calling thread,
+    which starts no other, so one render's samples and grid are alive at
+    a time. Returns the metrics dict with a list of written artifact
+    names under "artifacts".
     Every input's checksum is checked against the manifest before
     anything is written.
     """

@@ -310,11 +310,12 @@ def test_criterion_09_capacity_bounds(capsys):
         within &= (len(collection) <= 32
                    and collection.total_bytes <= 8 * 1024 * 1024)
 
-    session = RecordingSession(0, np.zeros(0), MAX_RECORD_S)
+    n_hops = int(35.0 / TICK_SECONDS)  # 35 s of loud noise
+    session = RecordingSession(0, np.zeros(0), MAX_RECORD_S, n_hops)
     sample = None
     hop = white_noise(np.random.default_rng(1), FRAME_HOP / SAMPLE_RATE,
                       amp=0.4)
-    for _ in range(int(35.0 / TICK_SECONDS)):  # 35 s of loud noise
+    for _ in range(n_hops):
         sample = session.feed(hop, oracles.oracle_rms(hop))
         if sample is not None:
             break

@@ -39,7 +39,7 @@ def drive(agent, pcm, *, night_window=DAY_ALWAYS, day_length_s=240.0):
     would in a run. Returns (events_per_tick, hop_or_None_per_tick).
     """
     clock = SimClock(0, day_length_s, night_window)
-    hearing = ag.Hearing([agent])
+    hearing = ag.Hearing([agent], len(pcm) // FRAME_HOP)
     ring = np.zeros(FRAME_SIZE, dtype=np.float32)
     all_events, out_hops = [], []
     for i in range(len(pcm) // FRAME_HOP):
@@ -88,7 +88,7 @@ def test_energy_ledger_balances_with_clamping():
     agents = [composer(battery=0.0005, energy={
         "battery_max_wh": 0.0005, "harvest_peak_w": 2.0,
         "cost_idle_w": 0.5, "cost_emit_w": 1.0}), composer(battery=3.0)]
-    hearing = ag.Hearing(agents)
+    hearing = ag.Hearing(agents, int(60.0 / TICK_SECONDS))
     clock = SimClock(0, 20.0, (0.5, 1.0))
     rng = np.random.default_rng(7)
     full = empty = 0
@@ -116,7 +116,7 @@ def test_energy_step_matches_the_per_agent_ledger(data):
                  "cost_emit_w": data.draw(watts)} for _ in range(n)]
     agents = [composer(battery=data.draw(st.floats(0.0, 0.012)), energy=e)
               for e in energies]
-    hearing = ag.Hearing(agents)
+    hearing = ag.Hearing(agents, 40)
     refs = [oracles.OracleLedger(a.energy, a.start_wh) for a in agents]
     # a short day, so the ticks cross day and night
     clock = SimClock(0, 20 * TICK_SECONDS, (0.5, 1.0))
@@ -221,7 +221,7 @@ def test_synth_tone_envelope_and_determinism():
 
 def test_hearing_hops_are_the_latest_hop():
     agent = collector()
-    hearing = ag.Hearing([agent])
+    hearing = ag.Hearing([agent], 1)
     frames = np.arange(float(FRAME_SIZE))[None] / FRAME_SIZE
     mag = fft_magnitude(frames)
     hearing.listen(frames, np.zeros_like(frames), mag, BANK.apply(mag),
@@ -379,7 +379,7 @@ def test_composer_waits_out_broadband_cover():
 
 def test_select_band_detours_around_banded_intrusion_then_returns():
     agent = composer(seed=3, preferred_band=64)
-    ag.Hearing([agent])  # gives the composer its row of spectral memory
+    ag.Hearing([agent], 1)  # gives the composer its row of spectral memory
     quiet = np.full(128, 1e-4)
     for _ in range(400):
         agent.profile.update(quiet, True)
@@ -401,7 +401,7 @@ def test_select_band_detours_around_banded_intrusion_then_returns():
 
 def test_select_band_refuses_broadband_instant_cover():
     agent = composer(seed=4, preferred_band=64)
-    ag.Hearing([agent])
+    ag.Hearing([agent], 1)
     quiet = np.full(128, 1e-4)
     for _ in range(400):
         agent.profile.update(quiet, True)
@@ -412,7 +412,7 @@ def test_select_band_refuses_broadband_instant_cover():
 def test_composer_profile_freezes_while_it_sings():
     agent = composer(seed=6)
     agent.queue.start(np.zeros(FRAME_HOP * 20, dtype=np.float32))
-    hearing = ag.Hearing([agent])
+    hearing = ag.Hearing([agent], 30)
     loud = np.full((1, 128), 50.0)
     frames = np.zeros((1, FRAME_SIZE))
     mag = np.zeros((1, FRAME_SIZE // 2 + 1))
@@ -496,7 +496,7 @@ def test_hearing_counts_tone_runs_as_each_collector_did(data):
     peaks = data.draw(hnp.arrays(float, (ticks, n),
                                  elements=st.floats(0.0, 1e9)), label="peaks")
     echo = data.draw(hnp.arrays(bool, (ticks, n)), label="echo")
-    hearing = ag.Hearing(agents)
+    hearing = ag.Hearing(agents, ticks)
     trackers = {j: oracles.OracleToneTracker(a.params.flatness_max)
                 for j, a in enumerate(agents) if a.kind == "collector"}
     frames = np.zeros((n, FRAME_SIZE), dtype=np.float32)
@@ -541,7 +541,7 @@ def hear_rows(kinds, frames, echo):
     """Listen through one Hearing of agents of these kinds; returns, per
     tick, what each agent's row holds after listen()."""
     agents = [make(ag.AGENT_KINDS[k], **KIND_PARAMS[k]) for k in kinds]
-    hearing = ag.Hearing(agents)
+    hearing = ag.Hearing(agents, len(frames))
     prev = np.zeros_like(frames[0])
     ticks = []
     for t, now in enumerate(frames):
@@ -588,7 +588,7 @@ def test_a_hearing_of_one_kind_gives_each_agent_its_row_in_a_mixed_one():
 
 
 def test_a_hearing_of_no_agents_listens():
-    hearing = ag.Hearing([])
+    hearing = ag.Hearing([], 3)
     frames = np.zeros((0, FRAME_SIZE), dtype=np.float32)
     spectra = fft_magnitude(frames)
     for t in range(3):

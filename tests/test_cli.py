@@ -431,6 +431,25 @@ def test_replay_without_logged_audio_exits_three(tmp_path, capsys):
     assert "pcm_omitted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, cap, start", [
+    ("collector", "record_max_s", "record_start"),
+    ("disruptor", "capture_max_s", "capture_start")])
+def test_a_recording_cap_longer_than_the_run_runs_to_the_end(
+        tmp_path, kind, cap, start):
+    # the listener hears the noise floor start at tick 1 and records to the
+    # end of the run: its buffer is what the run can feed, not the cap
+    scn = write_scenario(tmp_path, {
+        "seed": 5, "duration_s": 2.0, "monitors": [[1.0, 0.0]],
+        "agents": [{"kind": kind, "position": [0.0, 0.0],
+                    "params": {cap: 1.0e9}}]})
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    assert [e["tick"] for e in load_run_events(RunDir(out))
+            if e["event"] == start] == [1]
+    assert main(["analyze", str(out)]) == 0
+    assert main(["replay", str(out)]) == 0
+
+
 # --- console script ------------------------------------------------------------
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

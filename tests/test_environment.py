@@ -1291,4 +1291,4 @@ def test_a_bad_value_fails_at_load_or_not_at_all(tmp_path, path, value):
         return
     json.dumps(scn.to_dict(), allow_nan=False)
     agents.Hearing([agents.AGENT_KINDS[spec.kind](spec, None)
-                    for spec in scn.agents])
+                    for spec in scn.agents], scn.n_ticks)

@@ -248,7 +248,8 @@ def test_batched_onsets_fire_like_independent_streams(data):
 
 def record(stream, onset_tick=0, preroll=np.zeros(0)):
     """Feed hops to a RecordingSession until it or the stream ends."""
-    session = ft.RecordingSession(onset_tick, preroll, ft.MAX_RECORD_S)
+    session = ft.RecordingSession(onset_tick, preroll, ft.MAX_RECORD_S,
+                                  len(stream))
     for hop in stream:
         sample = session.feed(hop, oracles.oracle_rms(hop))
         if sample is not None:
@@ -280,18 +281,23 @@ def test_segment_cap_includes_preroll():
     assert len(sample.pcm) == 30 * SAMPLE_RATE
 
 
+# the last cap, 1e9 s, outlasts the stream: 116 TiB of float32 if the
+# buffer were as long as the cap, not as what the stream can feed
 @pytest.mark.parametrize("cap", [1, 300, 2 * FRAME_HOP, 2 * FRAME_HOP + 1,
-                                 5 * FRAME_HOP - 7, 5 * FRAME_HOP])
+                                 5 * FRAME_HOP - 7, 5 * FRAME_HOP,
+                                 10 ** 9 * SAMPLE_RATE])
 def test_segment_keeps_the_float32_stream_up_to_the_cap(cap):
     rng = np.random.default_rng(cap)
     preroll = rng.standard_normal(2 * FRAME_HOP)
     stream = [rng.standard_normal(FRAME_HOP) for _ in range(6)]
-    session = ft.RecordingSession(3, preroll, cap / SAMPLE_RATE)
-    sample = None
+    session = ft.RecordingSession(3, preroll, cap / SAMPLE_RATE,
+                                  len(stream))
     for hop in stream:
         sample = session.feed(hop, 1.0)
         if sample is not None:
             break
+    else:
+        sample = session.finish()
     whole = np.concatenate([preroll] + stream).astype(np.float32)
     assert sample.pcm.dtype == np.float32
     assert sample.pcm.tobytes() == whole[:cap].tobytes()

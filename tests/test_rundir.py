@@ -9,8 +9,9 @@ from holonsim import agents
 from holonsim.cli import main
 from holonsim.environment import (AgentSpec, ReplayError, Scenario,
                                   replay_run, run_scenario)
-from holonsim.rundir import (FORMAT, MANIFEST_FILE, RunDir, RunDirError,
-                             holds_run, load_run_events)
+from holonsim.rundir import (EVENTS_FILE, FORMAT, MANIFEST_FILE, RunDir,
+                             RunDirError, file_sha256, holds_run,
+                             load_run_events)
 from holonsim.telemetry import analyze_run
 
 
@@ -57,6 +58,20 @@ def test_a_missing_artifact_is_named(tmp_path):
     (tmp_path / "run" / "events.jsonl").unlink()
     with pytest.raises(RunDirError, match="events.jsonl"):
         load_run_events(RunDir(tmp_path / "run"))
+
+
+def test_blank_lines_in_a_verified_log_are_skipped(tmp_path):
+    run_scenario(tiny(1), tmp_path / "run")
+    want = load_run_events(RunDir(tmp_path / "run"))
+    log = tmp_path / "run" / EVENTS_FILE
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("\n" + "".join(line + " \t\n" for line in lines)
+                   + "\r\n  ")
+    path = tmp_path / "run" / MANIFEST_FILE
+    manifest = json.loads(path.read_text())
+    manifest["artifacts"][EVENTS_FILE] = file_sha256(log)
+    path.write_text(json.dumps(manifest))
+    assert load_run_events(RunDir(tmp_path / "run")) == want
 
 
 @pytest.mark.parametrize("edit", [

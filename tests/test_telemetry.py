@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from holonsim import telemetry
 from holonsim.audio_core import fft_magnitude, frames, write_wav
 from holonsim.environment import (AgentSpec, CHANNELS, Scenario, SourceSpec,
                                   run_scenario)
@@ -242,19 +242,10 @@ def test_csv_memory_does_not_grow_with_rows(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # a chunk's working set per worker; the 4096-row grid alone is 17 MB
-    # and its text 18 MB
+    # one chunk's working set; the 4096-row grid alone is 17 MB and its
+    # text 18 MB
     assert max(peaks) < 16e6
     assert peaks[1] < 1.1 * peaks[0]
-
-
-def test_csv_memory_does_not_grow_with_the_cpu_count(tmp_path, monkeypatch):
-    # CSV_WORKERS chunks at once, about 5 MB; a worker per CPU would hold
-    # about 30 MB at 16 CPUs
-    monkeypatch.setattr(os, "cpu_count", lambda: 16)
-    grid = np.abs(np.random.default_rng(11).normal(size=(1024, 513)))
-    assert traced_peak(save_spectrogram_csv, tmp_path / "grid.csv",
-                       grid) < 8e6
 
 
 # --- occupation metrics -----------------------------------------------------------
@@ -442,18 +433,20 @@ def test_analyze_replaces_its_outputs_and_leaves_their_links(tmp_path):
         assert (out / name).stat().st_nlink == 1, name
 
 
-def test_metrics_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+def test_analyze_run_starts_no_thread(tmp_path, monkeypatch):
+    # so neither its outputs nor its memory depend on the host's CPUs
     out = quiet_composer_run(tmp_path, monitors=[(1.0, 1.0), (-1.0, 0.0)])
-    written = []
-    for cpus in (1, 8):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(telemetry, "CSV_WORKERS", cpus)
-        analyze_run(out)
-        written.append({path.name: path.read_bytes() for pattern in (
-            "metrics.json", "*_spectrogram.csv", "*_spectrogram.pgm")
-            for path in out.glob(pattern)})
-    assert len(written[0]) == 5
-    assert written[0] == written[1]
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    metrics = analyze_run(out)
+    assert started == []
+    assert len(metrics["artifacts"]) == 6
 
 
 def test_renders_are_analyzed_one_at_a_time(tmp_path, monkeypatch):
