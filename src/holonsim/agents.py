@@ -270,9 +270,11 @@ class AgentBase:
         raise NotImplementedError
 
 
-def occupancy_threshold(energies, percentile: float, floor: float) -> float:
-    """The percentile of the band energies, floored at an absolute level."""
-    return max(float(np.percentile(energies, percentile)), floor)
+def occupancy_threshold(energies, percentile: float, floor: float):
+    """The percentile of the band energies along the last axis, floored at
+    an absolute level: one threshold for a composer's row of energies, or
+    one per row of a stack of them."""
+    return np.maximum(np.percentile(energies, percentile, axis=-1), floor)
 
 
 @dataclass
@@ -496,7 +498,6 @@ class CollectorAgent(AgentBase):
         self.queue.start(sample.pcm)
         self._refractory_until = clock.tick + int(
             round(self.params.playback_refractory_s / TICK_SECONDS))
-        hearing.tone_run[self.row] = 0
         # the clip is logged once, by the sample_decision that kept it, and
         # captured_at names that decision
         events.append({

@@ -209,18 +209,6 @@ def save_spectrogram(wav_path, csv_path, pgm_path) -> np.ndarray:
     return grid
 
 
-def band_occupancy_threshold(mean_band_energy: np.ndarray) -> float:
-    """The composers' collision threshold at their default parameters,
-    applied to bus-truth energies.
-
-    Using the same formula the agents act on keeps the metrics honest:
-    a band the metric calls occupied is one a composer would avoid.
-    """
-    return occupancy_threshold(mean_band_energy,
-                               ComposerParams.occupancy_percentile,
-                               ComposerParams.occupancy_floor)
-
-
 def occupation_metrics(events: list, occupation: np.ndarray, meta: dict,
                        n_ticks: int) -> dict:
     """Niche metrics from the event log and the bus-truth energy matrix.
@@ -231,25 +219,27 @@ def occupation_metrics(events: list, occupation: np.ndarray, meta: dict,
     niche_spread: distinct bands composers logged a note in.
     switch_events: preferred-band departures plus returns summed over
     composers.
+
+    A band is occupied in a window when its mean per-frame energy reaches
+    the composers' threshold at their default parameters over that
+    window's bands: a band the metric calls occupied is one a composer
+    would avoid.
     """
     channels = list(meta["channels"])
     window_ticks = int(meta["window_ticks"])
     non_cyber = [i for i, c in enumerate(channels) if c != "cyberphony"]
     energy = occupation[non_cyber].sum(axis=0)  # (n_windows, n_bands)
-    n_windows = energy.shape[0]
 
-    # per-frame scale so the threshold matches what composers see
-    frames_per = np.full(n_windows, window_ticks, dtype=float)
-    if n_windows:
-        frames_per[-1] = n_ticks - window_ticks * (n_windows - 1)
+    # per-frame scale so the threshold matches what composers see; the
+    # last window, if there is one, holds the rest of the run's ticks
+    frames_per = np.full(len(energy), window_ticks, dtype=float)
+    frames_per[-1:] = n_ticks - window_ticks * (len(energy) - 1)
     mean_energy = energy / np.maximum(frames_per[:, None], 1.0)
-    thresholds = np.array([band_occupancy_threshold(mean_energy[w])
-                           for w in range(n_windows)])
+    occupied = mean_energy >= occupancy_threshold(
+        mean_energy, ComposerParams.occupancy_percentile,
+        ComposerParams.occupancy_floor)[:, None]
 
-    partial = not events or events[-1].get("event") != "end"
-    total_windows = 0
-    overlapped = 0
-    bands_used = set()
+    hits = []  # for each window a note sounds in: was its band occupied
     composers = {}
     for record in events:
         if record.get("event") != "emission_start":
@@ -258,21 +248,17 @@ def occupation_metrics(events: list, occupation: np.ndarray, meta: dict,
         band = payload["band"]
         tick = record["tick"]
         n_hops = -(-payload["n_samples"] // FRAME_HOP)
-        bands_used.add(band)
         # audible from tick+1 for n_hops hops, up to the run's last tick
         first, last = tick + 1, min(tick + n_hops, n_ticks - 1)
         if first <= last:
-            for w in range(first // window_ticks, last // window_ticks + 1):
-                total_windows += 1
-                if mean_energy[w, band] >= thresholds[w]:
-                    overlapped += 1
+            windows = range(first // window_ticks, last // window_ticks + 1)
+            hits += occupied[windows, band].tolist()
         info = composers.setdefault(record["agent_id"], {
             "preferred_band": payload.get("preferred_band"),
             "bands": [], "departures": 0, "returns": 0})
         info["bands"].append(band)
         info["preferred_band"] = payload.get("preferred_band")
 
-    switch_events = 0
     for info in composers.values():
         preferred = info["preferred_band"]
         at_home = True  # composers begin on their preferred band
@@ -284,16 +270,16 @@ def occupation_metrics(events: list, occupation: np.ndarray, meta: dict,
                 info["returns"] += 1
                 at_home = True
         info["bands"] = sorted(set(info["bands"]))
-        switch_events += info["departures"] + info["returns"]
 
     return {
-        "overlap_ratio": (overlapped / total_windows if total_windows
-                          else None),
-        "niche_spread": len(bands_used),
-        "switch_events": switch_events,
-        "emission_windows": total_windows,
+        "overlap_ratio": sum(hits) / len(hits) if hits else None,
+        "niche_spread": len(set().union(
+            *(info["bands"] for info in composers.values()))),
+        "switch_events": sum(info["departures"] + info["returns"]
+                             for info in composers.values()),
+        "emission_windows": len(hits),
         "composers": composers,
-        "partial_data": partial,
+        "partial_data": not events or events[-1].get("event") != "end",
     }
 
 

@@ -394,3 +394,69 @@ def oracle_chirp_partials(freqs, amp, phases, idx, rate=RATE):
     partials = np.sin(2.0 * np.pi * np.asarray(freqs)[:, None] * t[None, :]
                       + phases[:, None])
     return amp * partials.sum(axis=0)
+
+
+def oracle_occupation_metrics(events, occupation, meta, n_ticks,
+                              percentile=25.0, floor=0.5, hop=HOP):
+    """The niche metrics window by window and note by note: each window's
+    threshold is its own percentile call over the bands' mean per-frame
+    energies, floored, and each window a note sounds in is tallied on its
+    own. percentile and floor are the composers' default occupancy
+    parameters."""
+    window_ticks = int(meta["window_ticks"])
+    non_cyber = [i for i, c in enumerate(meta["channels"])
+                 if c != "cyberphony"]
+    energy = occupation[non_cyber].sum(axis=0)
+    n_windows = energy.shape[0]
+    frames_per = np.full(n_windows, window_ticks, dtype=float)
+    if n_windows:
+        frames_per[-1] = n_ticks - window_ticks * (n_windows - 1)
+    mean_energy = energy / np.maximum(frames_per[:, None], 1.0)
+    thresholds = [max(float(np.percentile(mean_energy[w], percentile)),
+                      floor) for w in range(n_windows)]
+
+    total_windows = overlapped = 0
+    bands_used = set()
+    composers = {}
+    for record in events:
+        if record.get("event") != "emission_start":
+            continue
+        payload = record["payload"]
+        band = payload["band"]
+        tick = record["tick"]
+        n_hops = -(-payload["n_samples"] // hop)
+        bands_used.add(band)
+        first, last = tick + 1, min(tick + n_hops, n_ticks - 1)
+        if first <= last:
+            for w in range(first // window_ticks, last // window_ticks + 1):
+                total_windows += 1
+                if mean_energy[w, band] >= thresholds[w]:
+                    overlapped += 1
+        info = composers.setdefault(record["agent_id"], {
+            "preferred_band": payload.get("preferred_band"),
+            "bands": [], "departures": 0, "returns": 0})
+        info["bands"].append(band)
+        info["preferred_band"] = payload.get("preferred_band")
+
+    switch_events = 0
+    for info in composers.values():
+        at_home = True
+        for band in info["bands"]:
+            if at_home and band != info["preferred_band"]:
+                info["departures"] += 1
+                at_home = False
+            elif not at_home and band == info["preferred_band"]:
+                info["returns"] += 1
+                at_home = True
+        info["bands"] = sorted(set(info["bands"]))
+        switch_events += info["departures"] + info["returns"]
+
+    return {
+        "overlap_ratio": (overlapped / total_windows if total_windows
+                          else None),
+        "niche_spread": len(bands_used),
+        "switch_events": switch_events,
+        "emission_windows": total_windows,
+        "composers": composers,
+        "partial_data": not events or events[-1].get("event") != "end",
+    }

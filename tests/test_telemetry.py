@@ -11,16 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from holonsim.agents import ComposerParams, occupancy_threshold
 from holonsim.audio_core import fft_magnitude, frames, write_wav
 from holonsim.environment import (AgentSpec, CHANNELS, Scenario, SourceSpec,
                                   run_scenario)
 from holonsim.params import FRAME_HOP, FRAME_SIZE, SAMPLE_RATE
 from holonsim.telemetry import (BIN_HZ, CSV_CHUNK_ROWS, DB_FLOOR, analyze_run,
-                                band_occupancy_threshold, format_csv_rows,
-                                occupation_metrics,
+                                format_csv_rows, occupation_metrics,
                                 save_spectrogram, save_spectrogram_csv,
                                 save_spectrogram_pgm, spectrogram_grid)
 
+from oracles import oracle_occupation_metrics
 from synth import silence, sine
 
 
@@ -268,10 +269,32 @@ def blank_occupation(n_windows=4):
     return np.zeros((4, n_windows, 128))
 
 
+def composer_threshold(energies):
+    return occupancy_threshold(energies, ComposerParams.occupancy_percentile,
+                               ComposerParams.occupancy_floor)
+
+
 def test_threshold_floor_dominates_quiet_field():
-    assert band_occupancy_threshold(np.zeros(128)) == 0.5
+    assert composer_threshold(np.zeros(128)) == 0.5
     hot = np.full(128, 40.0)
-    assert band_occupancy_threshold(hot) == 40.0
+    assert composer_threshold(hot) == 40.0
+
+
+def test_threshold_of_a_stack_is_each_row_s_threshold_in_bytes():
+    rng = np.random.default_rng(32)
+    stack = rng.exponential(size=(300, 128)) ** rng.uniform(0, 4, (300, 1))
+    stack[::5] *= 0.1       # rows the floor decides
+    stack[::7] = 0.5        # at the floor exactly
+    stack[1::7] = np.round(stack[1::7])   # ties at the percentile
+    rows = composer_threshold(stack)
+    assert rows.shape == (300,)
+    want = [max(float(np.percentile(row, ComposerParams.occupancy_percentile)),
+                ComposerParams.occupancy_floor) for row in stack]
+    assert rows.tobytes() == np.array(want).tobytes()
+    assert rows.tobytes() == np.array(
+        [composer_threshold(row) for row in stack]).tobytes()
+    assert (rows == 0.5).sum() > 300 // 7
+    assert composer_threshold(np.zeros((0, 128))).shape == (0,)
 
 
 def test_quiet_run_has_zero_overlap():
@@ -350,6 +373,56 @@ def test_a_note_started_at_the_last_tick_is_not_counted():
     metrics = occupation_metrics(events, occ, META, n_ticks=100)
     assert metrics["emission_windows"] == 1
     assert metrics["overlap_ratio"] == 1.0
+
+
+@st.composite
+def occupation_runs(draw):
+    """A run's occupation and emission log: 0 to many windows, a short last
+    window, mean energies at the threshold or the floor, and notes that
+    cross the run's end, start on its last tick, leave their preferred band
+    and return to it."""
+    window_ticks = draw(st.integers(1, 9))
+    n_ticks = draw(st.integers(0, 90))
+    n_windows = -(-n_ticks // window_ticks)
+    n_bands = draw(st.integers(1, 12))
+    # mean per-frame energies in each channel; the few exact values tie
+    # each other, the percentile and the 0.5 floor
+    levels = draw(hnp.arrays(
+        np.float64, (len(CHANNELS), n_windows, n_bands),
+        elements=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+                           st.floats(0.0, 100.0))))
+    frames_per = np.minimum(window_ticks,
+                            n_ticks - window_ticks * np.arange(n_windows))
+    occupation = levels * frames_per[:, None]
+    last_tick = max(n_ticks - 1, 0)
+    ticks = st.one_of(st.integers(0, last_tick), st.just(last_tick))
+    bands = st.integers(0, n_bands - 1)
+    notes = draw(st.lists(st.tuples(
+        st.sampled_from(["a", "b", "c"]), ticks, bands,
+        st.one_of(bands, st.none()),
+        st.integers(0, (n_ticks + 3) * FRAME_HOP)), max_size=25))
+    events = [emission(tick, agent, band, preferred, n_samples)
+              for agent, tick, band, preferred, n_samples in notes]
+    if draw(st.booleans()):
+        events.insert(draw(st.integers(0, len(events))),
+                      {"tick": 0, "agent_id": "a", "kind": "composer",
+                       "event": "led", "mode": "emitting"})
+    if draw(st.booleans()):
+        events.append(END)
+    meta = {"channels": list(CHANNELS), "window_ticks": window_ticks}
+    return events, occupation, meta, n_ticks
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(occupation_runs())
+def test_metrics_equal_the_per_window_reference(run):
+    got = occupation_metrics(*run)
+    want = oracle_occupation_metrics(
+        *run, ComposerParams.occupancy_percentile,
+        ComposerParams.occupancy_floor, FRAME_HOP)
+    assert got == want
+    assert (json.dumps(got, sort_keys=True)
+            == json.dumps(want, sort_keys=True))
 
 
 def test_metrics_are_idempotent():
